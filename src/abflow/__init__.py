@@ -37,7 +37,6 @@ from .dynamics import (
 )
 from .errors import (
     AbflowError,
-    HomoclinicNotClosedError,
     InvalidContourError,
     InvalidParamsError,
     InvalidStartError,

@@ -5,9 +5,9 @@ verify, sweep.  A summary document is printed to stdout as JSON (the verify
 report is a fixed-width text document); CSV/SVG artifacts go to --out.
 
 Setting precedence: flags > key=value config file (--config) > built-in
-defaults.  The ABFLOW_WORKERS environment variable bounds internal
-parallelism and never changes results.  Exit codes: 0 ok, 1 verification
-failure, 2 usage, 3 singular input, 4 numerical failure.
+defaults; a config key that names no setting is a usage error.  Exit codes:
+0 ok, 1 verification failure, 2 usage, 3 singular input, 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from . import critical, dynamics, verify as verify_mod
 from .contour import PortraitSpec, circulation, portrait
 from .errors import (
-    HomoclinicNotClosedError,
     InvalidContourError,
     InvalidParamsError,
     InvalidStartError,
@@ -94,6 +93,11 @@ def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 _CONFIG_PARSERS = {
+    **dict.fromkeys(
+        ("hbar", "mass", "k", "delta", "flux", "charge", "light_speed",
+         "radius", "tmax", "rtol", "atol"),
+        float,
+    ),
     "bbox": _bbox,
     "grid": _grid,
     "levels": _floats,
@@ -124,7 +128,9 @@ def _load_config(path: str | None) -> dict:
             raise InvalidParamsError(f"bad config line {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
-        parser = _CONFIG_PARSERS.get(key, float)
+        parser = _CONFIG_PARSERS.get(key)
+        if parser is None:
+            raise InvalidParamsError(f"unknown config key {key!r} in {raw!r}")
         try:
             cfg[key] = parser(value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
@@ -325,12 +331,7 @@ def _cmd_portrait(s: _Settings) -> int:
 
 def _cmd_separatrix(s: _Settings) -> int:
     params = _flow_params(s)
-    cfg = None
-    if any(s._args.get(key) is not None for key in ("rtol", "atol", "tmax")):
-        cfg = dynamics.IntegratorConfig(
-            rel_tol=s.rtol, abs_tol=s.atol, max_time=s.tmax
-        )
-    result = dynamics.trace_separatrix(params, cfg)
+    result = dynamics.trace_separatrix(params)
     em = _Emitter(s)
     em.write_csv("separatrix_loop.csv", "x,y", result.loop.points)
     for i, branch in enumerate(result.unbounded_branches):
@@ -550,10 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("stagnation", parents=[common], help="report the stagnation point")
 
-    p = sub.add_parser("separatrix", parents=[common], help="trace the separatrix")
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
-    p.add_argument("--tmax", type=float)
+    sub.add_parser("separatrix", parents=[common], help="sample the separatrix")
 
     p = sub.add_parser("circulation", parents=[common], help="circle quadrature of the circulation")
     p.add_argument("--center", type=_point)
@@ -616,9 +614,6 @@ def main(argv=None) -> int:
     except (InvalidParamsError, InvalidContourError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except HomoclinicNotClosedError as exc:
-        print(f"error: {exc} diagnostics={exc.diagnostics}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ evaluating the stream function at the cell center.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,26 +109,6 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=float)
     d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
     return math.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max()))
-
-
-def _worker_count() -> int:
-    import os
-
-    raw = os.environ.get("ABFLOW_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    # order-preserving map; worker count never changes results
-    items = list(items)
-    n = _worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 def default_core_radius(params: FlowParams) -> float:
@@ -323,6 +302,8 @@ def _normalize(poly: Polyline) -> Polyline:
 
 def _curves_from_grid(grid: _Grid, level: float) -> list[Polyline]:
     level = float(level)
+    if not math.isfinite(level):
+        raise InvalidParamsError(f"level must be finite, got {level!r}")
     segments = _extract_segments(grid, level)
     if not segments:
         return []
@@ -378,8 +359,8 @@ def portrait(params: FlowParams, spec: PortraitSpec) -> list[Polyline]:
             levels.append(ls)
     levels = sorted(set(levels))
     out: list[Polyline] = []
-    for curves in _pmap(lambda lv: _curves_from_grid(grid, lv), levels):
-        out.extend(curves)
+    for level in levels:
+        out.extend(_curves_from_grid(grid, level))
     return out
 
 
@@ -397,8 +378,10 @@ def circulation(
     """
     cx, cy = float(center[0]), float(center[1])
     radius = float(radius)
-    if not (radius > 0.0):
-        raise InvalidContourError(f"radius must be positive, got {radius!r}")
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise InvalidContourError(f"center must be finite, got {center!r}")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise InvalidContourError(f"radius must be positive and finite, got {radius!r}")
     if samples < 16:
         raise InvalidContourError(f"need at least 16 samples, got {samples}")
     gap = abs(math.hypot(cx, cy) - radius)

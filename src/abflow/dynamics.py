@@ -1,4 +1,4 @@
-"""Trajectory integration, closed-orbit detection, and separatrix tracing.
+"""Trajectory integration, closed-orbit detection, and the separatrix.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with per-step error
 control plus a hard budget on the Hamiltonian drift |H(t) - H(0)|: a step
@@ -6,6 +6,9 @@ whose endpoint violates the budget is rejected and bisected.  The Hamiltonian
 is a first integral of the flow, so the budget is attainable whenever the
 error tolerances are; if bisection stalls the trajectory is reported with
 ``step_failure`` rather than silently accepted.
+
+The separatrix needs no integration: in canonical coordinates
+(x, y) = l*(X, U) with l = delta/k it is the curve X^2 = exp(2(U-1)) - U^2.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import critical
 from .contour import Polyline, default_core_radius, polygon_area
-from .errors import HomoclinicNotClosedError, InvalidParamsError, InvalidStartError
+from .errors import InvalidParamsError, InvalidStartError
 from .field import FlowParams, current
 
 __all__ = [
@@ -48,6 +51,13 @@ _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 4
 
 _MIN_STEP_FRACTION = 1e-13
 _CLOSURE_MIN_ARC_FACTOR = 10.0
+
+# W(1/e): the loop meets the negative y axis at U = -W(1/e) (Corless et al.,
+# "On the Lambert W function", 1996)
+_W_INV_E = 0.2784645427610738
+# vertices per side of the loop and per unbounded arm
+_LOOP_SIDE_SAMPLES = 700
+_ARM_SAMPLES = 580
 
 
 class TrajectoryStatus(enum.Enum):
@@ -126,35 +136,30 @@ class SeparatrixResult:
     lower_axis_crossing: float
 
 
-def _resolve_core(params: FlowParams, cfg: IntegratorConfig) -> float:
-    if cfg.core_radius is not None:
-        return cfg.core_radius
-    return default_core_radius(params)
-
-
-def _resolve_halfwidth(params: FlowParams, cfg: IntegratorConfig, p0) -> float:
-    if cfg.domain_halfwidth is not None:
-        return cfg.domain_halfwidth
+def _default_halfwidth(params: FlowParams) -> float:
+    # ten saddle heights, at least [-5, 5]^2
     half = 5.0
     if params.delta > 0.0 and params.k > 0.0:
         half = max(half, 10.0 * params.saddle_height)
-    return max(half, 2.0 * max(abs(p0[0]), abs(p0[1])))
+    return half
 
 
-def _engine(
+def integrate(
     params: FlowParams,
     p0,
-    cfg: IntegratorConfig,
-    direction: float,
-    detect_closure: bool,
-    return_target=None,
+    cfg: IntegratorConfig | None = None,
+    *,
+    detect_closure: bool = False,
+    direction: float = 1.0,
 ) -> Trajectory:
-    """Shared adaptive stepper.
+    """Integrate the current field from p0 under adaptive step control.
 
-    ``return_target`` is (point, radius, min_departure): stop with closure
-    status once the trajectory, having first moved min_departure away from
-    the target, comes back within radius of it (separatrix branches).
+    Halts on closed-orbit detection (if requested), core entry, domain exit,
+    or max_time.  ``direction=-1`` integrates backward in time; reported
+    times are the elapsed magnitude.
     """
+    if cfg is None:
+        cfg = IntegratorConfig()
     a, b = params.a, params.b
     sgn = 1.0 if direction >= 0 else -1.0
 
@@ -170,8 +175,14 @@ def _engine(
         return -a * y + 0.5 * b * math.log(x * x + y * y)
 
     x, y = float(p0[0]), float(p0[1])
-    core = _resolve_core(params, cfg)
-    half = _resolve_halfwidth(params, cfg, (x, y))
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise InvalidStartError(f"start point {p0!r} is not finite")
+    core = cfg.core_radius
+    if core is None:
+        core = default_core_radius(params)
+    half = cfg.domain_halfwidth
+    if half is None:
+        half = max(_default_halfwidth(params), 2.0 * max(abs(x), abs(y)))
     if math.hypot(x, y) <= core:
         raise InvalidStartError(
             f"start point {p0!r} lies within the core exclusion radius {core!r}"
@@ -190,7 +201,6 @@ def _engine(
     x0, y0 = x, y
     g_prev = 0.0
     arc = 0.0
-    departed = False
 
     t = 0.0
     h = min(cfg.max_step, 1e-3)
@@ -293,15 +303,6 @@ def _engine(
         x, y = xn, yn
         fx, fy = fxn, fyn  # FSAL
 
-        if return_target is not None:
-            (tx, ty), radius, min_departure = return_target
-            d = math.hypot(x - tx, y - ty)
-            if not departed and d > min_departure:
-                departed = True
-            if departed and d <= radius:
-                status = TrajectoryStatus.CLOSED_ORBIT_DETECTED
-                break
-
         if abs(x) > half or abs(y) > half:
             status = TrajectoryStatus.LEFT_DOMAIN
             break
@@ -322,25 +323,6 @@ def _engine(
     )
 
 
-def integrate(
-    params: FlowParams,
-    p0,
-    cfg: IntegratorConfig | None = None,
-    *,
-    detect_closure: bool = False,
-    direction: float = 1.0,
-) -> Trajectory:
-    """Integrate the current field from p0 under adaptive step control.
-
-    Halts on closed-orbit detection (if requested), core entry, domain exit,
-    or max_time.  ``direction=-1`` integrates backward in time; reported
-    times are the elapsed magnitude.
-    """
-    if cfg is None:
-        cfg = IntegratorConfig()
-    return _engine(params, p0, cfg, direction, detect_closure)
-
-
 def detect_closed_orbit(
     params: FlowParams, p0, cfg: IntegratorConfig | None = None
 ) -> OrbitResult:
@@ -355,107 +337,60 @@ def detect_closed_orbit(
     return OrbitResult(closed=False, period=None, return_distance=dist)
 
 
-def _separatrix_config(cfg: IntegratorConfig | None) -> IntegratorConfig:
-    if cfg is None:
-        return IntegratorConfig(
-            rel_tol=1e-12,
-            abs_tol=1e-14,
-            max_step=0.05,
-            h_drift_budget=1e-10,
-            max_time=200.0,
-        )
-    return cfg
+def _canonical_x(u: np.ndarray) -> np.ndarray:
+    """|X| on the canonical separatrix X^2 = exp(2(U-1)) - U^2, written in
+    w = U - 1 so it keeps its digits near the saddle, where X^2 ~ w^2."""
+    w = u - 1.0
+    return np.sqrt(np.maximum(np.expm1(2.0 * w) - 2.0 * w - w * w, 0.0))
 
 
-def trace_separatrix(
-    params: FlowParams, cfg: IntegratorConfig | None = None
-) -> SeparatrixResult:
-    """Trace the level set through the saddle by integrating four branches
-    seeded along the eigenvector directions.
+def trace_separatrix(params: FlowParams) -> SeparatrixResult:
+    """The level set through the saddle, sampled from its closed form.
 
-    The branch that returns to the saddle is the homoclinic loop (reported
-    closed through the saddle point); the two branches that leave the domain
-    are the unbounded separatrix arms.
+    In canonical coordinates (x, y) = l*(X, U), l = delta/k, the separatrix
+    is X = +-sqrt(exp(2(U-1)) - U^2): the homoclinic loop for
+    -W(1/e) <= U <= 1 and the two unbounded arms for U >= 1.  The loop is
+    closed through the saddle and runs as the flow does, down the right side
+    (the unstable direction) and back up the left.  The arms, left then
+    right, run from the saddle to their first vertex outside the default
+    integration domain.
     """
     if params.delta == 0.0 or params.k == 0.0:
         raise InvalidParamsError("separatrix tracing requires delta > 0 and k > 0")
-    cfg = _separatrix_config(cfg)
-    saddle = critical.stagnation_point(params)
-    assert saddle is not None
-    loc = saddle.location
-    unstable, stable = saddle.eigenvectors
-    scale = params.saddle_height
-    eps = 1e-6 * scale
-    return_radius = 1e-4 * scale
-    min_departure = 0.25 * scale
-    target = ((float(loc[0]), float(loc[1])), return_radius, min_departure)
-
-    seeds = [
-        (loc + eps * unstable, 1.0),
-        (loc - eps * unstable, 1.0),
-        (loc + eps * stable, -1.0),
-        (loc - eps * stable, -1.0),
-    ]
-    branches = [
-        _engine(params, seed, cfg, direction, False, return_target=target)
-        for seed, direction in seeds
-    ]
-
+    l = params.saddle_height
     level = critical.separatrix_level(params)
-    returned = [
-        (i, br)
-        for i, br in enumerate(branches)
-        if br.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED
-    ]
-    if not returned:
-        raise HomoclinicNotClosedError(
-            "no separatrix branch returned to the saddle",
-            diagnostics={
-                "statuses": [br.status.value for br in branches],
-                "final_points": [br.points[-1].tolist() for br in branches],
-                "max_h_drift": [br.max_h_drift for br in branches],
-            },
-        )
-    # prefer a forward (unstable) branch so the loop follows the flow
-    _, loop_branch = min(returned, key=lambda item: item[0])
-    loop_pts = np.vstack([loc, loop_branch.points, loc])
-    loop = Polyline(points=loop_pts, level=level, closed=True)
 
-    unbounded = [
-        Polyline(points=br.points, level=level, closed=False)
-        for br in branches
-        if br.status is TrajectoryStatus.LEFT_DOMAIN
-    ]
+    # one side of the loop from the axis crossing up to the saddle (excluded):
+    # U = -W(1/e) + t^2 makes X smooth in t at the crossing, and the cosine
+    # spacing of t clusters the vertices toward the saddle
+    t_max = math.sqrt(1.0 + _W_INV_E)
+    s = np.linspace(0.0, 1.0, _LOOP_SIDE_SAMPLES + 1)[:-1]
+    u = (t_max * np.sin(0.5 * np.pi * s)) ** 2 - _W_INV_E
+    x = _canonical_x(u)
+    x[0] = 0.0  # X^2 vanishes there only to roundoff
+    loop_pts = l * np.column_stack([
+        np.concatenate(([0.0], x[::-1], -x[1:], [0.0])),
+        np.concatenate(([1.0], u[::-1], u[1:], [1.0])),
+    ])
 
-    radii = np.hypot(loop_pts[:, 0], loop_pts[:, 1])
+    # the right arm, w = U - 1 spaced quadratically toward the saddle; X
+    # passes the domain half-width H before w reaches log(H) + 1
+    half = _default_halfwidth(params) / l
+    u = 1.0 + (math.log(half) + 1.0) * np.linspace(0.0, 1.0, _ARM_SAMPLES) ** 2
+    x = _canonical_x(u)
+    n = int(np.argmax(np.maximum(x, u) > half)) + 1
+    right = l * np.column_stack([x[:n], u[:n]])
+    left = right.copy()
+    left[1:, 0] *= -1.0  # the saddle keeps x = +0.0
+
     return SeparatrixResult(
-        loop=loop,
-        unbounded_branches=unbounded,
+        loop=Polyline(points=loop_pts, level=level, closed=True),
+        unbounded_branches=[Polyline(points=left, level=level),
+                            Polyline(points=right, level=level)],
         loop_area=abs(polygon_area(loop_pts[:-1])),
-        loop_max_radius=float(radii.max()),
-        lower_axis_crossing=_lower_axis_crossing(loop_pts),
+        loop_max_radius=l,
+        lower_axis_crossing=-_W_INV_E * l,
     )
-
-
-def _lower_axis_crossing(pts: np.ndarray) -> float:
-    """y value where the loop crosses the negative y axis (sign change of x)."""
-    x, y = pts[:, 0], pts[:, 1]
-    best = None
-    for i in range(len(pts) - 1):
-        if y[i] >= 0.0 and y[i + 1] >= 0.0:
-            continue
-        if x[i] == 0.0:
-            cand = y[i]
-        elif x[i] * x[i + 1] < 0.0:
-            s = x[i] / (x[i] - x[i + 1])
-            cand = y[i] + s * (y[i + 1] - y[i])
-        else:
-            continue
-        if cand < 0.0 and (best is None or cand < best):
-            best = cand
-    if best is None:
-        raise HomoclinicNotClosedError("loop does not cross the negative y axis")
-    return float(best)
 
 
 def position_at(

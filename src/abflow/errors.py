@@ -19,11 +19,3 @@ class InvalidStartError(AbflowError, ValueError):
 
 class InvalidContourError(AbflowError, ValueError):
     """Quadrature contour passes through the vortex core."""
-
-
-class HomoclinicNotClosedError(AbflowError, RuntimeError):
-    """No traced separatrix branch returned to the saddle within tolerance."""
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}

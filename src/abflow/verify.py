@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import critical
-from .contour import _pmap, circulation
+from .contour import circulation
 from .field import (
     FlowParams,
     complex_derivative,
@@ -365,7 +365,7 @@ def run_suite(
         check_circulation,
         check_orthogonality,
     ]
-    reports = _pmap(lambda fn: fn(), checks)
+    reports = [check() for check in checks]
     return sorted(reports, key=lambda rep: rep.name)
 
 

@@ -69,6 +69,15 @@ class TestConfigPrecedence:
         code, _ = run_cli(capsys, "eval", "--config", "/nonexistent.cfg", "--at", "1,1")
         assert code == 2
 
+    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("detla = 0.3\n")
+        code = main(["eval", "--config", str(cfg), "--at", "1,1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "detla" in captured.err
+        assert captured.out == ""
+
 
 class TestPortrait:
     def test_uniform_topology_and_files(self, capsys, tmp_path):
@@ -138,6 +147,16 @@ class TestSubcommands:
         code, _ = run_cli(capsys, "trajectory", "--start", "0,0")
         assert code == 3
 
+    @pytest.mark.parametrize("start", ["nan,0", "inf,0", "0,-inf"])
+    def test_trajectory_nonfinite_start(self, capsys, start):
+        code, _ = run_cli(capsys, "trajectory", "--start", start)
+        assert code == 3
+
+    def test_separatrix_takes_no_tolerance_flags(self, capsys):
+        for flag in ("--rtol", "--atol", "--tmax"):
+            code, _ = run_cli(capsys, "separatrix", flag, "1e-8")
+            assert code == 2
+
     def test_verify_exit_codes(self, capsys, tmp_path):
         code, out = run_cli(capsys, "verify", "--k", "1", "--delta", "0.5",
                             "--seed", "42")
@@ -160,6 +179,19 @@ class TestSubcommands:
         assert areas == sorted(areas, reverse=True)
         assert doc["strictly_decreasing_area"] is True
         assert (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("units, deltas", [
+        (["--hbar", "1e-6", "--mass", "1e-6"], "0.5,0.25"),
+        (["--hbar", "1e-6", "--mass", "1e6"], "0.5,0.25"),
+        (["--hbar", "1e6", "--mass", "1e-6"], "0.5,0.25"),
+        (["--hbar", "1e6", "--mass", "1e6"], "0.5,0.25"),
+        (["--allow-any-delta"], "50,1e-9"),
+    ])
+    def test_sweep_in_scaled_units(self, capsys, units, deltas):
+        doc = run_json(capsys, "sweep", *units, "--deltas", deltas)
+        assert doc["strictly_decreasing_area"] is True
+        for row in doc["rows"]:
+            assert row["loop_max_radius"] == pytest.approx(row["delta"], rel=1e-12)
 
     def test_sweep_requires_deltas(self, capsys):
         code, _ = run_cli(capsys, "sweep")

@@ -8,6 +8,7 @@ from abflow import (
     FlowParams,
     IntegratorConfig,
     InvalidContourError,
+    InvalidParamsError,
     PhysicalConstants,
     Polyline,
     PortraitSpec,
@@ -83,6 +84,11 @@ class TestLevelCurves:
 
     def test_missing_level_gives_empty_list(self):
         assert level_curves(P, 1e6, PortraitSpec()) == []
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_level_rejected(self, level):
+        with pytest.raises(InvalidParamsError):
+            level_curves(P, level, PortraitSpec())
 
     def test_unbounded_level_yields_only_open_curves(self):
         # the level through (0, 5) carries no cycle: its curve family is open,
@@ -195,6 +201,16 @@ class TestCirculation:
             circulation(P, (0.0, 0.0), 1.0, 8)  # too few samples
         with pytest.raises(InvalidContourError):
             circulation(P, (0.0, 0.0), -1.0, 64)
+
+    @pytest.mark.parametrize("center, radius", [
+        ((math.inf, 0.0), 1.0),
+        ((0.0, math.nan), 1.0),
+        ((0.0, 0.0), math.inf),
+        ((0.0, 0.0), math.nan),
+    ])
+    def test_nonfinite_contour_rejected(self, center, radius):
+        with pytest.raises(InvalidContourError):
+            circulation(P, center, radius, 64)
 
     @given(delta=st.floats(0.05, 0.5), radius=st.floats(0.2, 8.0))
     @settings(max_examples=50, deadline=None)

@@ -1,11 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from abflow import (
     FlowParams,
-    HomoclinicNotClosedError,
     IntegratorConfig,
     InvalidParamsError,
     InvalidStartError,
@@ -15,12 +15,37 @@ from abflow import (
     integrate,
     separatrix_level,
     stagnation_point,
+    stream_values,
     trace_separatrix,
 )
 from abflow.contour import polygon_area, winding_number
 from abflow.dynamics import position_at
 
 P = FlowParams()
+
+
+def _loop_constants():
+    """W(1/e) and the canonical loop area A1 = 2*int sqrt(exp(2(u-1)) - u^2) du
+    over [-W(1/e), 1], in 30-digit arithmetic."""
+    with mpmath.workdps(30):
+        w = mpmath.lambertw(1 / mpmath.e).real
+        area = 2 * mpmath.quad(
+            lambda u: mpmath.sqrt(mpmath.exp(2 * (u - 1)) - u * u), [-w, 0, 1]
+        )
+    return float(w), float(area)
+
+
+W1E, A1 = _loop_constants()
+
+# unit systems and flux parameters far from hbar = mass = k = 1, delta <= 1/2
+SCALED = [
+    FlowParams(hbar=1e-6, mass=1e-6),
+    FlowParams(hbar=1e-6, mass=1e6),
+    FlowParams(hbar=1e6, mass=1e-6),
+    FlowParams(hbar=1e6, mass=1e6),
+    FlowParams(delta=1e-9),
+    FlowParams(delta=50.0, allow_any_delta=True),
+]
 
 
 def bisect_axis_crossing(params, level, lo=1e-12, hi=None):
@@ -72,6 +97,13 @@ class TestIntegrate:
     def test_start_inside_core_rejected(self):
         with pytest.raises(InvalidStartError):
             integrate(P, (1e-9, 0.0))
+
+    @pytest.mark.parametrize("start", [
+        (math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf),
+    ])
+    def test_nonfinite_start_rejected(self, start):
+        with pytest.raises(InvalidStartError):
+            integrate(P, start)
 
     def test_no_sample_inside_core(self):
         cfg = IntegratorConfig(core_radius=0.3, max_time=50.0)
@@ -191,12 +223,61 @@ class TestSeparatrix:
         with pytest.raises(InvalidParamsError):
             trace_separatrix(FlowParams(k=0.0, delta=0.5))
 
-    def test_diagnostics_on_failure(self):
-        # an absurdly small time budget cannot close the loop
-        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14, max_time=0.01)
-        with pytest.raises(HomoclinicNotClosedError) as err:
-            trace_separatrix(P, cfg)
-        assert "statuses" in err.value.diagnostics
+    def test_arms_start_at_saddle(self, sep):
+        saddle = stagnation_point(P).location
+        for arm in sep.unbounded_branches:
+            assert np.array_equal(arm.points[0], saddle)
+            assert not arm.closed
+
+
+@pytest.mark.parametrize("params", SCALED + [P, FlowParams(delta=0.1)],
+                         ids=lambda p: f"hbar={p.hbar:g},mass={p.mass:g},delta={p.delta:g}")
+class TestClosedFormSeparatrix:
+    def test_loop_metrics_match_closed_forms(self, params):
+        sep = trace_separatrix(params)
+        l = params.saddle_height
+        assert sep.lower_axis_crossing == pytest.approx(-W1E * l, rel=1e-5)
+        assert sep.loop_max_radius == pytest.approx(l, rel=1e-5)
+        assert sep.loop_area == pytest.approx(A1 * l * l, rel=1e-5)
+        assert len(sep.unbounded_branches) == 2
+
+    def test_every_vertex_on_separatrix_level(self, params):
+        sep = trace_separatrix(params)
+        l = params.saddle_height
+        level = separatrix_level(params)
+        bound = 1e-13 * params.b * (abs(math.log(l)) + 1.0)
+        for poly in [sep.loop, *sep.unbounded_branches]:
+            x, y = poly.points[:, 0], poly.points[:, 1]
+            assert np.max(np.abs(stream_values(params, x, y) - level)) <= bound
+
+    def test_loop_closes_near_saddle(self, params):
+        sep = trace_separatrix(params)
+        l = params.saddle_height
+        pts = sep.loop.points
+        assert np.array_equal(pts[0], [0.0, l]) and np.array_equal(pts[-1], [0.0, l])
+        assert np.hypot(pts[-2, 0], pts[-2, 1] - l) <= 1e-4 * l
+        assert polygon_area(pts[:-1]) < 0  # clockwise, as the flow turns
+        assert pts[1, 0] > 0 and pts[1, 1] < l  # leaves down the right side
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.1])
+def test_loop_agrees_with_integrated_orbit(delta):
+    # integrate from the lower axis crossing for ten saddle time constants:
+    # the orbit runs up the left side of the loop to within ~1e-5*l of the
+    # saddle, before integration error could carry it off along an arm
+    params = FlowParams(delta=delta)
+    l = params.saddle_height
+    tau = params.delta * params.mass / (params.hbar * params.k ** 2)
+    traj = integrate(params, (0.0, -W1E * l), IntegratorConfig(max_time=10.0 * tau))
+    assert traj.status is TrajectoryStatus.COMPLETED
+    loop = trace_separatrix(params).loop.points
+    spacing = np.max(np.hypot(*np.diff(loop, axis=0).T))
+    gaps = np.min(
+        np.hypot(traj.points[:, None, 0] - loop[None, :, 0],
+                 traj.points[:, None, 1] - loop[None, :, 1]),
+        axis=1,
+    )
+    assert np.max(gaps) <= spacing
 
 
 class TestConfigValidation:
