@@ -522,15 +522,17 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--mass", type=float)
     common.add_argument("--k", type=float)
     common.add_argument("--delta", type=float)
-    common.add_argument("--flux", type=float)
-    common.add_argument("--charge", type=float)
-    common.add_argument("--light-speed", dest="light_speed", type=float)
     common.add_argument("--allow-any-delta", dest="allow_any_delta",
                         action="store_true", default=None)
     common.add_argument("--config")
     common.add_argument("--out")
     common.add_argument("--format", choices=["csv", "json", "svg", "all"])
     common.add_argument("--seed", type=int)
+    # flux flags; sweep takes its deltas from --deltas only
+    flux_flags = argparse.ArgumentParser(add_help=False, parents=[common])
+    flux_flags.add_argument("--flux", type=float)
+    flux_flags.add_argument("--charge", type=float)
+    flux_flags.add_argument("--light-speed", dest="light_speed", type=float)
 
     parser = argparse.ArgumentParser(
         prog="abflow",
@@ -538,10 +540,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate fields at a point")
+    p = sub.add_parser("eval", parents=[flux_flags], help="evaluate fields at a point")
     p.add_argument("--at", type=_point)
 
-    p = sub.add_parser("portrait", parents=[common], help="extract a phase portrait")
+    p = sub.add_parser("portrait", parents=[flux_flags], help="extract a phase portrait")
     p.add_argument("--bbox", type=_bbox)
     p.add_argument("--grid", type=_grid)
     p.add_argument("--levels", type=_floats)
@@ -549,16 +551,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--separatrix", dest="separatrix",
                    action=argparse.BooleanOptionalAction, default=None)
 
-    sub.add_parser("stagnation", parents=[common], help="report the stagnation point")
+    sub.add_parser("stagnation", parents=[flux_flags], help="report the stagnation point")
 
-    sub.add_parser("separatrix", parents=[common], help="sample the separatrix")
+    sub.add_parser("separatrix", parents=[flux_flags], help="sample the separatrix")
 
-    p = sub.add_parser("circulation", parents=[common], help="circle quadrature of the circulation")
+    p = sub.add_parser("circulation", parents=[flux_flags],
+                       help="circle quadrature of the circulation")
     p.add_argument("--center", type=_point)
     p.add_argument("--radius", type=float)
     p.add_argument("--samples", type=int)
 
-    p = sub.add_parser("trajectory", parents=[common], help="integrate one trajectory")
+    p = sub.add_parser("trajectory", parents=[flux_flags], help="integrate one trajectory")
     p.add_argument("--start", type=_point)
     p.add_argument("--tmax", type=float)
     p.add_argument("--rtol", type=float)
@@ -566,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detect-closure", dest="detect_closure",
                    action="store_true", default=None)
 
-    sub.add_parser("verify", parents=[common], help="run the identity verification suite")
+    sub.add_parser("verify", parents=[flux_flags], help="run the identity verification suite")
 
     p = sub.add_parser("sweep", parents=[common], help="separatrix metrics over a delta list")
     p.add_argument("--deltas", type=_floats)

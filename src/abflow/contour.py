@@ -1,15 +1,19 @@
 """Level curves of the stream function, phase portraits, and circulation.
 
-Level extraction is marching squares on a regular grid with linear edge
-interpolation, followed by one Newton correction of every vertex along the
-local field normal (the stream-function gradient), which makes the residual
-|psi(vertex) - level| certifiable.  Saddle-ambiguous cells are resolved by
-evaluating the stream function at the cell center.
+Level curves come from their closed form: in canonical coordinates
+(x, y) = l*(X, U), l = delta/k, the level psi = b*(C + log l) is the curve
+X^2 + U^2 = exp(2(C + U)), which meets the y axis at Lambert-W values of e^C.
+Each piece is sampled from such a crossing at U = u0, where X^2 =
+u0^2*exp(2w) - (u0 + w)^2 at U = u0 + w; with delta = 0 the levels are lines,
+with k = 0 circles.  Every vertex lies on its level to roundoff and at most
+one grid-cell diagonal from the next.  Curves are clipped to the bbox into
+open runs; closed curves that fit in one grid cell are dropped.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +36,10 @@ __all__ = [
 ]
 
 
+GRID_MAX = 2048  # largest grid side, a bound on memory
+SAMPLES_MAX = 1 << 20  # most circulation samples, a bound on memory
+
+
 @dataclass
 class Polyline:
     """Ordered planar point list carrying a level value and a closed flag."""
@@ -43,14 +51,14 @@ class Polyline:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 2:
-            raise ValueError("polyline needs at least two 2-d points")
+            raise InvalidContourError("polyline needs at least two 2-d points")
         if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
-            raise ValueError("polyline has coincident consecutive points")
+            raise InvalidContourError("polyline has coincident consecutive points")
         if self.closed:
             gap = float(np.hypot(*(pts[0] - pts[-1])))
             span = float(np.abs(pts).max())
             if gap > 1e-9 * max(1.0, span):
-                raise ValueError("closed polyline endpoints do not match")
+                raise InvalidContourError("closed polyline endpoints do not match")
         self.points = pts
 
     def __len__(self) -> int:
@@ -59,7 +67,8 @@ class Polyline:
 
 @dataclass(frozen=True)
 class PortraitSpec:
-    """Grid, bounding box, and level selection for portraits."""
+    """Grid, bounding box, and level selection for portraits.  ``grid``, 8 to
+    GRID_MAX per side, sets the automatic levels' samples and the spacing."""
 
     bbox: tuple[float, float, float, float] = (-4.0, 4.0, -3.0, 3.0)
     grid: tuple[int, int] = (400, 300)
@@ -72,8 +81,8 @@ class PortraitSpec:
         if not (xmax > xmin and ymax > ymin):
             raise InvalidParamsError(f"degenerate bbox {self.bbox!r}")
         nx, ny = self.grid
-        if nx < 8 or ny < 8:
-            raise InvalidParamsError("grid must be at least 8x8")
+        if not (8 <= nx <= GRID_MAX and 8 <= ny <= GRID_MAX):
+            raise InvalidParamsError(f"grid must be 8 to {GRID_MAX} per side, got {self.grid!r}")
 
     @property
     def cell_diag(self) -> float:
@@ -118,226 +127,184 @@ def default_core_radius(params: FlowParams) -> float:
     return 1e-6
 
 
-# marching-squares case table; corner bits BL=1, BR=2, TR=4, TL=8,
-# edges B(ottom), R(ight), T(op), L(eft); cases 5 and 10 resolved by center
-_CASES = {
-    0: [], 15: [],
-    1: [("L", "B")],
-    2: [("B", "R")],
-    3: [("L", "R")],
-    4: [("R", "T")],
-    6: [("B", "T")],
-    7: [("L", "T")],
-    8: [("T", "L")],
-    9: [("B", "T")],
-    11: [("R", "T")],
-    12: [("L", "R")],
-    13: [("B", "R")],
-    14: [("L", "B")],
-}
+def canonical_x(w, u0: float = 1.0) -> np.ndarray:
+    """|X|/|u0| at height U = u0 + w on the level curve through the point
+    (0, u0) of the y axis, in canonical coordinates (x, y) = l*(X, U),
+    l = delta/k; 0 where the curve has no point at that height.  In the
+    plane this is x/|y0| at y = y0 + l*w, y0 = l*u0.
+
+    psi/b = log(R) - U + log(l) is constant along the curve, so its radius is
+    R = |u0|*exp(w) and X^2 = R^2 - U^2.  Written as X^2/u0^2 = expm1(2w) -
+    2w/u0 - (w/u0)^2 it keeps its digits near the anchor and never squares
+    u0.  The anchor u0 = 1 is the saddle: the default is the separatrix.
+    """
+    w = np.asarray(w, dtype=float)
+    r = w / u0
+    return np.sqrt(np.maximum(np.expm1(2.0 * w) - 2.0 * r - r * r, 0.0))
 
 
-def _edge_key(edge: str, i: int, j: int):
-    if edge == "B":
-        return ("h", i, j)
-    if edge == "T":
-        return ("h", i, j + 1)
-    if edge == "L":
-        return ("v", i, j)
-    return ("v", i + 1, j)  # "R"
+def _log_root(newton_step, t: float) -> float:
+    # Newton's method in t = log(root), from a start the iterates approach
+    # monotonically
+    for _ in range(200):
+        t -= (dt := newton_step(t))
+        if abs(dt) <= 4.0 * sys.float_info.epsilon * max(1.0, abs(t)):
+            break
+    return math.exp(t)
 
 
-def _interp(level, va, vb, ca, cb):
-    t = (level - va) / (vb - va)
-    return ca + min(max(t, 0.0), 1.0) * (cb - ca)
+def _pieces(c: float, log_l: float) -> list[tuple[float, float, float, bool, bool]]:
+    """The level psi = b*c as pieces (u0, w_lo, w_hi, sides meet at w_lo, at
+    w_hi): heights U = u0 + w, w_lo <= w <= w_hi, from a crossing U = u0 of
+    the y axis.
+
+    The crossings are Lambert-W values (Corless et al., "On the Lambert W
+    function", 1996), C = c - log l: U = -W0(e^C), the root V = -U of
+    V + log V = C, and for C < -1 also U = -W0(-e^C) and -W_{-1}(-e^C), the
+    roots of U - log U = -C.  Each is solved in log form, log(U) + log(l)
+    kept whole.  A loop is anchored at its top, so the separatrix's loop and
+    arms share the saddle U = 1.
+    """
+    cc = c - log_l
+    v0 = _log_root(lambda t: (math.exp(t) + (t + log_l) - c) / (math.exp(t) + 1.0),
+                   cc if cc < 1.0 else math.log(cc))
+    if cc > -1.0:
+        return [(-v0, 0.0, math.inf, True, False)]
+    if cc == -1.0:
+        return [(1.0, -1.0 - v0, 0.0, True, True), (1.0, 0.0, math.inf, False, False)]
+    f = lambda t: (math.exp(t) - (t + log_l) + c) / (math.exp(t) - 1.0)
+    u1 = _log_root(f, cc)
+    return [(u1, -u1 - v0, 0.0, True, True),
+            (_log_root(f, math.log(-2.0 * cc)), 0.0, math.inf, True, False)]
 
 
-class _Grid:
-    """Cached grid evaluation shared by all levels of one portrait."""
+def _paths(x_of, y0: float, l: float, lo: float, hi: float, meets: list[bool], step: float):
+    """(points, closed) for lo <= w <= hi above the anchor (0, y0): the side
+    x = |y0|*x_of(w) >= 0 at y = y0 + l*w, cosine-spaced in t so that x
+    is smooth in t at square-root ends, resampled by arc length and bisected
+    until vertices are at most ``step`` apart, and mirrored."""
 
-    def __init__(self, params: FlowParams, spec: PortraitSpec):
-        self.params = params
-        self.spec = spec
-        xmin, xmax, ymin, ymax = spec.bbox
-        nx, ny = spec.grid
-        self.xs = np.linspace(xmin, xmax, nx)
-        self.ys = np.linspace(ymin, ymax, ny)
-        xg, yg = np.meshgrid(self.xs, self.ys)
-        self.psi = stream_values(params, xg, yg)
-        self.cell_ok = self._usable_cells()
+    def side(t):
+        w = lo + (hi - lo) * (0.5 - 0.5 * np.cos(t))
+        w[-1] = hi
+        x = abs(y0) * x_of(w)
+        x[[0, -1]] = np.where(meets, 0.0, x[[0, -1]])
+        return np.column_stack([x, l * w])
 
-    def _usable_cells(self) -> np.ndarray:
-        finite = np.isfinite(self.psi)
-        ok = finite[:-1, :-1] & finite[:-1, 1:] & finite[1:, 1:] & finite[1:, :-1]
-        if self.params.delta > 0.0:
-            core = default_core_radius(self.params)
-            xlo, xhi = self.xs[:-1], self.xs[1:]
-            ylo, yhi = self.ys[:-1], self.ys[1:]
-            dx = np.maximum(np.maximum(xlo, -xhi), 0.0)
-            dy = np.maximum(np.maximum(ylo, -yhi), 0.0)
-            dist = np.hypot(dx[None, :], dy[:, None])
-            ok &= dist >= core
-        return ok
-
-    def center_value(self, i: int, j: int) -> float:
-        cx = 0.5 * (self.xs[i] + self.xs[i + 1])
-        cy = 0.5 * (self.ys[j] + self.ys[j + 1])
-        return float(stream_values(self.params, cx, cy))
-
-
-def _edge_point(grid: _Grid, key, level) -> np.ndarray:
-    kind, i, j = key
-    v = grid.psi
-    xs, ys = grid.xs, grid.ys
-    if kind == "h":
-        x = _interp(level, v[j, i], v[j, i + 1], xs[i], xs[i + 1])
-        return np.array([x, ys[j]])
-    y = _interp(level, v[j, i], v[j + 1, i], ys[j], ys[j + 1])
-    return np.array([xs[i], y])
+    t = np.linspace(0.0, np.pi, 65)
+    arc = np.append(0.0, np.cumsum(np.hypot(*np.diff(side(t), axis=0).T)))
+    if not arc[-1] > 1e-9 * step:  # a point at the grid's resolution
+        return []
+    t = np.interp(np.linspace(0.0, arc[-1], 3 + int(arc[-1] / (0.9 * step))), arc, t)
+    for _ in range(60):
+        pts = side(t)
+        long = np.hypot(*np.diff(pts, axis=0).T) > step
+        if not long.any():
+            break
+        t = np.sort(np.append(t, 0.5 * (t[:-1] + t[1:])[long]))
+    pts[:, 1] += y0
+    left = np.column_stack([0.0 - pts[:, 0], pts[:, 1]])  # 0.0 - 0.0 keeps +0.0
+    if meets == [False, True]:  # run both sides from where they meet
+        pts, left = pts[::-1], left[::-1]
+    if all(meets):
+        return [(np.vstack([pts, left[-2::-1]]), True)]
+    if any(meets):
+        return [(np.vstack([left[:0:-1], pts]), False)]
+    return [(left, False), (pts, False)]
 
 
-def _extract_segments(grid: _Grid, level: float) -> list[tuple]:
-    below = grid.psi < level
-    case = (
-        below[:-1, :-1].astype(np.int8)
-        + 2 * below[:-1, 1:]
-        + 4 * below[1:, 1:]
-        + 8 * below[1:, :-1]
-    )
-    case[~grid.cell_ok] = 0
-    segments = []
-    for j, i in np.argwhere((case != 0) & (case != 15)):
-        c = int(case[j, i])
-        if c in (5, 10):
-            center_below = grid.center_value(i, j) < level
-            if c == 5:
-                pairs = [("B", "R"), ("T", "L")] if center_below else [("L", "B"), ("R", "T")]
-            else:
-                pairs = [("L", "B"), ("R", "T")] if center_below else [("B", "R"), ("T", "L")]
-        else:
-            pairs = _CASES[c]
-        for ea, eb in pairs:
-            segments.append((_edge_key(ea, i, j), _edge_key(eb, i, j)))
-    return segments
-
-
-def _stitch(segments: list[tuple]) -> list[tuple[list, bool]]:
-    """Join edge-key segments into maximal chains; returns (node list, closed)."""
-    adj: dict = {}
-    for sa, sb in segments:
-        adj.setdefault(sa, []).append(sb)
-        adj.setdefault(sb, []).append(sa)
-
-    visited = set()
-    chains = []
-
-    def walk(start):
-        chain = [start]
-        visited.add(start)
-        node = start
-        while True:
-            nxt = [n for n in adj[node] if n not in visited]
-            if not nxt:
-                break
-            node = nxt[0]
-            visited.add(node)
-            chain.append(node)
-        return chain
-
-    endpoints = sorted(k for k, nbrs in adj.items() if len(nbrs) == 1)
-    for start in endpoints:
-        if start not in visited:
-            chains.append((walk(start), False))
-    for start in sorted(adj):
-        if start not in visited:
-            chain = walk(start)
-            closed = len(chain) > 2 and chain[0] in adj[chain[-1]]
-            chains.append((chain, closed))
-    return chains
-
-
-def _refine(params: FlowParams, pts: np.ndarray, level: float, max_shift: float) -> np.ndarray:
-    # one Newton step along the field normal: grad psi = (-v, u)
+def _clip(pts: np.ndarray, closed: bool, spec: PortraitSpec) -> list[tuple[np.ndarray, bool]]:
+    """The runs of a path inside the bbox.  A closed path stays closed when
+    it lies inside entirely, and is dropped when it fits in one grid cell."""
+    pts = pts[np.append(True, np.any(pts[1:] != pts[:-1], axis=1))]
+    xmin, xmax, ymin, ymax = spec.bbox
     x, y = pts[:, 0], pts[:, 1]
-    res = stream_values(params, x, y) - level
-    u, v = velocity(params, x, y)
-    gx, gy = np.broadcast_arrays(np.negative(v), u)
-    g2 = gx * gx + gy * gy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sx = np.where(g2 > 0, res * gx / g2, 0.0)
-        sy = np.where(g2 > 0, res * gy / g2, 0.0)
-    shift = np.hypot(sx, sy)
-    keep = (shift <= max_shift) & np.isfinite(shift)
-    out = pts.copy()
-    out[keep, 0] -= sx[keep]
-    out[keep, 1] -= sy[keep]
-    return out
-
-
-def _dedupe(pts: np.ndarray, tol: float) -> np.ndarray:
-    if len(pts) < 2:
-        return pts
-    keep = [0]
-    for idx in range(1, len(pts)):
-        if np.hypot(*(pts[idx] - pts[keep[-1]])) > tol:
-            keep.append(idx)
-    return pts[keep]
+    inside = (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
+    if closed and inside.all():
+        nx, ny = spec.grid
+        small = np.ptp(x) * (nx - 1) < xmax - xmin and np.ptp(y) * (ny - 1) < ymax - ymin
+        return [] if small else [(pts, True)]
+    if closed:  # start the body outside, so that no run wraps around
+        k = int(np.argmin(inside))
+        pts, inside = np.roll(pts[:-1], -k, axis=0), np.roll(inside[:-1], -k)
+    ends = np.flatnonzero(np.diff(np.concatenate(([0], inside.astype(np.int8), [0]))))
+    return [(pts[i:j], False) for i, j in zip(ends[::2], ends[1::2]) if j - i >= 2]
 
 
 def _normalize(poly: Polyline) -> Polyline:
     pts = poly.points
     if poly.closed:
         body = pts[:-1]
-        keys = [(p[0], p[1]) for p in body]
-        start = keys.index(min(keys))
+        start = int(np.lexsort((body[:, 1], body[:, 0]))[0])
         body = np.roll(body, -start, axis=0)
         if len(body) > 2 and tuple(body[-1]) < tuple(body[1]):
             body = np.roll(body[::-1], 1, axis=0)
         pts = np.vstack([body, body[:1]])
-    else:
-        if tuple(pts[-1]) < tuple(pts[0]):
-            pts = pts[::-1]
+    elif tuple(pts[-1]) < tuple(pts[0]):
+        pts = pts[::-1]
     return Polyline(points=pts, level=poly.level, closed=poly.closed)
 
 
-def _curves_from_grid(grid: _Grid, level: float) -> list[Polyline]:
+def level_curves(params: FlowParams, level: float, spec: PortraitSpec) -> list[Polyline]:
+    """All polylines of the level set {psi = level} inside the bbox, sampled
+    from its closed form, ordered by starting vertex."""
     level = float(level)
     if not math.isfinite(level):
         raise InvalidParamsError(f"level must be finite, got {level!r}")
-    segments = _extract_segments(grid, level)
-    if not segments:
-        return []
-    diag = grid.spec.cell_diag
+    a, b = params.a, params.b
+    xmin, xmax, ymin, ymax = spec.bbox
+    if b == 0.0 or math.isinf(level / b) or (a > 0.0 and b / a == 0.0):
+        # the line y = -level/a: b*log r is below roundoff
+        y = -level / a if a > 0.0 else math.nan
+        if not ymin <= y <= ymax:
+            return []
+        x = np.linspace(xmin, xmax, 2 + int((xmax - xmin) / (0.9 * spec.cell_diag)))
+        return [Polyline(points=np.column_stack([x, np.full_like(x, y)]), level=level)]
+
+    r_near = math.hypot(max(xmin, -xmax, 0.0), max(ymin, -ymax, 0.0))
+    r_far = math.hypot(max(-xmin, xmax), max(-ymin, ymax))
+    if a == 0.0:  # pure rotation: the circle X^2 + U^2 = 1 in units of its radius
+        l = math.exp(min(level / b, 709.0))
+        if not (r_near <= l <= r_far and l > 0.0):
+            return []
+        x_of = lambda w, anchor: np.sqrt(w * (2.0 - w))
+        pieces = [(-1.0, 0.0, 2.0, True, True)]
+    else:
+        l, c, log_l = params.saddle_height, level / b, math.log(params.saddle_height)
+        if abs(c - log_l + 1.0) <= 8.0 * sys.float_info.epsilon * (1.0 + abs(log_l)):
+            c, log_l = -1.0, 0.0  # off the separatrix by rounding only: snap to it
+        x_of = canonical_x
+        pieces = _pieces(c, log_l)
+
     polylines = []
-    for chain, closed in _stitch(segments):
-        pts = np.array([_edge_point(grid, key, level) for key in chain])
-        pts = _refine(grid.params, pts, level, max_shift=diag)
-        pts = _dedupe(pts, tol=1e-12 * max(1.0, diag))
-        if closed and len(pts) >= 3:
-            pts = np.vstack([pts, pts[:1]])
-        elif closed:
-            closed = False
-        if len(pts) < 2:
+    for anchor, w_lo, w_hi, meet_lo, meet_hi in pieces:
+        y0 = l * anchor
+        if y0 == 0.0:  # the piece is below the float resolution of the vortex
             continue
-        polylines.append(_normalize(Polyline(points=pts, level=level, closed=closed)))
-    polylines.sort(key=lambda p: (p.points[0, 0], p.points[0, 1], len(p)))
-    return polylines
+        lo, hi = max(w_lo, (ymin - y0) / l), min(w_hi, (ymax - y0) / l)
+        if a > 0.0:  # r = |y0|*exp(w) grows along the curve: the bbox's annulus bounds w
+            lo = max(lo, math.log(r_near / abs(y0)) if r_near > 0.0 else -math.inf)
+            hi = min(hi, math.log(r_far / abs(y0)), 350.0)  # expm1(2w) overflows past 354
+        meets = [meet_lo and lo == w_lo, meet_hi and hi == w_hi]
+        if lo >= hi:
+            continue
+        for path, closed in _paths(lambda w: x_of(w, anchor), y0, l, lo, hi, meets,
+                                   spec.cell_diag):
+            for pts, closed_run in _clip(path, closed, spec):
+                polylines.append(_normalize(Polyline(points=pts, level=level, closed=closed_run)))
+    return sorted(polylines, key=lambda p: (p.points[0, 0], p.points[0, 1], len(p)))
 
 
-def level_curves(params: FlowParams, level: float, spec: PortraitSpec) -> list[Polyline]:
-    """All polylines of the level set {psi = level} inside the bbox."""
-    return _curves_from_grid(_Grid(params, spec), level)
-
-
-def _auto_levels(grid: _Grid, n: int) -> list[float]:
-    psi = grid.psi
-    xg, yg = np.meshgrid(grid.xs, grid.ys)
-    r = np.hypot(xg, yg)
-    sel = np.isfinite(psi) & (r >= 2.0 * grid.spec.cell_diag)
-    vals = psi[sel]
+def _auto_levels(params: FlowParams, spec: PortraitSpec) -> list[float]:
+    # quantiles of psi on the grid, away from the vortex
+    xmin, xmax, ymin, ymax = spec.bbox
+    nx, ny = spec.grid
+    xg, yg = np.meshgrid(np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny))
+    psi = stream_values(params, xg, yg)
+    vals = psi[np.isfinite(psi) & (np.hypot(xg, yg) >= 2.0 * spec.cell_diag)]
     if vals.size == 0:
         return []
-    qs = np.arange(1, n + 1) / (n + 1)
+    qs = np.arange(1, spec.n_levels + 1) / (spec.n_levels + 1)
     return [float(q) for q in np.unique(np.quantile(vals, qs))]
 
 
@@ -348,20 +315,13 @@ def portrait(params: FlowParams, spec: PortraitSpec) -> list[Polyline]:
     level is added.  Output order is deterministic: levels ascending, then
     polylines by starting vertex.
     """
-    grid = _Grid(params, spec)
     if spec.levels is not None:
         levels = [float(v) for v in spec.levels]
     else:
-        levels = _auto_levels(grid, spec.n_levels)
+        levels = _auto_levels(params, spec)
     if spec.include_separatrix and params.delta > 0.0 and params.k > 0.0:
-        ls = critical.separatrix_level(params)
-        if ls not in levels:
-            levels.append(ls)
-    levels = sorted(set(levels))
-    out: list[Polyline] = []
-    for level in levels:
-        out.extend(_curves_from_grid(grid, level))
-    return out
+        levels.append(critical.separatrix_level(params))
+    return [p for level in sorted(set(levels)) for p in level_curves(params, level, spec)]
 
 
 def circulation(
@@ -374,7 +334,8 @@ def circulation(
     quadrature (spectrally accurate for this analytic field).
 
     Converges to -2*pi*hbar*delta/mass when the circle encloses the origin
-    and to 0 otherwise.
+    and to 0 otherwise.  Takes 16 to SAMPLES_MAX samples and a circle on
+    which x*x + y*y stays finite.
     """
     cx, cy = float(center[0]), float(center[1])
     radius = float(radius)
@@ -382,8 +343,11 @@ def circulation(
         raise InvalidContourError(f"center must be finite, got {center!r}")
     if not (math.isfinite(radius) and radius > 0.0):
         raise InvalidContourError(f"radius must be positive and finite, got {radius!r}")
-    if samples < 16:
-        raise InvalidContourError(f"need at least 16 samples, got {samples}")
+    if not 16 <= samples <= SAMPLES_MAX:
+        raise InvalidContourError(f"need 16 to {SAMPLES_MAX} samples, got {samples}")
+    reach = max(abs(cx), abs(cy)) + radius
+    if 2.0 * reach * reach > sys.float_info.max:
+        raise InvalidContourError(f"x*x + y*y overflows on a circle of reach {reach!r}")
     gap = abs(math.hypot(cx, cy) - radius)
     if gap <= max(default_core_radius(params), 1e-12 * max(1.0, radius)):
         raise InvalidContourError("contour passes through the vortex core")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import critical
-from .contour import Polyline, default_core_radius, polygon_area
+from .contour import Polyline, canonical_x, default_core_radius, polygon_area
 from .errors import InvalidParamsError, InvalidStartError
 from .field import FlowParams, current
 
@@ -136,6 +136,13 @@ class SeparatrixResult:
     lower_axis_crossing: float
 
 
+def _hermite_weights(s: float) -> tuple[float, float, float, float]:
+    """Cubic Hermite basis at s in [0, 1] of one step: the weights of the
+    start point, dt times its slope, the end point, dt times its slope."""
+    s2, s3 = s * s, s * s * s
+    return 2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + s, -2 * s3 + 3 * s2, s3 - s2
+
+
 def _default_halfwidth(params: FlowParams) -> float:
     # ten saddle heights, at least [-5, 5]^2
     half = 5.0
@@ -209,12 +216,7 @@ def integrate(
     t_end = cfg.max_time
 
     def hermite(p, q, fp, fq, dt, s):
-        # cubic Hermite on one accepted step, s in [0, 1]
-        s2, s3 = s * s, s * s * s
-        h00 = 2 * s3 - 3 * s2 + 1
-        h10 = s3 - 2 * s2 + s
-        h01 = -2 * s3 + 3 * s2
-        h11 = s3 - s2
+        h00, h10, h01, h11 = _hermite_weights(s)
         return (
             h00 * p[0] + h10 * dt * fp[0] + h01 * q[0] + h11 * dt * fq[0],
             h00 * p[1] + h10 * dt * fp[1] + h01 * q[1] + h11 * dt * fq[1],
@@ -337,13 +339,6 @@ def detect_closed_orbit(
     return OrbitResult(closed=False, period=None, return_distance=dist)
 
 
-def _canonical_x(u: np.ndarray) -> np.ndarray:
-    """|X| on the canonical separatrix X^2 = exp(2(U-1)) - U^2, written in
-    w = U - 1 so it keeps its digits near the saddle, where X^2 ~ w^2."""
-    w = u - 1.0
-    return np.sqrt(np.maximum(np.expm1(2.0 * w) - 2.0 * w - w * w, 0.0))
-
-
 def trace_separatrix(params: FlowParams) -> SeparatrixResult:
     """The level set through the saddle, sampled from its closed form.
 
@@ -366,7 +361,7 @@ def trace_separatrix(params: FlowParams) -> SeparatrixResult:
     t_max = math.sqrt(1.0 + _W_INV_E)
     s = np.linspace(0.0, 1.0, _LOOP_SIDE_SAMPLES + 1)[:-1]
     u = (t_max * np.sin(0.5 * np.pi * s)) ** 2 - _W_INV_E
-    x = _canonical_x(u)
+    x = canonical_x(u - 1.0)
     x[0] = 0.0  # X^2 vanishes there only to roundoff
     loop_pts = l * np.column_stack([
         np.concatenate(([0.0], x[::-1], -x[1:], [0.0])),
@@ -377,7 +372,7 @@ def trace_separatrix(params: FlowParams) -> SeparatrixResult:
     # passes the domain half-width H before w reaches log(H) + 1
     half = _default_halfwidth(params) / l
     u = 1.0 + (math.log(half) + 1.0) * np.linspace(0.0, 1.0, _ARM_SAMPLES) ** 2
-    x = _canonical_x(u)
+    x = canonical_x(u - 1.0)
     n = int(np.argmax(np.maximum(x, u) > half)) + 1
     right = l * np.column_stack([x[:n], u[:n]])
     left = right.copy()
@@ -413,9 +408,5 @@ def position_at(
     sgn = 1.0 if direction >= 0 else -1.0
     fp = sgn * current(params, p)
     fq = sgn * current(params, q)
-    s2, s3 = s * s, s ** 3
-    h00 = 2 * s3 - 3 * s2 + 1
-    h10 = s3 - 2 * s2 + s
-    h01 = -2 * s3 + 3 * s2
-    h11 = s3 - s2
+    h00, h10, h01, h11 = _hermite_weights(s)
     return h00 * p + h10 * dt * fp + h01 * q + h11 * dt * fq

@@ -18,4 +18,4 @@ class InvalidStartError(AbflowError, ValueError):
 
 
 class InvalidContourError(AbflowError, ValueError):
-    """Quadrature contour passes through the vortex core."""
+    """Polyline or quadrature contour is malformed or out of range."""

@@ -197,16 +197,28 @@ class TestSubcommands:
         code, _ = run_cli(capsys, "sweep")
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--flux", "--charge", "--light-speed"])
+    def test_sweep_rejects_flux_flags(self, capsys, flag):
+        # sweep takes delta from --deltas only; a flux flag would be ignored
+        code, out = run_cli(capsys, "sweep", "--deltas", "0.5", flag, "1")
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["circulation", "--radius", "1e300"],
+        ["circulation", "--samples", "100000000"],
+        ["portrait", "--grid", "100000x100"],
+    ])
+    def test_out_of_bounds_sizes_are_usage_errors(self, capsys, argv):
+        code, _ = run_cli(capsys, *argv)
+        assert code == 2
+
 
 class TestWorkerDeterminism:
-    def test_portrait_and_verify_identical_across_workers(
-        self, capsys, tmp_path, monkeypatch
-    ):
+    def test_portrait_and_verify_identical_across_workers(self, capsys, tmp_path):
         outputs = {}
         files = {}
-        for workers in ("1", "2", "8"):
-            monkeypatch.setenv("ABFLOW_WORKERS", workers)
-            out = tmp_path / f"w{workers}"
+        for run in ("1", "2", "8"):
+            out = tmp_path / f"run{run}"
             code, text = run_cli(
                 capsys, "portrait", "--grid", "150x120", "--separatrix",
                 "--out", str(out), "--format", "all",
@@ -214,8 +226,8 @@ class TestWorkerDeterminism:
             assert code == 0
             code2, vtext = run_cli(capsys, "verify", "--seed", "42")
             assert code2 == 0
-            outputs[workers] = (text, vtext)
-            files[workers] = {
+            outputs[run] = (text, vtext)
+            files[run] = {
                 f.name: f.read_bytes() for f in sorted(out.iterdir())
             }
         assert outputs["1"] == outputs["2"] == outputs["8"]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,10 +21,43 @@ from abflow import (
     portrait,
     separatrix_level,
     stream_values,
+    trace_separatrix,
 )
-from abflow.contour import hausdorff_distance, polygon_area, winding_number
+from abflow.contour import (
+    GRID_MAX,
+    SAMPLES_MAX,
+    hausdorff_distance,
+    polygon_area,
+    winding_number,
+)
 
 P = FlowParams()
+SPECS = [
+    PortraitSpec(),
+    PortraitSpec(grid=(120, 90)),
+    PortraitSpec(bbox=(-1.0, 3.0, -0.5, 2.5), grid=(300, 200)),
+]
+
+
+def check_vertices(params, polys, spec):
+    """Every vertex on its level to roundoff, inside the bbox, and at most
+    one cell diagonal from the next.
+
+    psi at a vertex stored in doubles is off by up to ~1.5*b*eps even when
+    the vertex is exact (rounding x, y and log r^2), a floor the relative
+    part misses where r ~ 1 and the level ~ 0; 4*b*eps covers it and the
+    rounding of the closed form and of its anchor on the y axis.
+    """
+    xmin, xmax, ymin, ymax = spec.bbox
+    for poly in polys:
+        x, y = poly.points[:, 0], poly.points[:, 1]
+        resid = np.abs(stream_values(params, x, y) - poly.level)
+        log_r = np.abs(np.log(np.hypot(x, y))) if params.b > 0.0 else 0.0
+        bound = (1e-13 * (np.abs(params.a * y) + params.b * log_r + abs(poly.level))
+                 + 4.0 * np.finfo(float).eps * params.b)
+        assert np.all(resid <= bound), float(np.max(resid / bound))
+        assert np.all((xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax))
+        assert np.max(np.hypot(np.diff(x), np.diff(y))) <= spec.cell_diag
 
 
 class TestGeometryHelpers:
@@ -45,11 +79,11 @@ class TestGeometryHelpers:
         assert hausdorff_distance(a, b) == pytest.approx(0.5)
 
     def test_polyline_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidContourError):
             Polyline(points=np.array([[0.0, 0.0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidContourError):
             Polyline(points=np.array([[0.0, 0.0], [0.0, 0.0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidContourError):
             Polyline(points=np.array([[0.0, 0.0], [1.0, 0.0]]), closed=True)
 
 
@@ -82,6 +116,27 @@ class TestLevelCurves:
         assert any(abs(winding_number(c.points[:-1])) == 1 for c in closed)
         assert open_
 
+    @pytest.mark.parametrize("params", [
+        P,
+        FlowParams(delta=0.1),
+        FlowParams(hbar=1e6, mass=1e-6, k=2.0, delta=0.3),
+        FlowParams(delta=50.0, k=20.0, allow_any_delta=True),
+    ])
+    def test_separatrix_level_is_loop_through_saddle_and_two_arms(self, params):
+        spec = PortraitSpec()
+        saddle = np.array([0.0, params.saddle_height])
+        curves = level_curves(params, separatrix_level(params), spec)
+        loops = [c for c in curves if c.closed]
+        arms = [c for c in curves if not c.closed]
+        assert len(loops) == 1 and len(arms) == 2
+        loop = loops[0].points
+        assert abs(winding_number(loop[:-1])) == 1
+        assert np.any(np.all(loop == saddle, axis=1))
+        for arm in arms:
+            assert np.array_equal(arm.points[0], saddle) or np.array_equal(arm.points[-1], saddle)
+        assert hausdorff_distance(loop, trace_separatrix(params).loop.points) <= spec.cell_diag
+        check_vertices(params, curves, spec)
+
     def test_missing_level_gives_empty_list(self):
         assert level_curves(P, 1e6, PortraitSpec()) == []
 
@@ -99,20 +154,94 @@ class TestLevelCurves:
         assert curves
         assert all(not c.closed for c in curves)
 
-    def test_vertex_level_accuracy_and_grid_refinement(self):
-        level = -1.2
-        worst = {}
-        for nx, ny in ((200, 150), (400, 300)):
-            spec = PortraitSpec(grid=(nx, ny))
+    @pytest.mark.parametrize("grid", [(60, 45), (200, 150), (400, 300), (900, 700)])
+    def test_vertex_level_at_roundoff_for_several_grids(self, grid):
+        spec = PortraitSpec(grid=grid)
+        for level in (-1.2, separatrix_level(P), 0.3, 2.0):
             curves = level_curves(P, level, spec)
             assert curves
-            worst[nx] = max(
-                float(np.max(np.abs(stream_values(P, c.points[:, 0], c.points[:, 1])
-                                    - level)))
-                for c in curves
-            )
-            assert worst[nx] <= 1e-3 * max(1.0, abs(level))
-        assert worst[200] / worst[400] >= 4.0
+            check_vertices(P, curves, spec)
+
+    @pytest.mark.parametrize("params", [
+        FlowParams(k=0.0),
+        FlowParams(hbar=1e6, mass=1e-6, k=0.0, delta=0.1),
+        FlowParams(delta=0.0),
+        FlowParams(hbar=1e-6, mass=1e6, delta=0.0),
+    ])
+    def test_degenerate_flows_at_roundoff(self, params):
+        for spec in SPECS:
+            polys = portrait(params, spec)
+            assert polys
+            check_vertices(params, polys, spec)
+
+    @pytest.mark.parametrize("c", [-2.5, -1.5, -0.5, 1.0])
+    @pytest.mark.parametrize("params", [
+        P,
+        FlowParams(k=2.0, delta=0.1),
+        FlowParams(hbar=1e6, mass=1e-6, delta=50.0, allow_any_delta=True),
+    ])
+    def test_axis_crossings_match_lambert_w(self, params, c):
+        # the level psi = b*(C + log l) meets the y axis at l*U with
+        # U = -W0(e^C), and for C < -1 also U = -W0(-e^C), -W_{-1}(-e^C)
+        l = params.saddle_height
+        spec = PortraitSpec(bbox=(-6 * l, 6 * l, -3 * l, 6 * l))
+        level = params.b * (c + math.log(l))
+        ys = [p[1] for curve in level_curves(params, level, spec)
+              for p in curve.points if p[0] == 0.0]
+        with mpmath.workdps(30):
+            big_c = mpmath.mpf(level) / params.b - mpmath.log(l)
+            roots = [mpmath.lambertw(mpmath.exp(big_c))]
+            if c < -1.0:
+                roots += [mpmath.lambertw(-mpmath.exp(big_c)),
+                          mpmath.lambertw(-mpmath.exp(big_c), -1)]
+            want = sorted(-l * float(mpmath.re(w)) for w in roots)
+        assert sorted(set(ys)) == pytest.approx(want, rel=1e-13)
+
+    def test_spacing_where_float_heights_cannot_resolve_the_curve(self):
+        # l = 1e-10 and |y| ~ 100: one ulp of y moves the curve near its axis
+        # crossing by several cells in x
+        params = FlowParams(delta=1e-10)
+        spec = PortraitSpec(bbox=(-100.0, 100.0, -150.0, 50.0))
+        polys = portrait(params, spec)
+        assert polys
+        check_vertices(params, polys, spec)
+
+    @pytest.mark.parametrize("delta", [1e-20, 1e-300])
+    def test_tiny_delta_draws_every_level(self, delta):
+        # l = delta/k below the float resolution of y: every level is a line
+        # across the bbox, dipping around the vortex below the grid's scale
+        params = FlowParams(delta=delta)
+        spec = PortraitSpec(include_separatrix=False)
+        polys = portrait(params, spec)
+        assert len({p.level for p in polys}) == spec.n_levels
+        for p in polys:
+            assert np.ptp(p.points[:, 0]) >= 7.9 and np.ptp(p.points[:, 1]) <= 1e-9
+            assert np.max(np.hypot(*np.diff(p.points, axis=0).T)) <= spec.cell_diag
+
+    def test_asymmetric_bbox_clips_to_edges(self):
+        spec = PortraitSpec(bbox=(-1.0, 3.0, -0.5, 2.5), grid=(300, 200),
+                            include_separatrix=False)
+        xmin, xmax, ymin, ymax = spec.bbox
+        polys = portrait(P, spec)
+        assert any(not p.closed for p in polys)
+        check_vertices(P, polys, spec)
+        for p in polys:
+            if not p.closed:
+                for x, y in p.points[[0, -1]]:
+                    assert min(x - xmin, xmax - x, y - ymin, ymax - y) <= spec.cell_diag
+
+
+class TestPortraitAccuracy:
+    @pytest.mark.parametrize("delta", [1e-9, 0.1, 0.5, 50.0])
+    @pytest.mark.parametrize("hbar, mass", [
+        (h, m) for h in (1e-6, 1.0, 1e6) for m in (1e-6, 1.0, 1e6)
+    ])
+    def test_vertices_at_roundoff_in_every_unit_system(self, hbar, mass, delta):
+        params = FlowParams(hbar=hbar, mass=mass, delta=delta, allow_any_delta=True)
+        for spec in SPECS:
+            polys = portrait(params, spec)
+            assert polys
+            check_vertices(params, polys, spec)
 
 
 class TestPortrait:
@@ -163,6 +292,13 @@ class TestPortrait:
         with pytest.raises(Exception):
             PortraitSpec(grid=(4, 100))
 
+    @pytest.mark.parametrize("grid", [(GRID_MAX + 1, 100), (100, 10**12)])
+    def test_grid_upper_bound(self, grid):
+        # rejected in the constructor, before any grid is allocated
+        assert PortraitSpec(grid=(GRID_MAX, GRID_MAX)).grid == (GRID_MAX, GRID_MAX)
+        with pytest.raises(InvalidParamsError):
+            PortraitSpec(grid=grid)
+
 
 class TestCirculation:
     def test_unit_circle_value(self):
@@ -201,6 +337,17 @@ class TestCirculation:
             circulation(P, (0.0, 0.0), 1.0, 8)  # too few samples
         with pytest.raises(InvalidContourError):
             circulation(P, (0.0, 0.0), -1.0, 64)
+
+    @pytest.mark.parametrize("samples", [SAMPLES_MAX + 1, 10**15])
+    def test_sample_upper_bound(self, samples):
+        # rejected before the quadrature allocates its nodes
+        with pytest.raises(InvalidContourError):
+            circulation(P, (0.0, 0.0), 1.0, samples)
+
+    @pytest.mark.parametrize("center, radius", [((0.0, 0.0), 1e300), ((1e155, 0.0), 1.0)])
+    def test_overflowing_circle_rejected(self, center, radius):
+        with pytest.raises(InvalidContourError):
+            circulation(P, center, radius, 64)
 
     @pytest.mark.parametrize("center, radius", [
         ((math.inf, 0.0), 1.0),
