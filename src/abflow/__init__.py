@@ -20,6 +20,7 @@ from .critical import (
     CriticalPoint,
     PointKind,
     jacobian,
+    jacobian_entries,
     local_quadratic_potential,
     separatrix_level,
     stagnation_point,
@@ -53,6 +54,7 @@ from .field import (
     flux_to_delta,
     hamiltonian,
     near_branch_cut,
+    potential_values,
     stream_function,
     stream_values,
     vector_potential,

@@ -115,6 +115,9 @@ _CONFIG_PARSERS = {
     "detect_closure": lambda s: s.lower() in ("1", "true", "yes", "on"),
 }
 
+# settings that set a flow's delta, which sweep takes from --deltas instead
+_DELTA_SETTINGS = {"delta", "flux", "charge", "light_speed"}
+
 
 def _load_config(path: str | None) -> dict:
     if path is None:
@@ -144,6 +147,11 @@ class _Settings:
     def __init__(self, args: argparse.Namespace):
         self._args = vars(args)
         self._config = _load_config(self._args.get("config"))
+
+    @property
+    def configured(self) -> set:
+        """Settings the config file sets."""
+        return set(self._config)
 
     def __getattr__(self, key):
         v = self._args.get(key)
@@ -453,6 +461,11 @@ def _cmd_verify(s: _Settings) -> int:
 
 
 def _cmd_sweep(s: _Settings) -> int:
+    ignored = sorted(_DELTA_SETTINGS & s.configured)
+    if ignored:
+        raise InvalidParamsError(
+            f"sweep takes delta from --deltas only; --config sets {', '.join(ignored)}"
+        )
     deltas = s.deltas
     if deltas is None:
         raise InvalidParamsError("sweep requires --deltas d1,d2,...")
@@ -521,15 +534,15 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--hbar", type=float)
     common.add_argument("--mass", type=float)
     common.add_argument("--k", type=float)
-    common.add_argument("--delta", type=float)
     common.add_argument("--allow-any-delta", dest="allow_any_delta",
                         action="store_true", default=None)
     common.add_argument("--config")
     common.add_argument("--out")
     common.add_argument("--format", choices=["csv", "json", "svg", "all"])
     common.add_argument("--seed", type=int)
-    # flux flags; sweep takes its deltas from --deltas only
+    # delta and the flux that sets it; sweep takes its deltas from --deltas only
     flux_flags = argparse.ArgumentParser(add_help=False, parents=[common])
+    flux_flags.add_argument("--delta", type=float)
     flux_flags.add_argument("--flux", type=float)
     flux_flags.add_argument("--charge", type=float)
     flux_flags.add_argument("--light-speed", dest="light_speed", type=float)
@@ -571,7 +584,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("verify", parents=[flux_flags], help="run the identity verification suite")
 
-    p = sub.add_parser("sweep", parents=[common], help="separatrix metrics over a delta list")
+    # no abbreviations, or argparse would read --delta as --deltas
+    p = sub.add_parser("sweep", parents=[common], allow_abbrev=False,
+                       help="separatrix metrics over a delta list")
     p.add_argument("--deltas", type=_floats)
     p.add_argument("--radius", type=float)
     p.add_argument("--samples", type=int)

@@ -112,12 +112,24 @@ def winding_number(points: np.ndarray, about=(0.0, 0.0)) -> int:
     d = (d + np.pi) % (2.0 * np.pi) - np.pi
     return int(round(float(d.sum()) / (2.0 * np.pi)))
 
+
+def _farthest_nearest_sq(a: np.ndarray, b: np.ndarray) -> float:
+    # squared distance from b of the point of a farthest from it, over blocks
+    # of a's rows so that memory stays O(block*len(b))
+    rows = max(1, 65536 // max(1, len(b)))
+    worst = 0.0
+    for i in range(0, len(a), rows):
+        blk = a[i:i + rows]
+        d2 = (blk[:, :1] - b[:, 0]) ** 2 + (blk[:, 1:] - b[:, 1]) ** 2
+        worst = max(worst, float(d2.min(axis=1).max()))
+    return worst
+
+
 def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric Hausdorff distance between two point sets."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
-    return math.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max()))
+    return math.sqrt(max(_farthest_nearest_sq(a, b), _farthest_nearest_sq(b, a)))
 
 
 def default_core_radius(params: FlowParams) -> float:

@@ -17,6 +17,7 @@ __all__ = [
     "stagnation_point",
     "vortex_singularity",
     "jacobian",
+    "jacobian_entries",
     "local_quadratic_potential",
     "separatrix_level",
 ]
@@ -72,23 +73,28 @@ def vortex_singularity(params: FlowParams) -> CriticalPoint | None:
     return CriticalPoint(location=np.zeros(2), kind=PointKind.VORTEX_SINGULARITY)
 
 
+def jacobian_entries(params: FlowParams, x, y):
+    """Entries (alpha, beta) of the Jacobian [[alpha, beta], [beta, -alpha]]
+    of the current at (x, y), scalars or arrays; no singularity check."""
+    b = params.b
+    r2 = x * x + y * y
+    r4 = r2 * r2
+    return -2.0 * b * x * y / r4, b * (x * x - y * y) / r4
+
+
 def jacobian(params: FlowParams, p) -> np.ndarray:
     """Analytic Jacobian of the current at a regular point.
 
     The matrix is symmetric and trace-free for this field (divergence- and
-    curl-free): [[alpha, beta], [beta, -alpha]].
+    curl-free): [[alpha, beta], [beta, -alpha]], see `jacobian_entries`.
     """
     x, y = _point(p)
     _check_regular(params, x, y)
-    b = params.b
-    if b == 0.0:
+    if params.b == 0.0:
         return np.zeros((2, 2))
     if x == 0.0 and y == 0.0:
         raise SingularPointError("jacobian is singular at the origin")
-    r2 = x * x + y * y
-    r4 = r2 * r2
-    alpha = -2.0 * b * x * y / r4
-    beta = b * (x * x - y * y) / r4
+    alpha, beta = jacobian_entries(params, x, y)
     return np.array([[alpha, beta], [beta, -alpha]])
 
 

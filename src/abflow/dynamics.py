@@ -22,7 +22,7 @@ import numpy as np
 from . import critical
 from .contour import Polyline, canonical_x, default_core_radius, polygon_area
 from .errors import InvalidParamsError, InvalidStartError
-from .field import FlowParams, current
+from .field import FlowParams, _psi, current
 
 __all__ = [
     "IntegratorConfig",
@@ -177,9 +177,7 @@ def integrate(
         return sgn * (-a + b * y / r2), sgn * (-b * x / r2)
 
     def energy(x: float, y: float) -> float:
-        if b == 0.0:
-            return -a * y
-        return -a * y + 0.5 * b * math.log(x * x + y * y)
+        return float(_psi(a, b, x, y))
 
     x, y = float(p0[0]), float(p0[1])
     if not (math.isfinite(x) and math.isfinite(y)):

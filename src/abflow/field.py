@@ -34,6 +34,7 @@ __all__ = [
     "stream_values",
     "hamiltonian",
     "velocity_potential",
+    "potential_values",
     "flux_to_delta",
     "delta_to_flux",
     "vector_potential",
@@ -207,6 +208,11 @@ def stream_values(params: FlowParams, x, y) -> np.ndarray:
         return np.asarray(_psi(params.a, params.b, x, y))
 
 
+def _phi(a: float, b: float, x, y):
+    # shared kernel for velocity_potential / potential_values
+    return -a * x - b * np.arctan2(y, x)
+
+
 def velocity_potential(params: FlowParams, p) -> float:
     """Velocity potential phi = Re F = -a*x - b*theta, theta the principal argument.
 
@@ -215,7 +221,15 @@ def velocity_potential(params: FlowParams, p) -> float:
     x, y = _point(p)
     if x == 0.0 and y == 0.0:
         raise SingularPointError("velocity potential is singular at the origin")
-    return -params.a * x - params.b * math.atan2(y, x)
+    return float(_phi(params.a, params.b, x, y))
+
+
+def potential_values(params: FlowParams, x, y) -> np.ndarray:
+    """Vectorized velocity potential on arrays; no singularity check (the
+    origin yields 0, the principal argument's value there)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return np.asarray(_phi(params.a, params.b, x, y))
 
 
 def near_branch_cut(p, angle_tol: float = 0.05) -> bool:

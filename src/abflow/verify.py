@@ -9,7 +9,10 @@ checks report two numbers:
   the raw stencil value at the documented step still carries a truncation
   floor above the tolerance near the inner sampling radius;
 * the convergence order is fitted from RMS-aggregated raw residuals over a
-  step-size ladder coarse enough for truncation to dominate roundoff.
+  step-size ladder coarse enough for truncation to dominate roundoff; where
+  some step's residual lies within the roundoff its stencil can produce,
+  about eps*max|f|/h^p for a p-th derivative (a linear field, a vortex too
+  weak to resolve), there is no order to fit and none is reported.
 
 Residuals are expressed in units of the field coefficient scale
 max(1, hbar*k/mass, hbar*delta/mass), so verdicts do not depend on the unit
@@ -32,10 +35,10 @@ from .field import (
     current,
     decompose_potential,
     hamiltonian,
+    potential_values,
     stream_function,
     stream_values,
     velocity,
-    velocity_potential,
 )
 
 __all__ = ["CheckReport", "run_suite", "format_report", "suite_passed"]
@@ -46,6 +49,10 @@ H_FIRST = 1e-4
 H_LAPLACE = 1e-3
 NORM_TOL = 1e-6
 TINY = 1e-300
+# bound on a stencil's roundoff in units of eps*max|f|/h^p; on line flows,
+# where the residual is roundoff alone, it measures at most 1.6 of that unit,
+# and the decade above it keeps roundoff from bending a fitted order
+ROUNDOFF = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -67,19 +74,24 @@ def _verdict(residual: float, tolerance: float, order: float | None) -> str:
     return "pass" if ok else "fail"
 
 
-def _order_from_rms(errors: list[float], floor: float) -> float | None:
-    if max(errors) <= floor:
-        return None  # residuals at roundoff level (e.g. linear field); nothing to fit
-    ratios = []
-    for e1, e2 in zip(errors, errors[1:]):
-        if e2 <= 0:
-            return None
-        ratios.append(math.log2(e1 / e2))
-    return float(np.mean(ratios))
+def _order_from_rms(errors: list[float], floors: list[float]) -> float | None:
+    """Mean log2 ratio of successive ladder errors, or None when some step's
+    error lies within the roundoff its stencil can produce (e.g. a linear
+    field): truncation must dominate at every step for a fit to mean
+    anything."""
+    if any(e <= f for e, f in zip(errors, floors)):
+        return None
+    return float(np.mean([math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]))
 
 
 def _rms(v: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(v))))
+
+
+def _roundoff(values, h: np.ndarray, power: int) -> np.ndarray:
+    """Per point, the roundoff a difference over the stencil ``values`` with
+    step h can leave in a power-th derivative: ROUNDOFF*max|f|/h^power."""
+    return ROUNDOFF * np.max(np.abs(values), axis=0) / h**power
 
 
 def run_suite(
@@ -90,6 +102,8 @@ def run_suite(
 ) -> list[CheckReport]:
     """Run every identity check at seeded random regular points.
 
+    Finite-difference stencils are evaluated on whole arrays of points;
+    checks named after a scalar entry point call it point by point.
     ``tamper(x, y) -> (du, dv)`` is a test-only hook that perturbs the
     sampled velocity field, used to confirm the suite detects a broken field.
     Failures are reported, never raised.
@@ -99,8 +113,10 @@ def run_suite(
     th = rng.uniform(-np.pi, np.pi, n_points)
     x = r * np.cos(th)
     y = r * np.sin(th)
-    off_cut = (np.pi - np.abs(th)) >= 0.05
     scale = np.maximum(1.0, np.hypot(x, y))
+    # no stencil reaches farther than the ladder's largest step; keep the
+    # points farther than that from the cut of phi (the negative real axis)
+    off_cut = np.where(x < 0.0, np.abs(y), np.hypot(x, y)) > max(ORDER_LADDER) * scale
     pstr = (
         f"hbar={params.hbar:g} mass={params.mass:g} "
         f"k={params.k:g} delta={params.delta:g}"
@@ -108,7 +124,6 @@ def run_suite(
     a, b = params.a, params.b
     field_unit = max(a, b, 1e-30)
     field_unit_or_one = max(1.0, field_unit)
-    order_floor = 1e-11 * field_unit_or_one
 
     def uv(xa, ya):
         u, v = velocity(params, xa, ya)
@@ -121,25 +136,10 @@ def run_suite(
         return u, v
 
     def phi_at(xa, ya):
-        return np.array(
-            [velocity_potential(params, (xi, yi)) for xi, yi in zip(xa, ya)]
-        )
+        return potential_values(params, xa, ya)
 
-    def h_at(xa, ya):
-        return np.array([hamiltonian(params, (xi, yi)) for xi, yi in zip(xa, ya)])
-
-    def first_deriv_sums(h):
-        ue, ve = uv(x + h, y)
-        uw, vw = uv(x - h, y)
-        un, vn = uv(x, y + h)
-        us, vs = uv(x, y - h)
-        return ue - uw + vn - vs, ve - vw - un + us
-
-    def laplace_sums(f, h, mask):
-        xs, ys = x[mask], y[mask]
-        hm = h[mask]
-        c = f(xs, ys)
-        return f(xs + hm, ys) + f(xs - hm, ys) + f(xs, ys + hm) + f(xs, ys - hm) - 4.0 * c
+    def psi_at(xa, ya):  # also the Hamiltonian: one kernel serves both
+        return stream_values(params, xa, ya)
 
     def report(name, residual, tol, order=None, applicable=True):
         if not applicable:
@@ -148,70 +148,66 @@ def run_suite(
         return CheckReport(name, pstr, residual, tol, order, _verdict(residual, tol, order))
 
     def div_curl_values(h):
-        ds, cs = first_deriv_sums(h)
-        return ds / (2.0 * h), cs / (2.0 * h)
+        ue, ve = uv(x + h, y)
+        uw, vw = uv(x - h, y)
+        un, vn = uv(x, y + h)
+        us, vs = uv(x, y - h)
+        div = (ue - uw + vn - vs) / (2.0 * h)
+        curl = (ve - vw - un + us) / (2.0 * h)
+        return div, curl, _roundoff([ue, ve, uw, vw, un, vn, us, vs], h, 1)
 
-    def div_curl_extrapolated(h):
-        d1, c1 = div_curl_values(h)
-        d2, c2 = div_curl_values(0.5 * h)
-        return (4.0 * d2 - d1) / 3.0, (4.0 * c2 - c1) / 3.0
+    h1 = H_FIRST * scale
+    d1, c1, _ = div_curl_values(h1)
+    d2, c2, _ = div_curl_values(0.5 * h1)
+    div_x, curl_x = (4.0 * d2 - d1) / 3.0, (4.0 * c2 - c1) / 3.0
+    div_curl_ladder = [div_curl_values(h0 * scale) for h0 in ORDER_LADDER]
+    div_curl_floors = [_rms(fl) for _, _, fl in div_curl_ladder]
 
     def check_divergence():
-        dx, _ = div_curl_extrapolated(H_FIRST * scale)
-        errs = []
-        for h0 in ORDER_LADDER:
-            d, _ = div_curl_values(h0 * scale)
-            errs.append(_rms(d))
         return report(
             "divergence_free",
-            np.max(np.abs(dx)) / field_unit_or_one,
+            np.max(np.abs(div_x)) / field_unit_or_one,
             NORM_TOL,
-            _order_from_rms(errs, order_floor),
+            _order_from_rms([_rms(d) for d, _, _ in div_curl_ladder], div_curl_floors),
         )
 
     def check_curl():
-        _, cx = div_curl_extrapolated(H_FIRST * scale)
-        errs = []
-        for h0 in ORDER_LADDER:
-            _, c = div_curl_values(h0 * scale)
-            errs.append(_rms(c))
         return report(
             "curl_free",
-            np.max(np.abs(cx)) / field_unit_or_one,
+            np.max(np.abs(curl_x)) / field_unit_or_one,
             NORM_TOL,
-            _order_from_rms(errs, order_floor),
+            _order_from_rms([_rms(c) for _, c, _ in div_curl_ladder], div_curl_floors),
         )
 
     def check_cauchy_riemann():
         # the two equations for u - i v are the divergence and curl identities
-        dx, cx = div_curl_extrapolated(H_FIRST * scale)
-        resid = max(np.max(np.abs(dx)), np.max(np.abs(cx))) / field_unit_or_one
-        errs = []
-        for h0 in ORDER_LADDER:
-            d, c = div_curl_values(h0 * scale)
-            errs.append(_rms(np.hypot(d, c)))
-        return report("cauchy_riemann", resid, NORM_TOL, _order_from_rms(errs, order_floor))
+        resid = max(np.max(np.abs(div_x)), np.max(np.abs(curl_x))) / field_unit_or_one
+        errs = [_rms(np.hypot(d, c)) for d, c, _ in div_curl_ladder]
+        return report("cauchy_riemann", resid, NORM_TOL, _order_from_rms(errs, div_curl_floors))
 
     def check_harmonic(name, f, mask):
-        def lap(h):
-            return laplace_sums(f, h, mask) / h[mask] ** 2
+        xs, ys, scale_m = x[mask], y[mask], scale[mask]
 
-        h1 = H_LAPLACE * scale
-        extrap = (4.0 * lap(0.5 * h1) - lap(h1)) / 3.0
-        errs = [_rms(lap(h0 * scale)) for h0 in ORDER_LADDER]
+        def lap(h):
+            vals = [f(xs + h, ys), f(xs - h, ys), f(xs, ys + h), f(xs, ys - h), f(xs, ys)]
+            lap_h = (vals[0] + vals[1] + vals[2] + vals[3] - 4.0 * vals[4]) / h**2
+            return lap_h, _roundoff(vals, h, 2)
+
+        h1 = H_LAPLACE * scale_m
+        extrap = (4.0 * lap(0.5 * h1)[0] - lap(h1)[0]) / 3.0
+        ladder = [lap(h0 * scale_m) for h0 in ORDER_LADDER]
         return report(
             name,
             np.max(np.abs(extrap)) / field_unit_or_one,
             NORM_TOL,
-            _order_from_rms(errs, order_floor),
+            _order_from_rms([_rms(e) for e, _ in ladder], [_rms(fl) for _, fl in ladder]),
         )
 
     def check_potential_harmonic():
         return check_harmonic("velocity_potential_harmonic", phi_at, off_cut)
 
     def check_stream_harmonic():
-        psi = lambda xa, ya: stream_values(params, xa, ya)
-        return check_harmonic("stream_function_harmonic", psi, np.ones_like(x, bool))
+        return check_harmonic("stream_function_harmonic", psi_at, np.ones_like(x, bool))
 
     def check_velocity_identity():
         u, v = uv(x, y)
@@ -245,49 +241,42 @@ def run_suite(
         return report("mirror_symmetry", resid, 0.0)
 
     def check_far_field():
+        # F'(z) - i*b/z against -a, relative to |F'(z)|: the deviation
+        # F'(z) + a alone cancels to eps*a where b/|z| << a
         resid = 0.0
         for radius in (10.0, 100.0, 1000.0):
             for ang in np.linspace(-3.0, 3.0, 8):
                 z = radius * complex(math.cos(ang), math.sin(ang))
-                dev = abs(complex_derivative(params, z) + a)
-                target = b / abs(z)
-                if target > 0:
-                    resid = max(resid, abs(dev - target) / target)
-                else:
-                    resid = max(resid, dev)
+                fp = complex_derivative(params, z)
+                resid = max(resid, abs(fp - 1j * b / z + a) / max(abs(fp), TINY))
         return report("far_field_decay", resid, 1e-12)
 
     def check_hamiltonian_gradient():
-        errs = []
-        rel = None
+        u, v = uv(x, y)
+        errs, floors = [], []
         for h0 in ORDER_LADDER:
             h = h0 * scale
-            dhdy = (h_at(x, y + h) - h_at(x, y - h)) / (2.0 * h)
-            dhdx = (h_at(x + h, y) - h_at(x - h, y)) / (2.0 * h)
-            u, v = uv(x, y)
+            vals = [psi_at(x, y + h), psi_at(x, y - h), psi_at(x + h, y), psi_at(x - h, y)]
+            dhdy = (vals[0] - vals[1]) / (2.0 * h)
+            dhdx = (vals[2] - vals[3]) / (2.0 * h)
             err = np.hypot(dhdy - u, -dhdx - v)
             errs.append(_rms(err))
-            rel = _rms(err) / max(_rms(np.hypot(u, v)), TINY)
+            floors.append(_rms(_roundoff(vals, h, 1)))
+        rel = errs[-1] / max(_rms(np.hypot(u, v)), TINY)
         return report(
-            "hamiltonian_gradient_consistency", rel, 1e-3, _order_from_rms(errs, order_floor)
+            "hamiltonian_gradient_consistency", rel, 1e-3, _order_from_rms(errs, floors)
         )
 
     def check_jacobian_fd():
         h = 1e-5
-        resid = 0.0
-        for xi, yi in zip(x[:100], y[:100]):
-            jac = critical.jacobian(params, (xi, yi))
-            ue, ve = uv(np.array([xi + h]), np.array([yi]))
-            uw, vw = uv(np.array([xi - h]), np.array([yi]))
-            un, vn = uv(np.array([xi]), np.array([yi + h]))
-            us, vs = uv(np.array([xi]), np.array([yi - h]))
-            fd = np.array(
-                [
-                    [(ue[0] - uw[0]) / (2 * h), (un[0] - us[0]) / (2 * h)],
-                    [(ve[0] - vw[0]) / (2 * h), (vn[0] - vs[0]) / (2 * h)],
-                ]
-            )
-            resid = max(resid, float(np.max(np.abs(jac - fd))))
+        xs, ys = x[:100], y[:100]
+        alpha, beta = critical.jacobian_entries(params, xs, ys)
+        ue, ve = uv(xs + h, ys)
+        uw, vw = uv(xs - h, ys)
+        un, vn = uv(xs, ys + h)
+        us, vs = uv(xs, ys - h)
+        fd = [(ue - uw) / (2 * h), (un - us) / (2 * h), (ve - vw) / (2 * h), (vn - vs) / (2 * h)]
+        resid = max(float(np.max(np.abs(j - d))) for j, d in zip((alpha, beta, beta, -alpha), fd))
         return report("jacobian_finite_difference", resid / max(1.0, b), 1e-5)
 
     def check_stagnation():
@@ -328,24 +317,27 @@ def run_suite(
         u0, v0 = uv(x, y)
         speed = np.hypot(u0, v0)
         mask = off_cut & (speed >= 1e-3 * field_unit)
+        xs, ys = x[mask], y[mask]
         residual = 0.0
-        errs = []
+        errs, floors = [], []
         for h0 in ORDER_LADDER + (H_FIRST,):
             h = (h0 * scale)[mask]
-            xs, ys = x[mask], y[mask]
-            gpx = (phi_at(xs + h, ys) - phi_at(xs - h, ys)) / (2 * h)
-            gpy = (phi_at(xs, ys + h) - phi_at(xs, ys - h)) / (2 * h)
-            psi = lambda xa, ya: stream_values(params, xa, ya)
-            gsx = (psi(xs + h, ys) - psi(xs - h, ys)) / (2 * h)
-            gsy = (psi(xs, ys + h) - psi(xs, ys - h)) / (2 * h)
-            cosang = (gpx * gsx + gpy * gsy) / np.maximum(
-                np.hypot(gpx, gpy) * np.hypot(gsx, gsy), TINY
-            )
+            phis = [phi_at(xs + h, ys), phi_at(xs - h, ys), phi_at(xs, ys + h), phi_at(xs, ys - h)]
+            psis = [psi_at(xs + h, ys), psi_at(xs - h, ys), psi_at(xs, ys + h), psi_at(xs, ys - h)]
+            gpx, gpy = (phis[0] - phis[1]) / (2 * h), (phis[2] - phis[3]) / (2 * h)
+            gsx, gsy = (psis[0] - psis[1]) / (2 * h), (psis[2] - psis[3]) / (2 * h)
+            gp, gs = np.hypot(gpx, gpy), np.hypot(gsx, gsy)
+            cosang = (gpx * gsx + gpy * gsy) / np.maximum(gp * gs, TINY)
             if h0 == H_FIRST:
                 residual = float(np.max(np.abs(cosang)))
             else:
                 errs.append(_rms(cosang))
-        return report("gradient_orthogonality", residual, 1e-4, _order_from_rms(errs, order_floor))
+                # relative roundoff of each gradient bounds that of the cosine
+                floors.append(_rms(
+                    _roundoff(phis, h, 1) / np.maximum(gp, TINY)
+                    + _roundoff(psis, h, 1) / np.maximum(gs, TINY)
+                ))
+        return report("gradient_orthogonality", residual, 1e-4, _order_from_rms(errs, floors))
 
     checks = [
         check_divergence,

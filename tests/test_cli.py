@@ -203,6 +203,28 @@ class TestSubcommands:
         code, out = run_cli(capsys, "sweep", "--deltas", "0.5", flag, "1")
         assert code == 2 and out == ""
 
+    def test_sweep_rejects_delta_flag(self, capsys):
+        # not read as an abbreviation of --deltas, nor ignored
+        code = main(["sweep", "--deltas", "0.5", "--delta", "0.3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--delta 0.3" in captured.err
+
+    @pytest.mark.parametrize("line", ["flux = 1", "delta = 0.3", "charge = 2"])
+    def test_sweep_rejects_delta_settings_in_config(self, capsys, tmp_path, line):
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text(line + "\n")
+        code = main(["sweep", "--deltas", "0.5", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert line.split()[0] in captured.err
+
+    def test_sweep_takes_other_config_settings(self, capsys, tmp_path):
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text("hbar = 2\nradius = 0.5\n")
+        doc = run_json(capsys, "sweep", "--deltas", "0.5", "--config", str(cfg))
+        assert doc["units"]["hbar"] == 2.0
+
     @pytest.mark.parametrize("argv", [
         ["circulation", "--radius", "1e300"],
         ["circulation", "--samples", "100000000"],

@@ -78,6 +78,17 @@ class TestGeometryHelpers:
         b = np.array([[0, 0.5], [1, 0.5]], float)
         assert hausdorff_distance(a, b) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("n, m", [(3000, 50), (7, 70000), (1, 1)])
+    def test_hausdorff_asymmetric_sizes_match_full_matrix(self, n, m):
+        # the blocked pass returns the distance of the full n x m matrix
+        rng = np.random.default_rng(n + m)
+        a = rng.normal(size=(n, 2))
+        b = rng.normal(size=(m, 2)) + [0.5, 0.0]
+        d2 = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=2)
+        full = math.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max()))
+        assert hausdorff_distance(a, b) == full
+        assert hausdorff_distance(b, a) == full
+
     def test_polyline_validation(self):
         with pytest.raises(InvalidContourError):
             Polyline(points=np.array([[0.0, 0.0]]))

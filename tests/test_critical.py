@@ -12,6 +12,7 @@ from abflow import (
     current,
     hamiltonian,
     jacobian,
+    jacobian_entries,
     local_quadratic_potential,
     separatrix_level,
     stagnation_point,
@@ -106,6 +107,23 @@ class TestJacobian:
             th = rng.uniform(-np.pi, np.pi)
             p = (r * np.cos(th), r * np.sin(th))
             assert np.max(np.abs(jacobian(P, p) - fd_jacobian(P, p))) <= 1e-5
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(),
+        dict(hbar=1e6, mass=1e-6, k=3.0, delta=0.4),
+        dict(hbar=1e-6, mass=1e6, k=0.3, delta=0.05),
+        dict(hbar=10.0, mass=0.1, k=0.0, delta=2.0, allow_any_delta=True),
+    ])
+    def test_array_entries_match_scalar_bit_for_bit(self, kwargs):
+        params = FlowParams(**kwargs)
+        rng = np.random.default_rng(13)
+        r = 10.0 ** rng.uniform(-3.0, 3.0, 500)
+        th = rng.uniform(-np.pi, np.pi, 500)
+        xs, ys = r * np.cos(th), r * np.sin(th)
+        alpha, beta = jacobian_entries(params, xs, ys)
+        arrays = np.stack([alpha, beta, beta, -alpha], axis=1).reshape(-1, 2, 2)
+        scalar = np.array([jacobian(params, (xi, yi)) for xi, yi in zip(xs, ys)])
+        assert arrays.tobytes() == scalar.tobytes()
 
     @given(x=st.floats(-10, 10), y=st.floats(-10, 10))
     @settings(max_examples=100)

@@ -17,6 +17,7 @@ from abflow import (
     flux_to_delta,
     hamiltonian,
     near_branch_cut,
+    potential_values,
     stream_function,
     stream_values,
     vector_potential,
@@ -204,6 +205,23 @@ class TestVelocityPotential:
     def test_equals_real_part_of_potential(self, p):
         f = complex_potential(P, complex(*p))
         assert velocity_potential(P, p) == pytest.approx(f.real, rel=1e-13, abs=1e-15)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(),
+        dict(hbar=1e6, mass=1e-6, k=3.0, delta=0.4),
+        dict(hbar=1e-6, mass=1e6, k=0.3, delta=0.05),
+        dict(hbar=10.0, mass=0.1, k=0.0, delta=2.0, allow_any_delta=True),
+        dict(delta=0.0),
+    ])
+    def test_array_entry_point_matches_scalar_bit_for_bit(self, kwargs):
+        params = FlowParams(**kwargs)
+        rng = np.random.default_rng(11)
+        r = 10.0 ** rng.uniform(-6.0, 6.0, 500)
+        th = rng.uniform(-np.pi, np.pi, 500)
+        xs, ys = r * np.cos(th), r * np.sin(th)
+        vals = potential_values(params, xs, ys)
+        scalar = [velocity_potential(params, (xi, yi)) for xi, yi in zip(xs, ys)]
+        assert vals.tobytes() == np.array(scalar).tobytes()
 
     def test_branch_cut_flag(self):
         assert near_branch_cut((-1.0, 1e-9))

@@ -116,3 +116,67 @@ def test_report_format():
 def test_report_dataclass_verdict_rule():
     rep = CheckReport("demo", "p", 1e-9, 1e-6, 2.0, "pass")
     assert rep.residual <= rep.tolerance
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(delta=1e-6),
+    # l = delta/k = 0.01 in scaled units
+    dict(hbar=10.0, mass=0.1, k=10.0, delta=0.1),
+])
+def test_far_field_decay_is_well_conditioned(kwargs):
+    # F'(z) + a alone cancels to eps*a when b/|z| << a; the check must not
+    # read that cancellation as a wrong field
+    reports = {rep.name: rep for rep in run_suite(FlowParams(**kwargs), seed=42)}
+    assert reports["far_field_decay"].verdict == "pass"
+    assert suite_passed(reports.values())
+
+
+def test_far_field_decay_detects_a_wrong_vortex_term(monkeypatch):
+    import abflow.verify as verify_mod
+
+    def half_vortex(params, z):
+        return -params.a + 0.5j * params.b / complex(z)
+
+    monkeypatch.setattr(verify_mod, "complex_derivative", half_vortex)
+    reports = {rep.name: rep for rep in run_suite(FlowParams(delta=1e-6), seed=42)}
+    assert reports["far_field_decay"].verdict == "fail"
+
+
+def test_every_seed_passes_at_natural_units():
+    # stencils near the branch cut of phi must stay on one side of it
+    failing = [seed for seed in range(100) if not suite_passed(run_suite(FlowParams(), seed=seed))]
+    assert failing == []
+
+
+@pytest.mark.parametrize("k", [0.6, 1.0, 3.0, 10.0])
+def test_line_flows_pass(k):
+    # with delta = 0, psi and phi are linear: their Laplacian stencils hold
+    # roundoff alone, so there is no order to fit
+    for seed in range(40):
+        reports = {rep.name: rep for rep in run_suite(FlowParams(k=k, delta=0.0), seed=seed)}
+        assert suite_passed(reports.values()), (seed, format_report(list(reports.values())))
+        assert reports["stream_function_harmonic"].order is None
+        assert reports["velocity_potential_harmonic"].order is None
+
+
+FITTED = {
+    "cauchy_riemann", "curl_free", "divergence_free", "gradient_orthogonality",
+    "hamiltonian_gradient_consistency", "stream_function_harmonic",
+    "velocity_potential_harmonic",
+}
+
+
+@pytest.mark.parametrize("kwargs, seed", [
+    (dict(), 42),
+    (dict(hbar=10.0, mass=0.1, k=3.0, delta=0.4), 9),
+    (dict(hbar=0.2, mass=5.0, k=0.3, delta=0.05), 9),
+])
+def test_report_keeps_verdicts_and_orders(kwargs, seed):
+    # every check passes and every fitted order reads 2.00 on these sets
+    lines = format_report(run_suite(FlowParams(**kwargs), seed=seed)).splitlines()
+    rows = {line.split()[0]: line.split()[-2:] for line in lines[2:2 + len(EXPECTED_CHECKS)]}
+    assert sorted(rows) == EXPECTED_CHECKS
+    for name, (order, verdict) in rows.items():
+        assert verdict == "pass"
+        assert order == ("2.00" if name in FITTED else "-")
+    assert lines[-1] == "suite: PASS"
