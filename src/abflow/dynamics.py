@@ -22,7 +22,7 @@ import numpy as np
 from . import critical
 from .contour import Polyline, canonical_x, default_core_radius, polygon_area
 from .errors import InvalidParamsError, InvalidStartError
-from .field import FlowParams, _psi, current
+from .field import FlowParams, _psi, _velocity, current
 
 __all__ = [
     "IntegratorConfig",
@@ -50,7 +50,12 @@ _A = (
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 _MIN_STEP_FRACTION = 1e-13
-_CLOSURE_MIN_ARC_FACTOR = 10.0
+_MAX_STEP = 0.1
+# a first return closes the orbit within this distance of the start and
+# this angle (radians) of its start direction, after an arc ten times longer
+_CLOSURE_POS_TOL = 1e-6
+_CLOSURE_ANGLE_TOL = 1e-3
+_CLOSURE_MIN_ARC = 10.0 * _CLOSURE_POS_TOL
 
 # W(1/e): the loop meets the negative y axis at U = -W(1/e) (Corless et al.,
 # "On the Lambert W function", 1996)
@@ -72,42 +77,37 @@ class TrajectoryStatus(enum.Enum):
 class IntegratorConfig:
     """Tolerances and guards for trajectory integration.
 
-    ``core_radius`` and ``domain_halfwidth`` default (None) to scale-aware
-    rules: core 1e-4*(delta/k) (absolute 1e-6 without rotation) and a domain
-    box covering ten saddle heights, at least [-5, 5]^2, and the start point.
+    ``h_drift_budget`` bounds |H(t) - H(0)| in units of the field scale
+    max(1, b), b = hbar*delta/mass.  ``core_radius`` defaults (None) to
+    1e-4*(delta/k), or 1e-6 without rotation.  The domain is a box covering
+    ten saddle heights, at least [-5, 5]^2, and twice the start point.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_step: float = 0.1
     core_radius: float | None = None
     max_time: float = 100.0
     h_drift_budget: float = 1e-8
-    domain_halfwidth: float | None = None
-    closure_pos_tol: float = 1e-6
-    closure_angle_tol: float = 1e-3
 
     def __post_init__(self):
         if self.rel_tol < 1e-14 or self.abs_tol < 1e-14:
             raise InvalidParamsError("tolerances must be at least 1e-14")
-        for name in ("rel_tol", "abs_tol", "max_step", "max_time",
-                     "h_drift_budget", "closure_pos_tol", "closure_angle_tol"):
+        for name in ("rel_tol", "abs_tol", "max_time", "h_drift_budget"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise InvalidParamsError(f"{name} must be positive, got {v!r}")
-        for name in ("core_radius", "domain_halfwidth"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v > 0):
-                raise InvalidParamsError(f"{name} must be positive, got {v!r}")
+        v = self.core_radius
+        if v is not None and not (math.isfinite(v) and v > 0):
+            raise InvalidParamsError(f"core_radius must be positive, got {v!r}")
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Integration samples with Hamiltonian-drift statistics.
 
-    ``times`` are strictly increasing elapsed times along the integration
-    direction; ``h_values`` is the Hamiltonian at each sample.  No sample
-    lies inside the core exclusion radius.
+    ``times`` are strictly increasing elapsed times; ``h_values`` is the
+    Hamiltonian at each sample.  No sample lies inside the core exclusion
+    radius.
     """
 
     times: np.ndarray
@@ -136,11 +136,12 @@ class SeparatrixResult:
     lower_axis_crossing: float
 
 
-def _hermite_weights(s: float) -> tuple[float, float, float, float]:
-    """Cubic Hermite basis at s in [0, 1] of one step: the weights of the
-    start point, dt times its slope, the end point, dt times its slope."""
+def _hermite(p, q, fp, fq, dt: float, s: float):
+    """Cubic Hermite interpolant at s in [0, 1] of one step of length dt from
+    p (slope fp) to q (slope fq); floats or arrays."""
     s2, s3 = s * s, s * s * s
-    return 2 * s3 - 3 * s2 + 1, s3 - 2 * s2 + s, -2 * s3 + 3 * s2, s3 - s2
+    return ((2 * s3 - 3 * s2 + 1) * p + (s3 - 2 * s2 + s) * dt * fp
+            + (-2 * s3 + 3 * s2) * q + (s3 - s2) * dt * fq)
 
 
 def _default_halfwidth(params: FlowParams) -> float:
@@ -157,24 +158,16 @@ def integrate(
     cfg: IntegratorConfig | None = None,
     *,
     detect_closure: bool = False,
-    direction: float = 1.0,
 ) -> Trajectory:
     """Integrate the current field from p0 under adaptive step control.
 
     Halts on closed-orbit detection (if requested), core entry, domain exit,
-    or max_time.  ``direction=-1`` integrates backward in time; reported
-    times are the elapsed magnitude.
+    or max_time.
     """
     if cfg is None:
         cfg = IntegratorConfig()
     a, b = params.a, params.b
-    sgn = 1.0 if direction >= 0 else -1.0
-
-    def rhs(x: float, y: float) -> tuple[float, float]:
-        if b == 0.0:
-            return -sgn * a, 0.0
-        r2 = x * x + y * y
-        return sgn * (-a + b * y / r2), sgn * (-b * x / r2)
+    budget = cfg.h_drift_budget * max(1.0, b)
 
     def energy(x: float, y: float) -> float:
         return float(_psi(a, b, x, y))
@@ -182,12 +175,8 @@ def integrate(
     x, y = float(p0[0]), float(p0[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise InvalidStartError(f"start point {p0!r} is not finite")
-    core = cfg.core_radius
-    if core is None:
-        core = default_core_radius(params)
-    half = cfg.domain_halfwidth
-    if half is None:
-        half = max(_default_halfwidth(params), 2.0 * max(abs(x), abs(y)))
+    core = cfg.core_radius or default_core_radius(params)
+    half = max(_default_halfwidth(params), 2.0 * max(abs(x), abs(y)))
     if math.hypot(x, y) <= core:
         raise InvalidStartError(
             f"start point {p0!r} lies within the core exclusion radius {core!r}"
@@ -198,7 +187,7 @@ def integrate(
     pts = [(x, y)]
     hs = [h0]
 
-    fx, fy = rhs(x, y)
+    fx, fy = _velocity(a, b, x, y)
     speed0 = math.hypot(fx, fy)
     closure_on = detect_closure and speed0 > 0.0
     if closure_on:
@@ -208,17 +197,10 @@ def integrate(
     arc = 0.0
 
     t = 0.0
-    h = min(cfg.max_step, 1e-3)
+    h = 1e-3
     status = None
     rejections = 0
     t_end = cfg.max_time
-
-    def hermite(p, q, fp, fq, dt, s):
-        h00, h10, h01, h11 = _hermite_weights(s)
-        return (
-            h00 * p[0] + h10 * dt * fp[0] + h01 * q[0] + h11 * dt * fq[0],
-            h00 * p[1] + h10 * dt * fp[1] + h01 * q[1] + h11 * dt * fq[1],
-        )
 
     while t_end - t > 1e-12 * t_end:
         if h < _MIN_STEP_FRACTION * max(1.0, t):
@@ -232,7 +214,7 @@ def integrate(
             for stage in range(1, 7):
                 ax_ = x + ht * sum(_A[stage][m] * k[m][0] for m in range(stage))
                 ay_ = y + ht * sum(_A[stage][m] * k[m][1] for m in range(stage))
-                k.append(rhs(ax_, ay_))
+                k.append(_velocity(a, b, ax_, ay_))
         except ZeroDivisionError:
             status = TrajectoryStatus.STEP_FAILURE
             break
@@ -244,20 +226,15 @@ def integrate(
         err = math.sqrt(0.5 * ((ex / sx) ** 2 + (ey / sy) ** 2))
 
         if err > 1.0:
-            h = ht * max(0.2, 0.9 * err ** -0.2)
-            rejections += 1
-            if rejections > 200:
-                status = TrajectoryStatus.STEP_FAILURE
-                break
-            continue
-
-        if math.hypot(xn, yn) <= core:
+            shrink = max(0.2, 0.9 * err ** -0.2)
+        elif math.hypot(xn, yn) <= core:
             status = TrajectoryStatus.ENTERED_CORE_RADIUS
             break
-
-        hn = energy(xn, yn)
-        if abs(hn - h0) > cfg.h_drift_budget:
-            h = 0.5 * ht
+        else:
+            hn = energy(xn, yn)
+            shrink = 0.5 if abs(hn - h0) > budget else None
+        if shrink is not None:
+            h = ht * shrink
             rejections += 1
             if rejections > 200:
                 status = TrajectoryStatus.STEP_FAILURE
@@ -268,26 +245,25 @@ def integrate(
 
         if closure_on:
             g_new = (xn - x0) * nx0 + (yn - y0) * ny0
-            if (
-                arc > _CLOSURE_MIN_ARC_FACTOR * cfg.closure_pos_tol
-                and g_prev < 0.0 <= g_new
-            ):
+            if arc > _CLOSURE_MIN_ARC and g_prev < 0.0 <= g_new:
                 # refine the section crossing on the Hermite interpolant
                 lo, hi = 0.0, 1.0
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
-                    pm = hermite((x, y), (xn, yn), (fx, fy), (fxn, fyn), ht, mid)
-                    gm = (pm[0] - x0) * nx0 + (pm[1] - y0) * ny0
+                    px = _hermite(x, xn, fx, fxn, ht, mid)
+                    py = _hermite(y, yn, fy, fyn, ht, mid)
+                    gm = (px - x0) * nx0 + (py - y0) * ny0
                     if gm < 0.0:
                         lo = mid
                     else:
                         hi = mid
                 s = 0.5 * (lo + hi)
-                px, py = hermite((x, y), (xn, yn), (fx, fy), (fxn, fyn), ht, s)
+                px = _hermite(x, xn, fx, fxn, ht, s)
+                py = _hermite(y, yn, fy, fyn, ht, s)
                 dist = math.hypot(px - x0, py - y0)
-                vx, vy = rhs(px, py)
+                vx, vy = _velocity(a, b, px, py)
                 angle = abs(math.atan2(vx * ny0 - vy * nx0, vx * nx0 + vy * ny0))
-                if dist <= cfg.closure_pos_tol and angle <= cfg.closure_angle_tol:
+                if dist <= _CLOSURE_POS_TOL and angle <= _CLOSURE_ANGLE_TOL:
                     times.append(t + s * ht)
                     pts.append((px, py))
                     hs.append(energy(px, py))
@@ -308,7 +284,7 @@ def integrate(
             break
 
         grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
-        h = min(cfg.max_step, ht * grow)
+        h = min(_MAX_STEP, ht * grow)
 
     if status is None:
         status = TrajectoryStatus.COMPLETED
@@ -386,13 +362,8 @@ def trace_separatrix(params: FlowParams) -> SeparatrixResult:
     )
 
 
-def position_at(
-    params: FlowParams, traj: Trajectory, t: float, direction: float = 1.0
-) -> np.ndarray:
-    """Cubic-Hermite interpolation of a trajectory at elapsed time t.
-
-    ``direction`` must match the direction the trajectory was integrated with.
-    """
+def position_at(params: FlowParams, traj: Trajectory, t: float) -> np.ndarray:
+    """Cubic-Hermite interpolation of a trajectory at elapsed time t."""
     times = traj.times
     if not (times[0] <= t <= times[-1]):
         raise InvalidParamsError(f"t={t!r} outside trajectory range")
@@ -403,8 +374,4 @@ def position_at(
         return traj.points[i].copy()
     s = (t - float(times[i])) / dt
     p, q = traj.points[i], traj.points[i + 1]
-    sgn = 1.0 if direction >= 0 else -1.0
-    fp = sgn * current(params, p)
-    fq = sgn * current(params, q)
-    h00, h10, h01, h11 = _hermite_weights(s)
-    return h00 * p + h10 * dt * fp + h01 * q + h11 * dt * fq
+    return _hermite(p, q, current(params, p), current(params, q), dt, s)

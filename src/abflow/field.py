@@ -124,13 +124,17 @@ def _check_regular(params: FlowParams, x: float, y: float) -> None:
         raise SingularPointError("field is singular at the origin for delta > 0")
 
 
-def velocity(params: FlowParams, x: float, y: float) -> tuple[float, float]:
-    """Velocity components (u, v) at (x, y); no singularity check."""
-    a, b = params.a, params.b
+def _velocity(a: float, b: float, x, y):
+    # shared kernel for velocity / current / the trajectory integrator
     if b == 0.0:
         return -a, 0.0
     r2 = x * x + y * y
     return -a + b * y / r2, -b * x / r2
+
+
+def velocity(params: FlowParams, x: float, y: float) -> tuple[float, float]:
+    """Velocity components (u, v) at (x, y); no singularity check."""
+    return _velocity(params.a, params.b, x, y)
 
 
 def current(params: FlowParams, p) -> np.ndarray:
@@ -141,7 +145,7 @@ def current(params: FlowParams, p) -> np.ndarray:
     """
     x, y = _point(p)
     _check_regular(params, x, y)
-    u, v = velocity(params, x, y)
+    u, v = _velocity(params.a, params.b, x, y)
     return np.array([u, v])
 
 

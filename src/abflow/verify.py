@@ -277,7 +277,7 @@ def run_suite(
         us, vs = uv(xs, ys - h)
         fd = [(ue - uw) / (2 * h), (un - us) / (2 * h), (ve - vw) / (2 * h), (vn - vs) / (2 * h)]
         resid = max(float(np.max(np.abs(j - d))) for j, d in zip((alpha, beta, beta, -alpha), fd))
-        return report("jacobian_finite_difference", resid / max(1.0, b), 1e-5)
+        return report("jacobian_finite_difference", resid / field_unit_or_one, 1e-5)
 
     def check_stagnation():
         sp = critical.stagnation_point(params)
@@ -310,13 +310,16 @@ def run_suite(
                 abs(v1 - v2) for i, v1 in enumerate(values) for v2 in values[i + 1:]
             ),
         )
-        resid /= max(1.0, abs(expected))
+        # quadrature roundoff grows with a*R, the value with b
+        resid /= max(field_unit_or_one, abs(expected))
         return report("circulation_contour_independence", resid, 1e-10)
 
     def check_orthogonality():
         u0, v0 = uv(x, y)
         speed = np.hypot(u0, v0)
         mask = off_cut & (speed >= 1e-3 * field_unit)
+        if not mask.any():  # a zero field has no direction to be orthogonal to
+            return report("gradient_orthogonality", 0.0, 0.0, applicable=False)
         xs, ys = x[mask], y[mask]
         residual = 0.0
         errs, floors = [], []

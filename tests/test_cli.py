@@ -163,6 +163,14 @@ class TestSubcommands:
         assert code == 0
         assert "suite: PASS" in out
 
+    def test_verify_zero_field(self, capsys):
+        code, out = run_cli(capsys, "verify", "--k", "0", "--delta", "0")
+        assert code == 0
+        assert "suite: PASS" in out
+        row = next(line for line in out.splitlines()
+                   if line.startswith("gradient_orthogonality"))
+        assert row.split()[-1] == "not_applicable"
+
     def test_verify_writes_report(self, capsys, tmp_path):
         out = tmp_path / "rep"
         code, _ = run_cli(capsys, "verify", "--seed", "42", "--out", str(out),

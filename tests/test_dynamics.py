@@ -123,18 +123,22 @@ class TestIntegrate:
             assert traj.max_h_drift <= 1e-14
 
     def test_mirror_time_reversal_symmetry(self):
-        # forward flow from (-x0, y0) retraces the mirrored backward flow
-        # from (x0, y0)
+        # psi is even in x, so the mirror (x, y) -> (-x, y) of a trajectory
+        # run backward in time is a trajectory: integrate F from (-x0, y0)
+        # for T, then G from the mirror of F(T); G retraces the mirror of F
+        # and reaches (x0, y0) at T
         start = (0.1, 0.3)
         tmax = 1.5
         cfg = IntegratorConfig(max_time=tmax)
         fwd = integrate(P, (-start[0], start[1]), cfg)
-        bwd = integrate(P, start, cfg, direction=-1.0)
         assert fwd.status is TrajectoryStatus.COMPLETED
-        assert bwd.status is TrajectoryStatus.COMPLETED
-        for t, pt in zip(bwd.times[:: max(1, len(bwd) // 40)],
-                         bwd.points[:: max(1, len(bwd) // 40)]):
-            mirrored = position_at(P, fwd, float(t))
+        end = fwd.points[-1]
+        back = integrate(P, (-end[0], end[1]), cfg)
+        assert back.status is TrajectoryStatus.COMPLETED
+        assert back.points[-1] == pytest.approx(start, abs=1e-6)
+        for t, pt in zip(back.times[:: max(1, len(back) // 40)],
+                         back.points[:: max(1, len(back) // 40)]):
+            mirrored = position_at(P, fwd, tmax - float(t))
             assert pt[0] == pytest.approx(-mirrored[0], abs=1e-6)
             assert pt[1] == pytest.approx(mirrored[1], abs=1e-6)
 
@@ -167,6 +171,17 @@ class TestClosedOrbit:
     def test_parallel_flow_never_closes(self):
         result = detect_closed_orbit(FlowParams(delta=0.0), (0.0, 1.0))
         assert not result.closed
+
+    @pytest.mark.parametrize("delta", [0.5, 0.01])
+    def test_closed_orbit_at_large_vortex_strength(self, delta):
+        # b = hbar*delta/mass = 1e6*delta: H ~ b, so the drift budget must
+        # scale with the field, or rel_tol alone overdraws it
+        params = FlowParams(hbar=1e3, mass=1e-3, k=math.sqrt(delta * 1e-6), delta=delta)
+        l = params.saddle_height
+        traj = integrate(params, (0.0, 0.5 * l), IntegratorConfig(max_time=30.0),
+                         detect_closure=True)
+        assert traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED
+        assert traj.max_h_drift <= 1e-8 * params.b
 
     def test_drift_shrinks_with_tolerance(self):
         # drift scales roughly linearly with the error tolerance
@@ -282,7 +297,7 @@ def test_loop_agrees_with_integrated_orbit(delta):
 
 class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
-        dict(rel_tol=1e-15), dict(abs_tol=0.0), dict(max_step=-1.0),
+        dict(rel_tol=1e-15), dict(abs_tol=0.0),
         dict(max_time=0.0), dict(h_drift_budget=-1e-8), dict(core_radius=0.0),
     ])
     def test_invalid(self, bad):

@@ -180,3 +180,13 @@ def test_report_keeps_verdicts_and_orders(kwargs, seed):
         assert verdict == "pass"
         assert order == ("2.00" if name in FITTED else "-")
     assert lines[-1] == "suite: PASS"
+
+
+@pytest.mark.parametrize("k, delta", [(0.3, 0.0), (3.0, 1e-9)])
+def test_fast_stream_residuals_on_the_field_scale(k, delta):
+    # a = hbar*k/mass up to 3e6 >> max(1, b): stencil and quadrature roundoff
+    # grow with a, so the residuals are read in units of max(1, a, b)
+    params = FlowParams(hbar=1e3, mass=1e-3, k=k, delta=delta)
+    for seed in (1, 2, 3):
+        reports = run_suite(params, seed=seed)
+        assert suite_passed(reports), (seed, format_report(reports))
