@@ -4,17 +4,22 @@ Subcommands: eval, portrait, stagnation, separatrix, circulation, trajectory,
 verify, sweep.  A summary document is printed to stdout as JSON (the verify
 report is a fixed-width text document); CSV/SVG artifacts go to --out.
 
-Setting precedence: flags > key=value config file (--config) > built-in
-defaults; a config key that names no setting is a usage error.  Exit codes:
-0 ok, 1 verification failure, 2 usage, 3 singular input, 4 numerical
-failure.
+Every setting is one row of ``_SETTINGS``: its value parser, its default
+and the commands that read it.  The rows generate each subcommand's flags
+(booleans also take a ``--no-`` form; no flag may be abbreviated) and the
+keys a ``--config`` file may set for that command; a key that names no
+setting, or a setting the command does not read, is a usage error.
+Precedence: flags > key=value config file > defaults.  Exit codes: 0 ok,
+1 verification failure, 2 usage, 3 singular input, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -42,31 +47,6 @@ from .field import (
 )
 from .svg import render_portrait
 
-DEFAULTS = {
-    "hbar": 1.0,
-    "mass": 1.0,
-    "k": 1.0,
-    "delta": 0.5,
-    "charge": 1.0,
-    "light_speed": 1.0,
-    "allow_any_delta": False,
-    "bbox": (-4.0, 4.0, -3.0, 3.0),
-    "grid": (400, 300),
-    "n_levels": 15,
-    "separatrix": True,
-    "center": (0.0, 0.0),
-    "radius": 1.0,
-    "samples": 512,
-    "tmax": 100.0,
-    "rtol": 1e-10,
-    "atol": 1e-12,
-    "seed": 42,
-    "format": "csv",
-    "out": None,
-    "levels": None,
-    "detect_closure": False,
-}
-
 
 def _point(text: str) -> tuple[float, float]:
     parts = text.split(",")
@@ -92,34 +72,62 @@ def _grid(text: str) -> tuple[int, int]:
 def _floats(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
-_CONFIG_PARSERS = {
-    **dict.fromkeys(
-        ("hbar", "mass", "k", "delta", "flux", "charge", "light_speed",
-         "radius", "tmax", "rtol", "atol"),
-        float,
-    ),
-    "bbox": _bbox,
-    "grid": _grid,
-    "levels": _floats,
-    "deltas": _floats,
-    "at": _point,
-    "start": _point,
-    "center": _point,
-    "samples": int,
-    "seed": int,
-    "n_levels": int,
-    "format": str,
-    "out": str,
-    "allow_any_delta": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "separatrix": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "detect_closure": lambda s: s.lower() in ("1", "true", "yes", "on"),
+
+def _bool(text: str) -> bool:
+    word = text.lower()
+    if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise argparse.ArgumentTypeError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+    return word in ("1", "true", "yes", "on")
+
+
+def _format(text: str) -> str:
+    if text not in ("csv", "json", "svg", "all"):
+        raise argparse.ArgumentTypeError(f"expected csv, json, svg or all, got {text!r}")
+    return text
+
+
+_ALL = frozenset(
+    ("eval", "portrait", "stagnation", "separatrix", "circulation", "trajectory", "verify", "sweep")
+)
+# sweep takes each flow's delta from --deltas
+_FLOWS = _ALL - {"sweep"}
+
+# name: (value parser for the flag and the config line, default, commands)
+_SETTINGS = {
+    "hbar": (float, 1.0, _ALL),
+    "mass": (float, 1.0, _ALL),
+    "k": (float, 1.0, _ALL),
+    "delta": (float, 0.5, _FLOWS),
+    "flux": (float, None, _FLOWS),
+    "charge": (float, 1.0, _FLOWS),
+    "light_speed": (float, 1.0, _FLOWS),
+    "allow_any_delta": (_bool, False, _ALL),
+    "out": (str, None, _ALL),
+    "format": (_format, "csv", _ALL),
+    "seed": (int, 42, {"verify"}),
+    "at": (_point, None, {"eval"}),
+    "bbox": (_bbox, (-4.0, 4.0, -3.0, 3.0), {"portrait"}),
+    "grid": (_grid, (400, 300), {"portrait"}),
+    "levels": (_floats, None, {"portrait"}),
+    "n_levels": (int, 15, {"portrait"}),
+    "separatrix": (_bool, True, {"portrait"}),
+    "center": (_point, (0.0, 0.0), {"circulation"}),
+    "radius": (float, 1.0, {"circulation", "sweep"}),
+    "samples": (int, 512, {"circulation", "sweep"}),
+    "start": (_point, None, {"trajectory"}),
+    "tmax": (float, 100.0, {"trajectory"}),
+    "rtol": (float, 1e-10, {"trajectory"}),
+    "atol": (float, 1e-12, {"trajectory"}),
+    "detect_closure": (_bool, False, {"trajectory"}),
+    "deltas": (_floats, None, {"sweep"}),
 }
 
-# settings that set a flow's delta, which sweep takes from --deltas instead
-_DELTA_SETTINGS = {"delta", "flux", "charge", "light_speed"}
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, command: str) -> dict:
     if path is None:
         return {}
     cfg = {}
@@ -131,118 +139,97 @@ def _load_config(path: str | None) -> dict:
             raise InvalidParamsError(f"bad config line {raw!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
-        parser = _CONFIG_PARSERS.get(key)
-        if parser is None:
+        if key not in _SETTINGS:
             raise InvalidParamsError(f"unknown config key {key!r} in {raw!r}")
+        parse, _, commands = _SETTINGS[key]
+        if command not in commands:
+            raise InvalidParamsError(f"{command} does not read config key {key!r} in {raw!r}")
         try:
-            cfg[key] = parser(value)
+            cfg[key] = parse(value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise InvalidParamsError(f"bad config value {raw!r}: {exc}") from exc
     return cfg
 
 
-class _Settings:
-    """flags > config file > defaults"""
-
-    def __init__(self, args: argparse.Namespace):
-        self._args = vars(args)
-        self._config = _load_config(self._args.get("config"))
-
-    @property
-    def configured(self) -> set:
-        """Settings the config file sets."""
-        return set(self._config)
-
-    def __getattr__(self, key):
-        v = self._args.get(key)
-        if v is not None:
-            return v
-        if key in self._config:
-            return self._config[key]
-        return DEFAULTS.get(key)
+def _settings(args: argparse.Namespace) -> argparse.Namespace:
+    """The command's settings only: flags > config file > defaults."""
+    given = dict(vars(args))
+    command = given.pop("command")
+    config = _load_config(given.pop("config", None), command)
+    defaults = {name: row[1] for name, row in _SETTINGS.items() if command in row[2]}
+    return argparse.Namespace(**{**defaults, **config, **given})
 
 
-def _flow_params(s: _Settings) -> FlowParams:
-    delta = s.delta
-    if s.flux is not None:
-        consts = _constants(s)
-        delta = flux_to_delta(consts, s.flux, hbar=s.hbar)
+def _flow_params(s: argparse.Namespace, delta: float | None = None) -> FlowParams:
+    if delta is None:
+        delta = s.delta
+        if s.flux is not None:
+            consts = PhysicalConstants(charge=s.charge, light_speed=s.light_speed)
+            delta = flux_to_delta(consts, s.flux, hbar=s.hbar)
     return FlowParams(
         hbar=s.hbar,
         mass=s.mass,
         k=s.k,
         delta=delta,
-        allow_any_delta=bool(s.allow_any_delta),
+        allow_any_delta=s.allow_any_delta,
     )
 
 
-def _constants(s: _Settings) -> PhysicalConstants:
-    return PhysicalConstants(charge=s.charge, light_speed=s.light_speed)
-
-
-def _units(params: FlowParams) -> dict:
-    return {
-        "hbar": params.hbar,
-        "mass": params.mass,
-        "note": "all outputs in units with the stated hbar and mass"
-        + (" (natural units)" if params.hbar == 1.0 and params.mass == 1.0 else ""),
-    }
-
-
 class _Emitter:
-    def __init__(self, s: _Settings):
+    def __init__(self, s: argparse.Namespace):
         self.fmt = s.format
         self.out = Path(s.out) if s.out else None
         self.files: list[str] = []
 
-    def _want(self, kind: str) -> bool:
-        return self.out is not None and self.fmt in (kind, "all")
+    def _want(self, kind: str | None) -> bool:
+        return self.out is not None and (kind is None or self.fmt in (kind, "all"))
+
+    def write(self, name: str, text: str, kind: str | None) -> None:
+        """Write out/name when --out is set and --format asks for kind
+        (csv, json or svg; None for every format)."""
+        if not self._want(kind):
+            return
+        os.makedirs(self.out, exist_ok=True)
+        (self.out / name).write_text(text)
+        self.files.append(name)
 
     def write_csv(self, name: str, header: str, rows) -> None:
         if not self._want("csv"):
             return
-        self.out.mkdir(parents=True, exist_ok=True)
         lines = [header]
         for row in rows:
             lines.append(",".join(repr(float(v)) for v in row))
-        (self.out / name).write_text("\n".join(lines) + "\n")
-        self.files.append(name)
-
-    def write_svg(self, name: str, content: str) -> None:
-        if not self._want("svg"):
-            return
-        self.out.mkdir(parents=True, exist_ok=True)
-        (self.out / name).write_text(content)
-        self.files.append(name)
-
-    def write_text(self, name: str, content: str) -> None:
-        if self.out is None:
-            return
-        self.out.mkdir(parents=True, exist_ok=True)
-        (self.out / name).write_text(content)
-        self.files.append(name)
+        self.write(name, "\n".join(lines) + "\n", "csv")
 
     def finish(self, summary: dict) -> None:
         summary["files"] = sorted(self.files)
         text = json.dumps(summary, sort_keys=True, indent=2)
-        if self.out is not None and self.fmt in ("json", "all"):
-            self.out.mkdir(parents=True, exist_ok=True)
-            (self.out / "summary.json").write_text(text + "\n")
+        self.write("summary.json", text + "\n", "json")
         print(text)
 
 
-def _params_summary(params: FlowParams) -> dict:
+def _summary_head(command: str, params: FlowParams) -> dict:
+    natural = params.hbar == 1.0 and params.mass == 1.0
     return {
-        "hbar": params.hbar,
-        "mass": params.mass,
-        "k": params.k,
-        "delta": params.delta,
-        "a": params.a,
-        "b": params.b,
+        "command": command,
+        "params": {
+            "hbar": params.hbar,
+            "mass": params.mass,
+            "k": params.k,
+            "delta": params.delta,
+            "a": params.a,
+            "b": params.b,
+        },
+        "units": {
+            "hbar": params.hbar,
+            "mass": params.mass,
+            "note": "all outputs in units with the stated hbar and mass"
+            + (" (natural units)" if natural else ""),
+        },
     }
 
 
-def _cmd_eval(s: _Settings) -> int:
+def _cmd_eval(s: argparse.Namespace) -> int:
     params = _flow_params(s)
     if s.at is None:
         raise InvalidParamsError("eval requires --at x,y")
@@ -252,9 +239,7 @@ def _cmd_eval(s: _Settings) -> int:
     f = complex_potential(params, z)
     fp = complex_derivative(params, z)
     summary = {
-        "command": "eval",
-        "params": _params_summary(params),
-        "units": _units(params),
+        **_summary_head("eval", params),
         "point": list(p),
         "current": [float(j[0]), float(j[1])],
         "complex_potential": [f.real, f.imag],
@@ -264,18 +249,15 @@ def _cmd_eval(s: _Settings) -> int:
         "velocity_potential": velocity_potential(params, p),
         "near_branch_cut": near_branch_cut(p),
     }
-    em = _Emitter(s)
-    em.finish(summary)
+    _Emitter(s).finish(summary)
     return 0
 
 
-def _cmd_stagnation(s: _Settings) -> int:
+def _cmd_stagnation(s: argparse.Namespace) -> int:
     params = _flow_params(s)
     sp = critical.stagnation_point(params)
     summary = {
-        "command": "stagnation",
-        "params": _params_summary(params),
-        "units": _units(params),
+        **_summary_head("stagnation", params),
     }
     if sp is None:
         summary["stagnation_point"] = None
@@ -290,18 +272,14 @@ def _cmd_stagnation(s: _Settings) -> int:
     return 0
 
 
-def _level_name(level: float, index: int) -> str:
-    return f"level_{float(level)!r}_{index}.csv"
-
-
-def _cmd_portrait(s: _Settings) -> int:
+def _cmd_portrait(s: argparse.Namespace) -> int:
     params = _flow_params(s)
     spec = PortraitSpec(
         bbox=s.bbox,
         grid=s.grid,
         levels=s.levels,
         n_levels=s.n_levels,
-        include_separatrix=bool(s.separatrix),
+        include_separatrix=s.separatrix,
     )
     polylines = portrait(params, spec)
     em = _Emitter(s)
@@ -309,7 +287,7 @@ def _cmd_portrait(s: _Settings) -> int:
     for poly in polylines:
         idx = counters.get(poly.level, 0)
         counters[poly.level] = idx + 1
-        em.write_csv(_level_name(poly.level, idx), "x,y", poly.points)
+        em.write_csv(f"level_{float(poly.level)!r}_{idx}.csv", "x,y", poly.points)
 
     sep_level = None
     saddle = vortex = None
@@ -318,14 +296,13 @@ def _cmd_portrait(s: _Settings) -> int:
         if params.k > 0.0:
             sep_level = critical.separatrix_level(params)
             saddle = critical.stagnation_point(params).location
-    em.write_svg(
+    em.write(
         "portrait.svg",
         render_portrait(polylines, spec.bbox, sep_level, saddle, vortex),
+        "svg",
     )
     summary = {
-        "command": "portrait",
-        "params": _params_summary(params),
-        "units": _units(params),
+        **_summary_head("portrait", params),
         "bbox": list(spec.bbox),
         "grid": list(spec.grid),
         "levels": sorted({float(p.level) for p in polylines}),
@@ -337,7 +314,7 @@ def _cmd_portrait(s: _Settings) -> int:
     return 0
 
 
-def _cmd_separatrix(s: _Settings) -> int:
+def _cmd_separatrix(s: argparse.Namespace) -> int:
     params = _flow_params(s)
     result = dynamics.trace_separatrix(params)
     em = _Emitter(s)
@@ -346,7 +323,7 @@ def _cmd_separatrix(s: _Settings) -> int:
         em.write_csv(f"separatrix_branch_{i}.csv", "x,y", branch.points)
     sep_level = critical.separatrix_level(params)
     saddle = critical.stagnation_point(params).location
-    em.write_svg(
+    em.write(
         "separatrix.svg",
         render_portrait(
             [result.loop, *result.unbounded_branches],
@@ -355,11 +332,10 @@ def _cmd_separatrix(s: _Settings) -> int:
             saddle,
             (0.0, 0.0),
         ),
+        "svg",
     )
     summary = {
-        "command": "separatrix",
-        "params": _params_summary(params),
-        "units": _units(params),
+        **_summary_head("separatrix", params),
         "separatrix_level": sep_level,
         "loop_points": len(result.loop.points),
         "loop_area": result.loop_area,
@@ -379,18 +355,16 @@ def _loop_bbox(result) -> tuple[float, float, float, float]:
     return (float(xmin - mx), float(xmax + mx), float(ymin - mx), float(ymax + mx))
 
 
-def _cmd_circulation(s: _Settings) -> int:
+def _cmd_circulation(s: argparse.Namespace) -> int:
     params = _flow_params(s)
-    result = circulation(params, s.center, s.radius, int(s.samples))
+    result = circulation(params, s.center, s.radius, s.samples)
     expected = (
         -2.0 * math.pi * params.b
         if math.hypot(*s.center) < s.radius
         else 0.0
     )
     summary = {
-        "command": "circulation",
-        "params": _params_summary(params),
-        "units": _units(params),
+        **_summary_head("circulation", params),
         "contour": result.contour,
         "circulation": result.value,
         "richardson_error_estimate": result.richardson_error_estimate,
@@ -401,7 +375,7 @@ def _cmd_circulation(s: _Settings) -> int:
     return 0
 
 
-def _cmd_trajectory(s: _Settings) -> int:
+def _cmd_trajectory(s: argparse.Namespace) -> int:
     params = _flow_params(s)
     if s.start is None:
         raise InvalidParamsError("trajectory requires --start x,y")
@@ -409,7 +383,7 @@ def _cmd_trajectory(s: _Settings) -> int:
         rel_tol=s.rtol, abs_tol=s.atol, max_time=s.tmax
     )
     traj = dynamics.integrate(
-        params, s.start, cfg, detect_closure=bool(s.detect_closure)
+        params, s.start, cfg, detect_closure=s.detect_closure
     )
     em = _Emitter(s)
     em.write_csv(
@@ -421,9 +395,7 @@ def _cmd_trajectory(s: _Settings) -> int:
         ),
     )
     summary = {
-        "command": "trajectory",
-        "params": _params_summary(params),
-        "units": _units(params),
+        **_summary_head("trajectory", params),
         "start": list(s.start),
         "status": traj.status.value,
         "samples": len(traj),
@@ -437,49 +409,36 @@ def _cmd_trajectory(s: _Settings) -> int:
     return 4 if traj.status is dynamics.TrajectoryStatus.STEP_FAILURE else 0
 
 
-def _cmd_verify(s: _Settings) -> int:
+def _cmd_verify(s: argparse.Namespace) -> int:
     params = _flow_params(s)
-    reports = verify_mod.run_suite(params, seed=int(s.seed))
+    reports = verify_mod.run_suite(params, seed=s.seed)
     text = verify_mod.format_report(reports)
     print(text)
     em = _Emitter(s)
-    em.write_text("verify_report.txt", text + "\n")
-    if em.out is not None and s.format in ("json", "all"):
-        payload = [
-            {
-                "name": rep.name,
-                "params": rep.params,
-                "residual": None if math.isnan(rep.residual) else rep.residual,
-                "tolerance": None if math.isnan(rep.tolerance) else rep.tolerance,
-                "order": rep.order,
-                "verdict": rep.verdict,
-            }
-            for rep in reports
-        ]
-        em.write_text("verify_report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    em.write("verify_report.txt", text + "\n", None)
+    payload = [
+        {
+            "name": rep.name,
+            "params": rep.params,
+            "residual": None if math.isnan(rep.residual) else rep.residual,
+            "tolerance": None if math.isnan(rep.tolerance) else rep.tolerance,
+            "order": rep.order,
+            "verdict": rep.verdict,
+        }
+        for rep in reports
+    ]
+    em.write("verify_report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n", "json")
     return 0 if verify_mod.suite_passed(reports) else 1
 
 
-def _cmd_sweep(s: _Settings) -> int:
-    ignored = sorted(_DELTA_SETTINGS & s.configured)
-    if ignored:
-        raise InvalidParamsError(
-            f"sweep takes delta from --deltas only; --config sets {', '.join(ignored)}"
-        )
-    deltas = s.deltas
-    if deltas is None:
+def _cmd_sweep(s: argparse.Namespace) -> int:
+    if s.deltas is None:
         raise InvalidParamsError("sweep requires --deltas d1,d2,...")
     rows = []
-    for delta in deltas:
-        params = FlowParams(
-            hbar=s.hbar,
-            mass=s.mass,
-            k=s.k,
-            delta=delta,
-            allow_any_delta=bool(s.allow_any_delta),
-        )
+    for delta in s.deltas:
+        params = _flow_params(s, delta)
         result = dynamics.trace_separatrix(params)
-        circ = circulation(params, (0.0, 0.0), s.radius, int(s.samples))
+        circ = circulation(params, (0.0, 0.0), s.radius, s.samples)
         rows.append(
             {
                 "delta": delta,
@@ -490,20 +449,7 @@ def _cmd_sweep(s: _Settings) -> int:
             }
         )
     em = _Emitter(s)
-    em.write_csv(
-        "sweep.csv",
-        "delta,loop_area,loop_max_radius,lower_axis_crossing,circulation",
-        (
-            (
-                r["delta"],
-                r["loop_area"],
-                r["loop_max_radius"],
-                r["lower_axis_crossing"],
-                r["circulation"],
-            )
-            for r in rows
-        ),
-    )
+    em.write_csv("sweep.csv", ",".join(rows[0]), (r.values() for r in rows))
     summary = {
         "command": "sweep",
         "units": {"hbar": s.hbar, "mass": s.mass, "note": "per-delta results"},
@@ -518,95 +464,49 @@ def _cmd_sweep(s: _Settings) -> int:
 
 
 _COMMANDS = {
-    "eval": _cmd_eval,
-    "portrait": _cmd_portrait,
-    "stagnation": _cmd_stagnation,
-    "separatrix": _cmd_separatrix,
-    "circulation": _cmd_circulation,
-    "trajectory": _cmd_trajectory,
-    "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
+    "eval": (_cmd_eval, "evaluate fields at a point"),
+    "portrait": (_cmd_portrait, "extract a phase portrait"),
+    "stagnation": (_cmd_stagnation, "report the stagnation point"),
+    "separatrix": (_cmd_separatrix, "sample the separatrix"),
+    "circulation": (_cmd_circulation, "circle quadrature of the circulation"),
+    "trajectory": (_cmd_trajectory, "integrate one trajectory"),
+    "verify": (_cmd_verify, "run the identity verification suite"),
+    "sweep": (_cmd_sweep, "separatrix metrics over a delta list"),
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hbar", type=float)
-    common.add_argument("--mass", type=float)
-    common.add_argument("--k", type=float)
-    common.add_argument("--allow-any-delta", dest="allow_any_delta",
-                        action="store_true", default=None)
-    common.add_argument("--config")
-    common.add_argument("--out")
-    common.add_argument("--format", choices=["csv", "json", "svg", "all"])
-    common.add_argument("--seed", type=int)
-    # delta and the flux that sets it; sweep takes its deltas from --deltas only
-    flux_flags = argparse.ArgumentParser(add_help=False, parents=[common])
-    flux_flags.add_argument("--delta", type=float)
-    flux_flags.add_argument("--flux", type=float)
-    flux_flags.add_argument("--charge", type=float)
-    flux_flags.add_argument("--light-speed", dest="light_speed", type=float)
-
     parser = argparse.ArgumentParser(
         prog="abflow",
         description="Flow of the probability current around a magnetic string.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", parents=[flux_flags], help="evaluate fields at a point")
-    p.add_argument("--at", type=_point)
-
-    p = sub.add_parser("portrait", parents=[flux_flags], help="extract a phase portrait")
-    p.add_argument("--bbox", type=_bbox)
-    p.add_argument("--grid", type=_grid)
-    p.add_argument("--levels", type=_floats)
-    p.add_argument("--n-levels", dest="n_levels", type=int)
-    p.add_argument("--separatrix", dest="separatrix",
-                   action=argparse.BooleanOptionalAction, default=None)
-
-    sub.add_parser("stagnation", parents=[flux_flags], help="report the stagnation point")
-
-    sub.add_parser("separatrix", parents=[flux_flags], help="sample the separatrix")
-
-    p = sub.add_parser("circulation", parents=[flux_flags],
-                       help="circle quadrature of the circulation")
-    p.add_argument("--center", type=_point)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--samples", type=int)
-
-    p = sub.add_parser("trajectory", parents=[flux_flags], help="integrate one trajectory")
-    p.add_argument("--start", type=_point)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
-    p.add_argument("--detect-closure", dest="detect_closure",
-                   action="store_true", default=None)
-
-    sub.add_parser("verify", parents=[flux_flags], help="run the identity verification suite")
-
-    # no abbreviations, or argparse would read --delta as --deltas
-    p = sub.add_parser("sweep", parents=[common], allow_abbrev=False,
-                       help="separatrix metrics over a delta list")
-    p.add_argument("--deltas", type=_floats)
-    p.add_argument("--radius", type=float)
-    p.add_argument("--samples", type=int)
-
+    for command, (_, help_text) in _COMMANDS.items():
+        # no abbreviations, or argparse would read --delta as --deltas; an
+        # absent flag leaves no attribute, so config and defaults show through
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("--config")
+        for name, (parse, _, commands) in _SETTINGS.items():
+            if command not in commands:
+                continue
+            if parse is _bool:
+                p.add_argument(_flag(name), action=argparse.BooleanOptionalAction)
+            else:
+                p.add_argument(_flag(name), type=parse)
     return parser
 
 
-# flags whose values may start with a minus sign; fold them into --flag=value
-# so argparse does not mistake the value for an option
-_SIGNED_VALUE_FLAGS = {
-    "--bbox", "--levels", "--at", "--start", "--center", "--deltas",
-}
-
-
 def _fold_signed_values(argv: list[str]) -> list[str]:
+    # a value may start with a minus sign (--bbox -4,4,-3,3); fold it into
+    # --flag=value so argparse does not mistake the value for an option
+    valued = {_flag(name) for name, row in _SETTINGS.items() if row[0] is not _bool}
     out = []
     i = 0
     while i < len(argv):
         arg = argv[i]
-        if arg in _SIGNED_VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        if arg in valued and i + 1 < len(argv) and argv[i + 1].startswith("-"):
             out.append(f"{arg}={argv[i + 1]}")
             i += 2
         else:
@@ -616,16 +516,14 @@ def _fold_signed_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_fold_signed_values(list(argv)))
+        args = _build_parser().parse_args(_fold_signed_values(list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        settings = _Settings(args)
-        return _COMMANDS[args.command](settings)
+        return _COMMANDS[args.command][0](_settings(args))
     except (SingularPointError, InvalidStartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import critical
 from .errors import InvalidContourError, InvalidParamsError
-from .field import FlowParams, PhysicalConstants, stream_values, velocity
+from .field import FlowParams, PhysicalConstants, _velocity, stream_values
 
 __all__ = [
     "Polyline",
@@ -31,8 +31,6 @@ __all__ = [
     "circulation",
     "circulation_from_flux",
     "polygon_area",
-    "winding_number",
-    "hausdorff_distance",
 ]
 
 
@@ -103,33 +101,6 @@ def polygon_area(points: np.ndarray) -> float:
     p = np.asarray(points, dtype=float)
     x, y = p[:, 0], p[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-def winding_number(points: np.ndarray, about=(0.0, 0.0)) -> int:
-    """Winding count of a closed polyline around a point (angle summation)."""
-    p = np.asarray(points, dtype=float) - np.asarray(about, dtype=float)
-    ang = np.arctan2(p[:, 1], p[:, 0])
-    d = np.diff(np.append(ang, ang[0]))
-    d = (d + np.pi) % (2.0 * np.pi) - np.pi
-    return int(round(float(d.sum()) / (2.0 * np.pi)))
-
-
-def _farthest_nearest_sq(a: np.ndarray, b: np.ndarray) -> float:
-    # squared distance from b of the point of a farthest from it, over blocks
-    # of a's rows so that memory stays O(block*len(b))
-    rows = max(1, 65536 // max(1, len(b)))
-    worst = 0.0
-    for i in range(0, len(a), rows):
-        blk = a[i:i + rows]
-        d2 = (blk[:, :1] - b[:, 0]) ** 2 + (blk[:, 1:] - b[:, 1]) ** 2
-        worst = max(worst, float(d2.min(axis=1).max()))
-    return worst
-
-
-def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two point sets."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return math.sqrt(max(_farthest_nearest_sq(a, b), _farthest_nearest_sq(b, a)))
 
 
 def default_core_radius(params: FlowParams) -> float:
@@ -365,9 +336,11 @@ def circulation(
         raise InvalidContourError("contour passes through the vortex core")
 
     def quad(n: int) -> float:
+        # the uniform stream's trapezoid sum is zero in exact arithmetic; in
+        # doubles it leaves roundoff ~eps*a*R, so only the vortex is summed
         theta = 2.0 * np.pi * np.arange(n) / n
         ct, st = np.cos(theta), np.sin(theta)
-        u, v = velocity(params, cx + radius * ct, cy + radius * st)
+        u, v = _velocity(0.0, params.b, cx + radius * ct, cy + radius * st)
         integrand = radius * (-st * u + ct * v)
         return float(np.sum(integrand) * (2.0 * np.pi / n))
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import critical
 from .contour import Polyline, canonical_x, default_core_radius, polygon_area
 from .errors import InvalidParamsError, InvalidStartError
-from .field import FlowParams, _psi, _velocity, current
+from .field import FlowParams, _psi, _velocity
 
 __all__ = [
     "IntegratorConfig",
@@ -33,7 +33,6 @@ __all__ = [
     "integrate",
     "detect_closed_orbit",
     "trace_separatrix",
-    "position_at",
 ]
 
 # Dormand-Prince 5(4) tableau (stage times omitted: the field is autonomous)
@@ -360,18 +359,3 @@ def trace_separatrix(params: FlowParams) -> SeparatrixResult:
         loop_max_radius=l,
         lower_axis_crossing=-_W_INV_E * l,
     )
-
-
-def position_at(params: FlowParams, traj: Trajectory, t: float) -> np.ndarray:
-    """Cubic-Hermite interpolation of a trajectory at elapsed time t."""
-    times = traj.times
-    if not (times[0] <= t <= times[-1]):
-        raise InvalidParamsError(f"t={t!r} outside trajectory range")
-    i = int(np.searchsorted(times, t, side="right") - 1)
-    i = min(i, len(times) - 2)
-    dt = float(times[i + 1] - times[i])
-    if dt == 0.0:
-        return traj.points[i].copy()
-    s = (t - float(times[i])) / dt
-    p, q = traj.points[i], traj.points[i + 1]
-    return _hermite(p, q, current(params, p), current(params, q), dt, s)

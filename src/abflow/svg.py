@@ -8,8 +8,6 @@ cross and the vortex core as a dot.
 
 from __future__ import annotations
 
-import math
-
 __all__ = ["render_portrait"]
 
 _STYLE = (
@@ -47,11 +45,8 @@ def render_portrait(
         coords = " ".join(
             "{:.3f},{:.3f}".format(*to_px(px, py)) for px, py in poly.points
         )
-        is_sep = (
-            separatrix_level is not None
-            and poly.level is not None
-            and math.isclose(poly.level, separatrix_level, rel_tol=0.0, abs_tol=1e-12)
-        )
+        # callers pass the level the separatrix polylines carry, exactly
+        is_sep = separatrix_level is not None and poly.level == separatrix_level
         cls = ' class="sep"' if is_sep else ""
         parts.append(f"<polyline{cls} points=\"{coords}\"/>")
     if saddle is not None:

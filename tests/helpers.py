@@ -1,0 +1,52 @@
+"""Geometry helpers that only the tests use: winding numbers and Hausdorff
+distances of polylines, and a trajectory's position between samples."""
+
+import math
+
+import numpy as np
+
+from abflow import FlowParams, InvalidParamsError, Trajectory, current
+from abflow.dynamics import _hermite
+
+
+def winding_number(points: np.ndarray, about=(0.0, 0.0)) -> int:
+    """Winding count of a closed polyline around a point (angle summation)."""
+    p = np.asarray(points, dtype=float) - np.asarray(about, dtype=float)
+    ang = np.arctan2(p[:, 1], p[:, 0])
+    d = np.diff(np.append(ang, ang[0]))
+    d = (d + np.pi) % (2.0 * np.pi) - np.pi
+    return int(round(float(d.sum()) / (2.0 * np.pi)))
+
+
+def _farthest_nearest_sq(a: np.ndarray, b: np.ndarray) -> float:
+    # squared distance from b of the point of a farthest from it, over blocks
+    # of a's rows so that memory stays O(block*len(b))
+    rows = max(1, 65536 // max(1, len(b)))
+    worst = 0.0
+    for i in range(0, len(a), rows):
+        blk = a[i:i + rows]
+        d2 = (blk[:, :1] - b[:, 0]) ** 2 + (blk[:, 1:] - b[:, 1]) ** 2
+        worst = max(worst, float(d2.min(axis=1).max()))
+    return worst
+
+
+def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Symmetric Hausdorff distance between two point sets."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return math.sqrt(max(_farthest_nearest_sq(a, b), _farthest_nearest_sq(b, a)))
+
+
+def position_at(params: FlowParams, traj: Trajectory, t: float) -> np.ndarray:
+    """Cubic-Hermite interpolation of a trajectory at elapsed time t."""
+    times = traj.times
+    if not (times[0] <= t <= times[-1]):
+        raise InvalidParamsError(f"t={t!r} outside trajectory range")
+    i = int(np.searchsorted(times, t, side="right") - 1)
+    i = min(i, len(times) - 2)
+    dt = float(times[i + 1] - times[i])
+    if dt == 0.0:
+        return traj.points[i].copy()
+    s = (t - float(times[i])) / dt
+    p, q = traj.points[i], traj.points[i + 1]
+    return _hermite(p, q, current(params, p), current(params, q), dt, s)

@@ -33,7 +33,7 @@ from abflow import (
     velocity_potential,
 )
 from abflow.cli import main as cli_main
-from abflow.contour import hausdorff_distance, winding_number
+from helpers import hausdorff_distance, winding_number
 
 ORDER_BAND = (1.8, 2.2)
 ORDER_LADDER = (1e-2, 5e-3, 2.5e-3)

@@ -78,6 +78,34 @@ class TestConfigPrecedence:
         assert "detla" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, line", [
+        (["portrait"], "rtol = 1e-3"),
+        (["portrait"], "deltas = 0.5"),
+        (["eval", "--at", "1,1"], "seed = 3"),
+        (["circulation"], "start = 1,1"),
+        (["eval", "--at", "1,1"], "format = pdf"),
+        (["portrait"], "separatrix = ture"),
+    ])
+    def test_config_line_the_command_cannot_take_is_usage_error(
+        self, capsys, tmp_path, argv, line
+    ):
+        # a setting the command does not read, or a value its setting rejects
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out"
+        code = main([*argv, "--config", str(cfg), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert line.split()[0] in captured.err
+        assert not out.exists()
+
+    def test_negated_flag_overrides_config_boolean(self, capsys, tmp_path):
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text("detect_closure = true\n")
+        argv = ["trajectory", "--start", "0,0.25", "--tmax", "2", "--config", str(cfg)]
+        assert run_json(capsys, *argv)["status"] == "closed_orbit_detected"
+        assert run_json(capsys, *argv, "--no-detect-closure")["status"] == "completed"
+
 
 class TestPortrait:
     def test_uniform_topology_and_files(self, capsys, tmp_path):
@@ -107,6 +135,14 @@ class TestPortrait:
         assert 'class="sep"' in svg  # dashed separatrix
         assert 'class="saddle"' in svg
         assert 'class="vortex"' in svg
+
+    @pytest.mark.parametrize("hbar", ["1", "1e-12", "1e6"])
+    def test_separatrix_dashed_in_any_units(self, capsys, tmp_path, hbar):
+        # the homoclinic loop and its two arms, and no other level
+        out = tmp_path / "fig"
+        run_json(capsys, "portrait", "--hbar", hbar, "--grid", "200x150",
+                 "--out", str(out), "--format", "svg")
+        assert (out / "portrait.svg").read_text().count('class="sep"') == 3
 
     def test_explicit_levels(self, capsys):
         doc = run_json(capsys, "portrait", "--levels", "-0.8465735902799727",
@@ -156,6 +192,25 @@ class TestSubcommands:
         for flag in ("--rtol", "--atol", "--tmax"):
             code, _ = run_cli(capsys, "separatrix", flag, "1e-8")
             assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["portrait", "--grid", "60x45"],
+        ["eval", "--at", "1,1"],
+        ["trajectory", "--start", "0,0.25"],
+        ["sweep", "--deltas", "0.5"],
+    ])
+    def test_only_verify_takes_seed(self, capsys, argv):
+        code = main([*argv, "--seed", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--seed" in captured.err
+
+    def test_point_values_may_start_with_minus(self, capsys):
+        assert run_json(capsys, "eval", "--at", "-1,-2")["point"] == [-1.0, -2.0]
+        doc = run_json(capsys, "circulation", "--center", "-3,-0.5")
+        assert doc["contour"]["center"] == [-3.0, -0.5]
+        doc = run_json(capsys, "trajectory", "--start", "-0.1,-0.3", "--tmax", "0.5")
+        assert doc["start"] == [-0.1, -0.3]
 
     def test_verify_exit_codes(self, capsys, tmp_path):
         code, out = run_cli(capsys, "verify", "--k", "1", "--delta", "0.5",

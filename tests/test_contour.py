@@ -23,13 +23,8 @@ from abflow import (
     stream_values,
     trace_separatrix,
 )
-from abflow.contour import (
-    GRID_MAX,
-    SAMPLES_MAX,
-    hausdorff_distance,
-    polygon_area,
-    winding_number,
-)
+from abflow.contour import GRID_MAX, SAMPLES_MAX, polygon_area
+from helpers import hausdorff_distance, winding_number
 
 P = FlowParams()
 SPECS = [
@@ -335,6 +330,18 @@ class TestCirculation:
     def test_offcenter_circle_enclosing_origin(self):
         res = circulation(P, (0.2, -0.1), 1.0, 512)
         assert res.value == pytest.approx(-math.pi, rel=1e-10)
+
+    @pytest.mark.parametrize("center, enclosed", [
+        ((0.0, 0.0), True),
+        ((3e9, -2e9), True),
+        ((3e10, 0.0), False),
+        ((-2e10, 1e10), False),
+    ])
+    def test_large_radius(self, center, enclosed):
+        # the uniform stream's roundoff, ~eps*a*R, must not swamp the vortex
+        value = circulation(P, center, 1e10, 512).value
+        want = -2.0 * math.pi * P.b if enclosed else 0.0
+        assert abs(value - want) <= 1e-10 * 2.0 * math.pi * P.b
 
     def test_sample_doubling_converged(self):
         v256 = circulation(P, (0.0, 0.0), 1.0, 256).value

@@ -18,8 +18,8 @@ from abflow import (
     stream_values,
     trace_separatrix,
 )
-from abflow.contour import polygon_area, winding_number
-from abflow.dynamics import position_at
+from abflow.contour import polygon_area
+from helpers import position_at, winding_number
 
 P = FlowParams()
 
