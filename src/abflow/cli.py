@@ -130,8 +130,12 @@ def _flag(name: str) -> str:
 def _load_config(path: str | None, command: str) -> dict:
     if path is None:
         return {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidParamsError(f"cannot read config file {path!r}: {exc}") from exc
     cfg = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -181,24 +185,26 @@ class _Emitter:
         self.out = Path(s.out) if s.out else None
         self.files: list[str] = []
 
-    def _want(self, kind: str | None) -> bool:
+    def wants(self, kind: str | None) -> bool:
+        """Whether an artifact of kind (csv, json or svg; None for every
+        format) will be written: --out is set and --format asks for it."""
         return self.out is not None and (kind is None or self.fmt in (kind, "all"))
 
     def write(self, name: str, text: str, kind: str | None) -> None:
-        """Write out/name when --out is set and --format asks for kind
-        (csv, json or svg; None for every format)."""
-        if not self._want(kind):
+        """Write out/name if an artifact of kind is wanted."""
+        if not self.wants(kind):
             return
         os.makedirs(self.out, exist_ok=True)
         (self.out / name).write_text(text)
         self.files.append(name)
 
-    def write_csv(self, name: str, header: str, rows) -> None:
-        if not self._want("csv"):
+    def write_csv(self, name: str, header: str, table) -> None:
+        """Write the rows of a 2-D array (or nested sequence) of numbers as
+        CSV, each cell the repr of a Python float."""
+        if not self.wants("csv"):
             return
-        lines = [header]
-        for row in rows:
-            lines.append(",".join(repr(float(v)) for v in row))
+        rows = np.asarray(table, dtype=float).tolist()
+        lines = [header, *(",".join(map(repr, row)) for row in rows)]
         self.write(name, "\n".join(lines) + "\n", "csv")
 
     def finish(self, summary: dict) -> None:
@@ -296,11 +302,12 @@ def _cmd_portrait(s: argparse.Namespace) -> int:
         if params.k > 0.0:
             sep_level = critical.separatrix_level(params)
             saddle = critical.stagnation_point(params).location
-    em.write(
-        "portrait.svg",
-        render_portrait(polylines, spec.bbox, sep_level, saddle, vortex),
-        "svg",
-    )
+    if em.wants("svg"):
+        em.write(
+            "portrait.svg",
+            render_portrait(polylines, spec.bbox, sep_level, saddle, vortex),
+            "svg",
+        )
     summary = {
         **_summary_head("portrait", params),
         "bbox": list(spec.bbox),
@@ -322,18 +329,18 @@ def _cmd_separatrix(s: argparse.Namespace) -> int:
     for i, branch in enumerate(result.unbounded_branches):
         em.write_csv(f"separatrix_branch_{i}.csv", "x,y", branch.points)
     sep_level = critical.separatrix_level(params)
-    saddle = critical.stagnation_point(params).location
-    em.write(
-        "separatrix.svg",
-        render_portrait(
-            [result.loop, *result.unbounded_branches],
-            _loop_bbox(result),
-            sep_level,
-            saddle,
-            (0.0, 0.0),
-        ),
-        "svg",
-    )
+    if em.wants("svg"):
+        em.write(
+            "separatrix.svg",
+            render_portrait(
+                [result.loop, *result.unbounded_branches],
+                _loop_bbox(result),
+                sep_level,
+                critical.stagnation_point(params).location,
+                (0.0, 0.0),
+            ),
+            "svg",
+        )
     summary = {
         **_summary_head("separatrix", params),
         "separatrix_level": sep_level,
@@ -389,10 +396,7 @@ def _cmd_trajectory(s: argparse.Namespace) -> int:
     em.write_csv(
         "trajectory.csv",
         "t,x,y,h",
-        (
-            (t, p[0], p[1], h)
-            for t, p, h in zip(traj.times, traj.points, traj.h_values)
-        ),
+        np.column_stack([traj.times, traj.points, traj.h_values]),
     )
     summary = {
         **_summary_head("trajectory", params),
@@ -449,7 +453,7 @@ def _cmd_sweep(s: argparse.Namespace) -> int:
             }
         )
     em = _Emitter(s)
-    em.write_csv("sweep.csv", ",".join(rows[0]), (r.values() for r in rows))
+    em.write_csv("sweep.csv", ",".join(rows[0]), [list(r.values()) for r in rows])
     summary = {
         "command": "sweep",
         "units": {"hbar": s.hbar, "mass": s.mass, "note": "per-delta results"},
@@ -527,7 +531,7 @@ def main(argv=None) -> int:
     except (SingularPointError, InvalidStartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidParamsError, InvalidContourError, FileNotFoundError) as exc:
+    except (InvalidParamsError, InvalidContourError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

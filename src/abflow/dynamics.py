@@ -35,19 +35,6 @@ __all__ = [
     "trace_separatrix",
 ]
 
-# Dormand-Prince 5(4) tableau (stage times omitted: the field is autonomous)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-# weights of the embedded error estimate (5th order - 4th order)
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
 _MIN_STEP_FRACTION = 1e-13
 _MAX_STEP = 0.1
 # a first return closes the orbit within this distance of the start and
@@ -207,19 +194,51 @@ def integrate(
             break
         ht = min(h, t_end - t)
 
-        # one Dormand-Prince attempt
+        # one Dormand-Prince 5(4) attempt (Dormand & Prince 1980) with the
+        # stages written out; no stage times, the field is autonomous.  A
+        # weight is applied as the rounded ratio c / d times k (k / 5 would
+        # round differently from 1 / 5 * k), and zero weights are left out.
+        k1x, k1y = fx, fy
         try:
-            k = [(fx, fy)]
-            for stage in range(1, 7):
-                ax_ = x + ht * sum(_A[stage][m] * k[m][0] for m in range(stage))
-                ay_ = y + ht * sum(_A[stage][m] * k[m][1] for m in range(stage))
-                k.append(_velocity(a, b, ax_, ay_))
+            k2x, k2y = _velocity(a, b, x + ht * (1 / 5 * k1x), y + ht * (1 / 5 * k1y))
+            k3x, k3y = _velocity(
+                a, b,
+                x + ht * (3 / 40 * k1x + 9 / 40 * k2x),
+                y + ht * (3 / 40 * k1y + 9 / 40 * k2y),
+            )
+            k4x, k4y = _velocity(
+                a, b,
+                x + ht * (44 / 45 * k1x - 56 / 15 * k2x + 32 / 9 * k3x),
+                y + ht * (44 / 45 * k1y - 56 / 15 * k2y + 32 / 9 * k3y),
+            )
+            k5x, k5y = _velocity(
+                a, b,
+                x + ht * (19372 / 6561 * k1x - 25360 / 2187 * k2x
+                          + 64448 / 6561 * k3x - 212 / 729 * k4x),
+                y + ht * (19372 / 6561 * k1y - 25360 / 2187 * k2y
+                          + 64448 / 6561 * k3y - 212 / 729 * k4y),
+            )
+            k6x, k6y = _velocity(
+                a, b,
+                x + ht * (9017 / 3168 * k1x - 355 / 33 * k2x + 46732 / 5247 * k3x
+                          + 49 / 176 * k4x - 5103 / 18656 * k5x),
+                y + ht * (9017 / 3168 * k1y - 355 / 33 * k2y + 46732 / 5247 * k3y
+                          + 49 / 176 * k4y - 5103 / 18656 * k5y),
+            )
+            # the 5th-order solution; stage 7 is evaluated there (FSAL)
+            xn = x + ht * (35 / 384 * k1x + 500 / 1113 * k3x + 125 / 192 * k4x
+                           - 2187 / 6784 * k5x + 11 / 84 * k6x)
+            yn = y + ht * (35 / 384 * k1y + 500 / 1113 * k3y + 125 / 192 * k4y
+                           - 2187 / 6784 * k5y + 11 / 84 * k6y)
+            k7x, k7y = _velocity(a, b, xn, yn)
         except ZeroDivisionError:
             status = TrajectoryStatus.STEP_FAILURE
             break
-        xn, yn = ax_, ay_  # stage 7 is evaluated at the 5th-order solution
-        ex = ht * sum(_E[m] * k[m][0] for m in range(7))
-        ey = ht * sum(_E[m] * k[m][1] for m in range(7))
+        # embedded error estimate: 5th-order minus 4th-order weights
+        ex = ht * (71 / 57600 * k1x - 71 / 16695 * k3x + 71 / 1920 * k4x
+                   - 17253 / 339200 * k5x + 22 / 525 * k6x - 1 / 40 * k7x)
+        ey = ht * (71 / 57600 * k1y - 71 / 16695 * k3y + 71 / 1920 * k4y
+                   - 17253 / 339200 * k5y + 22 / 525 * k6y - 1 / 40 * k7y)
         sx = cfg.abs_tol + cfg.rel_tol * max(abs(x), abs(xn))
         sy = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(yn))
         err = math.sqrt(0.5 * ((ex / sx) ** 2 + (ey / sy) ** 2))
@@ -240,7 +259,6 @@ def integrate(
                 break
             continue
         rejections = 0
-        fxn, fyn = k[6]
 
         if closure_on:
             g_new = (xn - x0) * nx0 + (yn - y0) * ny0
@@ -249,16 +267,16 @@ def integrate(
                 lo, hi = 0.0, 1.0
                 for _ in range(80):
                     mid = 0.5 * (lo + hi)
-                    px = _hermite(x, xn, fx, fxn, ht, mid)
-                    py = _hermite(y, yn, fy, fyn, ht, mid)
+                    px = _hermite(x, xn, fx, k7x, ht, mid)
+                    py = _hermite(y, yn, fy, k7y, ht, mid)
                     gm = (px - x0) * nx0 + (py - y0) * ny0
                     if gm < 0.0:
                         lo = mid
                     else:
                         hi = mid
                 s = 0.5 * (lo + hi)
-                px = _hermite(x, xn, fx, fxn, ht, s)
-                py = _hermite(y, yn, fy, fyn, ht, s)
+                px = _hermite(x, xn, fx, k7x, ht, s)
+                py = _hermite(y, yn, fy, k7y, ht, s)
                 dist = math.hypot(px - x0, py - y0)
                 vx, vy = _velocity(a, b, px, py)
                 angle = abs(math.atan2(vx * ny0 - vy * nx0, vx * nx0 + vy * ny0))
@@ -276,7 +294,7 @@ def integrate(
         pts.append((xn, yn))
         hs.append(hn)
         x, y = xn, yn
-        fx, fy = fxn, fyn  # FSAL
+        fx, fy = k7x, k7y  # FSAL
 
         if abs(x) > half or abs(y) > half:
             status = TrajectoryStatus.LEFT_DOMAIN

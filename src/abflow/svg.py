@@ -8,6 +8,8 @@ cross and the vortex core as a dot.
 
 from __future__ import annotations
 
+import numpy as np
+
 __all__ = ["render_portrait"]
 
 _STYLE = (
@@ -33,6 +35,7 @@ def render_portrait(
     sy = height / (ymax - ymin)
 
     def to_px(x, y):
+        # floats or arrays
         return (x - xmin) * sx, (ymax - y) * sy
 
     parts = [
@@ -42,9 +45,9 @@ def render_portrait(
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
     for poly in polylines:
-        coords = " ".join(
-            "{:.3f},{:.3f}".format(*to_px(px, py)) for px, py in poly.points
-        )
+        pts = np.asarray(poly.points, dtype=float)
+        u, v = to_px(pts[:, 0], pts[:, 1])
+        coords = " ".join(f"{pu:.3f},{pv:.3f}" for pu, pv in zip(u.tolist(), v.tolist()))
         # callers pass the level the separatrix polylines carry, exactly
         is_sep = separatrix_level is not None and poly.level == separatrix_level
         cls = ' class="sep"' if is_sep else ""

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from abflow import cli
 from abflow.cli import main
 
 
@@ -68,6 +69,18 @@ class TestConfigPrecedence:
     def test_missing_config_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "eval", "--config", "/nonexistent.cfg", "--at", "1,1")
         assert code == 2
+
+    @pytest.mark.parametrize("content", [None, b"k = 2  # \xe9t\xe9 in Latin-1\n"],
+                             ids=["directory", "not-utf8"])
+    def test_unreadable_config_is_usage_error(self, capsys, tmp_path, content):
+        cfg = tmp_path
+        if content is not None:
+            cfg = tmp_path / "flow.cfg"
+            cfg.write_bytes(content)
+        code = main(["eval", "--at", "1,1", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert str(cfg) in captured.err
 
     def test_unknown_config_key_is_usage_error(self, capsys, tmp_path):
         cfg = tmp_path / "typo.cfg"
@@ -296,6 +309,42 @@ class TestSubcommands:
     def test_out_of_bounds_sizes_are_usage_errors(self, capsys, argv):
         code, _ = run_cli(capsys, *argv)
         assert code == 2
+
+
+class TestArtifacts:
+    @pytest.mark.parametrize("argv", [["portrait", "--grid", "120x90"], ["separatrix"]])
+    def test_svg_rendered_only_when_written(self, capsys, tmp_path, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("render_portrait called for an SVG nobody writes")
+
+        monkeypatch.setattr(cli, "render_portrait", refuse)
+        assert run_cli(capsys, *argv)[0] == 0
+        for fmt in ("csv", "json"):
+            assert run_cli(capsys, *argv, "--out", str(tmp_path / fmt), "--format", fmt)[0] == 0
+        monkeypatch.undo()
+        for fmt in ("svg", "all"):
+            doc = run_json(capsys, *argv, "--out", str(tmp_path / fmt), "--format", fmt)
+            svgs = [name for name in doc["files"] if name.endswith(".svg")]
+            assert len(svgs) == 1
+            assert (tmp_path / fmt / svgs[0]).read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("argv", [
+        ["trajectory", "--start", "0,0.25", "--detect-closure"],
+        ["separatrix"],
+        ["portrait", "--grid", "120x90"],
+        ["sweep", "--deltas", "0.5,0.25"],
+    ])
+    def test_csv_cells_are_float_literals(self, capsys, tmp_path, argv):
+        # under numpy 2, repr(np.float64(x)) is "np.float64(x)"
+        doc = run_json(capsys, *argv, "--out", str(tmp_path), "--format", "csv")
+        csvs = [name for name in doc["files"] if name.endswith(".csv")]
+        assert csvs
+        for name in csvs:
+            _, *rows = (tmp_path / name).read_text().splitlines()
+            assert rows
+            for row in rows:
+                for cell in row.split(","):
+                    assert repr(float(cell)) == cell
 
 
 class TestWorkerDeterminism:

@@ -63,6 +63,24 @@ def bisect_axis_crossing(params, level, lo=1e-12, hi=None):
     return -0.5 * (lo + hi)
 
 
+def canonical_period(u0: float) -> float:
+    """Independent oracle: the period, in units of tau, of the closed orbit
+    through the canonical start (0, u0).  With K = log u0 - u0, R = exp(K+U)
+    and X = sqrt(R^2 - U^2), T = 2*int R^2/X dU between the orbit's y-axis
+    crossings -W(exp K) and u0, in 30-digit arithmetic."""
+    with mpmath.workdps(30):
+        u0 = mpmath.mpf(u0)
+        big_k = mpmath.log(u0) - u0
+        lower = -mpmath.lambertw(mpmath.exp(big_k)).real
+
+        def integrand(u):
+            r2 = mpmath.exp(2 * (big_k + u))
+            # next to a crossing, R^2 - U^2 may round to a hair below zero
+            return r2 / mpmath.sqrt(abs(r2 - u * u))
+
+        return float(2 * mpmath.quad(integrand, [lower, 0, u0]))
+
+
 class TestIntegrate:
     def test_uniform_flow_straight_line(self):
         p = FlowParams(delta=0.0)
@@ -149,6 +167,19 @@ class TestClosedOrbit:
         assert result.closed
         assert result.period > 0
         assert result.return_distance <= 1e-6
+
+    @pytest.mark.parametrize("params", [
+        P,
+        FlowParams(hbar=1e3, mass=4e-3, k=2.0, delta=0.5),
+    ])
+    def test_period_matches_quadrature(self, params):
+        # a wrong Dormand-Prince coefficient leaves the orbit closed but
+        # moves the period far beyond 1e-9
+        l = params.saddle_height
+        tau = params.delta * params.mass / (params.hbar * params.k ** 2)
+        result = detect_closed_orbit(params, (0.0, 0.5 * l))
+        assert result.closed
+        assert result.period / tau == pytest.approx(canonical_period(0.5), rel=1e-9)
 
     def test_period_stable_under_tolerance_halving(self):
         base = IntegratorConfig()
