@@ -1,0 +1,74 @@
+#!/usr/bin/env python3
+"""Print a sha256 of every output of a fixed list of CLI calls.
+
+Each call is one in-process ``abflow.cli.main`` run with ``--format all``
+into a fresh directory.  Its digest covers the exit code, stdout and the
+name and bytes of every artifact.  The calls cover every command at natural
+units and in two scaled unit systems.  One line per call, then one overall
+digest.  Two checkouts whose lines match wrote the same bytes, so a change
+that should not move any output can be checked by running this on both:
+
+    PYTHONPATH=src python3 scripts/artifact_digest.py
+"""
+
+import hashlib
+import io
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from abflow.cli import main as cli_main
+
+UNITS = {
+    "natural": [],
+    "hbar2-mass0.5": ["--hbar", "2", "--mass", "0.5"],
+    "hbar0.25-mass4-k3": ["--hbar", "0.25", "--mass", "4", "--k", "3"],
+}
+
+COMMANDS = {
+    "eval": ["eval", "--at", "1,-0.5"],
+    "stagnation": ["stagnation"],
+    "portrait": ["portrait", "--grid", "160x120"],
+    "separatrix": ["separatrix"],
+    "circulation": ["circulation", "--center", "0.2,0.1", "--radius", "0.7"],
+    "trajectory": ["trajectory", "--start", "0,0.1", "--detect-closure"],
+    "verify": ["verify"],
+    "sweep": ["sweep", "--deltas", "0.5,0.25,0.1"],
+}
+
+CALLS = [
+    (f"{command}/{units}", [*argv, *flags])
+    for units, flags in UNITS.items()
+    for command, argv in COMMANDS.items()
+]
+
+
+def digest(argv: list[str], out: Path) -> tuple[int, str]:
+    """Exit code of one call and the sha256 of what it printed and wrote."""
+    stdout = io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
+        code = cli_main([*argv, "--out", str(out), "--format", "all"])
+    h = hashlib.sha256(f"exit {code}\n{stdout.getvalue()}".encode())
+    for path in sorted(out.iterdir()) if out.is_dir() else ():
+        data = path.read_bytes()
+        h.update(f"\n{path.name} {len(data)}\n".encode() + data)
+    return code, h.hexdigest()
+
+
+def run() -> list[tuple[str, int, str]]:
+    """(label, exit code, digest) of every call in CALLS."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return [
+            (label, *digest(argv, Path(tmp) / str(i)))
+            for i, (label, argv) in enumerate(CALLS)
+        ]
+
+
+if __name__ == "__main__":
+    rows = run()
+    for label, code, sha in rows:
+        print(f"{sha}  exit {code}  {label}")
+    overall = hashlib.sha256("".join(sha for _, _, sha in rows).encode()).hexdigest()
+    print(f"{overall}  overall")
+    sys.exit(0 if all(code == 0 for _, code, _ in rows) else 1)

@@ -191,21 +191,30 @@ class _Emitter:
         return self.out is not None and (kind is None or self.fmt in (kind, "all"))
 
     def write(self, name: str, text: str, kind: str | None) -> None:
-        """Write out/name if an artifact of kind is wanted."""
+        """Write out/name if an artifact of kind is wanted; the directory is
+        made on the first write.  A directory or file that cannot be made
+        is a usage error naming the path."""
         if not self.wants(kind):
             return
-        os.makedirs(self.out, exist_ok=True)
-        (self.out / name).write_text(text)
+        path = self.out / name
+        try:
+            if not self.files:
+                os.makedirs(self.out, exist_ok=True)
+            path.write_text(text)
+        except OSError as exc:
+            raise InvalidParamsError(f"cannot write {str(path)!r}: {exc}") from exc
         self.files.append(name)
 
     def write_csv(self, name: str, header: str, table) -> None:
         """Write the rows of a 2-D array (or nested sequence) of numbers as
-        CSV, each cell the repr of a Python float."""
+        CSV, each cell the repr of a Python float.  The whole table is one
+        %-format: one "%r,...,%r" row per line, filled from .tolist()."""
         if not self.wants("csv"):
             return
-        rows = np.asarray(table, dtype=float).tolist()
-        lines = [header, *(",".join(map(repr, row)) for row in rows)]
-        self.write(name, "\n".join(lines) + "\n", "csv")
+        cells = np.asarray(table, dtype=float)
+        row = ",".join(["%r"] * cells.shape[1]) + "\n"
+        text = row * len(cells) % tuple(cells.ravel().tolist())
+        self.write(name, header + "\n" + text, "csv")
 
     def finish(self, summary: dict) -> None:
         summary["files"] = sorted(self.files)

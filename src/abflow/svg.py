@@ -28,7 +28,10 @@ def render_portrait(
     vortex=None,
     width: int = 800,
 ) -> str:
-    """Render polylines (objects with .points and .level) into an SVG string."""
+    """Render polylines (objects with .points and .level) into an SVG string.
+
+    Each polyline's points attribute is one %-format over its pixel
+    coordinates, three decimals each."""
     xmin, xmax, ymin, ymax = (float(v) for v in bbox)
     sx = width / (xmax - xmin)
     height = int(round((ymax - ymin) * sx))
@@ -47,7 +50,9 @@ def render_portrait(
     for poly in polylines:
         pts = np.asarray(poly.points, dtype=float)
         u, v = to_px(pts[:, 0], pts[:, 1])
-        coords = " ".join(f"{pu:.3f},{pv:.3f}" for pu, pv in zip(u.tolist(), v.tolist()))
+        # "%.3f" gives the same text as format(x, ".3f") for every float
+        xy = tuple(np.column_stack([u, v]).ravel().tolist())
+        coords = ("%.3f,%.3f " * len(pts) % xy)[:-1]
         # callers pass the level the separatrix polylines carry, exactly
         is_sep = separatrix_level is not None and poly.level == separatrix_level
         cls = ' class="sep"' if is_sep else ""

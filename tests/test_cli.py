@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -347,22 +348,46 @@ class TestArtifacts:
                     assert repr(float(cell)) == cell
 
 
-class TestWorkerDeterminism:
-    def test_portrait_and_verify_identical_across_workers(self, capsys, tmp_path):
-        outputs = {}
-        files = {}
-        for run in ("1", "2", "8"):
-            out = tmp_path / f"run{run}"
-            code, text = run_cli(
-                capsys, "portrait", "--grid", "150x120", "--separatrix",
-                "--out", str(out), "--format", "all",
-            )
+    @pytest.mark.parametrize("columns", [1, 2, 4])
+    def test_csv_table_matches_per_cell_repr(self, tmp_path, columns):
+        cells = [-0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, -1e300, 123456.789]
+        rows = [[cells[(i + j) % len(cells)] for j in range(columns)] for i in range(len(cells))]
+        header = ",".join(f"c{j}" for j in range(columns))
+        em = cli._Emitter(argparse.Namespace(format="csv", out=str(tmp_path)))
+        em.write_csv("t.csv", header, rows)
+        expected = "\n".join([header, *(",".join(map(repr, r)) for r in rows)]) + "\n"
+        assert (tmp_path / "t.csv").read_text() == expected
+
+    @pytest.mark.parametrize("argv", [["eval", "--at", "1,1"], ["separatrix"]])
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_that_cannot_be_made_is_usage_error(self, capsys, tmp_path, argv, out):
+        (tmp_path / "file").write_text("")
+        target = tmp_path / out
+        code = main([*argv, "--out", str(target), "--format", "all"])
+        assert code == 2
+        assert str(target) in capsys.readouterr().err
+
+
+class TestDeterminism:
+    def test_repeated_runs_are_byte_identical(self, capsys, tmp_path):
+        commands = [
+            ["portrait", "--grid", "150x120", "--separatrix"],
+            ["separatrix"],
+            ["trajectory", "--start", "0,0.25", "--detect-closure"],
+            ["sweep", "--deltas", "0.5,0.25"],
+        ]
+        runs = []
+        for run in range(3):
+            outputs = []
+            for i, argv in enumerate(commands):
+                out = tmp_path / f"run{run}" / str(i)
+                code, text = run_cli(capsys, *argv, "--out", str(out), "--format", "all")
+                assert code == 0
+                files = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+                assert any(name.endswith(".csv") for name in files)
+                outputs.append((text, files))
+            code, vtext = run_cli(capsys, "verify", "--seed", "42")
             assert code == 0
-            code2, vtext = run_cli(capsys, "verify", "--seed", "42")
-            assert code2 == 0
-            outputs[run] = (text, vtext)
-            files[run] = {
-                f.name: f.read_bytes() for f in sorted(out.iterdir())
-            }
-        assert outputs["1"] == outputs["2"] == outputs["8"]
-        assert files["1"] == files["2"] == files["8"]
+            outputs.append(vtext)
+            runs.append(outputs)
+        assert runs[0] == runs[1] == runs[2]

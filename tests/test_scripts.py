@@ -33,3 +33,14 @@ def test_flux_sweep(capsys):
         assert values[0] == delta
         assert values[2] == pytest.approx(delta, rel=1e-6)
         assert values[4] == pytest.approx(-2.0 * math.pi * delta, abs=1e-9)
+
+
+def test_artifact_digest_is_repeatable():
+    digest = load("artifact_digest")
+    first, second = digest.run(), digest.run()
+    assert len(first) == len(digest.CALLS) >= 20
+    assert [code for _, code, _ in first] == [0] * len(first)
+    assert first == second
+    commands = {label.split("/")[0] for label, _, _ in first}
+    assert commands == {"eval", "stagnation", "portrait", "separatrix", "circulation",
+                        "trajectory", "verify", "sweep"}
