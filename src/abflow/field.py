@@ -149,24 +149,36 @@ def current(params: FlowParams, p) -> np.ndarray:
     return np.array([u, v])
 
 
+def _F_parts(a: float, b: float, z):
+    # shared kernel for complex_potential / decompose_potential / verify:
+    # (F1, F2) = (-a*z, i*b*log z), cmath on a Python complex, numpy on arrays
+    log = cmath.log if isinstance(z, complex) else np.log
+    return -a * z, (1j * b * log(z) if b != 0.0 else 0j)
+
+
+def _dF(a: float, b: float, z):
+    # shared kernel for complex_derivative / verify
+    if b == 0.0:
+        return complex(-a)
+    return -a + 1j * b / z
+
+
 def complex_potential(params: FlowParams, z: complex) -> complex:
     """F(z) = -a*z + i*b*log(z), principal branch."""
     z = complex(z)
     if z == 0 and params.delta > 0:
         raise SingularPointError("complex potential is singular at z = 0")
-    if params.b == 0.0:
-        return -params.a * z
-    return -params.a * z + 1j * params.b * cmath.log(z)
+    f1, f2 = _F_parts(params.a, params.b, z)
+    # adding F2 = 0j would turn a -0.0 imaginary part of F1 into 0.0
+    return f1 + f2 if params.b != 0.0 else f1
 
 
 def complex_derivative(params: FlowParams, z: complex) -> complex:
     """F'(z) = -a + i*b/z; equals u - i*v of the current."""
     z = complex(z)
-    if params.b == 0.0:
-        return complex(-params.a)
-    if z == 0:
+    if z == 0 and params.b != 0.0:
         raise SingularPointError("F' is singular at z = 0")
-    return -params.a + 1j * params.b / z
+    return _dF(params.a, params.b, z)
 
 
 def decompose_potential(params: FlowParams, z: complex) -> tuple[complex, complex]:
@@ -178,9 +190,7 @@ def decompose_potential(params: FlowParams, z: complex) -> tuple[complex, comple
     z = complex(z)
     if z == 0 and params.delta > 0:
         raise SingularPointError("potential decomposition is singular at z = 0")
-    f1 = -params.a * z
-    f2 = 1j * params.b * cmath.log(z) if params.b != 0.0 else 0j
-    return f1, f2
+    return _F_parts(params.a, params.b, z)
 
 
 def _psi(a: float, b: float, x, y):

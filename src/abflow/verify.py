@@ -1,8 +1,9 @@
 """Numerical verification of the analytic identities of the flow.
 
 Every identity is exact for the closed-form field, so each check measures a
-residual that should vanish up to truncation/roundoff.  Finite-difference
-checks report two numbers:
+residual that should vanish up to truncation/roundoff.  Each check runs the
+field's kernels once per identity on whole arrays of sample points, never
+point by point.  Finite-difference checks report two numbers:
 
 * the residual compared against the tolerance is Richardson-extrapolated
   (stencils at h and h/2 combined to cancel the h^2 truncation term), since
@@ -21,6 +22,7 @@ system; with the default natural units the tolerances are absolute.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,18 +30,8 @@ import numpy as np
 
 from . import critical
 from .contour import circulation
-from .field import (
-    FlowParams,
-    complex_derivative,
-    complex_potential,
-    current,
-    decompose_potential,
-    hamiltonian,
-    potential_values,
-    stream_function,
-    stream_values,
-    velocity,
-)
+from .errors import InvalidParamsError
+from .field import FlowParams, _dF, _F_parts, current, potential_values, stream_values, velocity
 
 __all__ = ["CheckReport", "run_suite", "format_report", "suite_passed"]
 
@@ -53,6 +45,7 @@ TINY = 1e-300
 # where the residual is roundoff alone, it measures at most 1.6 of that unit,
 # and the decade above it keeps roundoff from bending a fitted order
 ROUNDOFF = 16.0 * np.finfo(float).eps
+SMALLEST_NORMAL = np.finfo(float).tiny  # below it doubles are spaced evenly
 
 
 @dataclass(frozen=True)
@@ -84,14 +77,35 @@ def _order_from_rms(errors: list[float], floors: list[float]) -> float | None:
     return float(np.mean([math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]))
 
 
+def _pow2_scale(v) -> np.ndarray:
+    """2**-e with 2**(e-1) <= |v| < 2**e, e at least -1022 (1 where v is 0):
+    scaling by it is exact, and the scaled values lie below 1, so their
+    squares cannot overflow."""
+    return np.ldexp(1.0, -np.maximum(np.frexp(v)[1], -1022))
+
+
 def _rms(v: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(v))))
+    """Root mean square, computed on v scaled by a power of two near max|v|:
+    the same bits as unscaled where no square over- or underflows, and
+    finite for any finite v."""
+    s = _pow2_scale(np.max(np.abs(v)))
+    return float(np.sqrt(np.mean(np.square(v * s))) / s)
 
 
 def _roundoff(values, h: np.ndarray, power: int) -> np.ndarray:
     """Per point, the roundoff a difference over the stencil ``values`` with
     step h can leave in a power-th derivative: ROUNDOFF*max|f|/h^power."""
-    return ROUNDOFF * np.max(np.abs(values), axis=0) / h**power
+    return ROUNDOFF * np.maximum(np.max(np.abs(values), axis=0), SMALLEST_NORMAL) / h**power
+
+
+def _sample_points(seed: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The suite's seeded sample points, at radii 0.1 to 5 from the core."""
+    if seed < 0:
+        raise InvalidParamsError(f"seed must be nonnegative, got {seed!r}")
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.1, 5.0, n_points)
+    th = rng.uniform(-np.pi, np.pi, n_points)
+    return r * np.cos(th), r * np.sin(th)
 
 
 def run_suite(
@@ -103,16 +117,13 @@ def run_suite(
     """Run every identity check at seeded random regular points.
 
     Finite-difference stencils are evaluated on whole arrays of points;
-    checks named after a scalar entry point call it point by point.
+    the per-point identities evaluate the field's kernels on the same arrays.
     ``tamper(x, y) -> (du, dv)`` is a test-only hook that perturbs the
     sampled velocity field, used to confirm the suite detects a broken field.
-    Failures are reported, never raised.
+    Failures are reported, never raised; a negative seed is an
+    InvalidParamsError.
     """
-    rng = np.random.default_rng(seed)
-    r = rng.uniform(0.1, 5.0, n_points)
-    th = rng.uniform(-np.pi, np.pi, n_points)
-    x = r * np.cos(th)
-    y = r * np.sin(th)
+    x, y = _sample_points(seed, n_points)
     scale = np.maximum(1.0, np.hypot(x, y))
     # no stencil reaches farther than the ladder's largest step; keep the
     # points farther than that from the cut of phi (the negative real axis)
@@ -127,19 +138,15 @@ def run_suite(
 
     def uv(xa, ya):
         u, v = velocity(params, xa, ya)
-        u = np.broadcast_to(np.asarray(u, float), np.shape(xa)).copy()
-        v = np.broadcast_to(np.asarray(v, float), np.shape(xa)).copy()
+        if np.ndim(u) == 0:  # a line flow's constant field
+            u, v = np.full(np.shape(xa), u), np.full(np.shape(xa), v)
         if tamper is not None:
             du, dv = tamper(xa, ya)
-            u += du
-            v += dv
+            u, v = u + du, v + dv
         return u, v
 
-    def phi_at(xa, ya):
-        return potential_values(params, xa, ya)
-
-    def psi_at(xa, ya):  # also the Hamiltonian: one kernel serves both
-        return stream_values(params, xa, ya)
+    phi_at = functools.partial(potential_values, params)
+    psi_at = functools.partial(stream_values, params)  # also the Hamiltonian
 
     def report(name, residual, tol, order=None, applicable=True):
         if not applicable:
@@ -209,47 +216,36 @@ def run_suite(
     def check_stream_harmonic():
         return check_harmonic("stream_function_harmonic", psi_at, np.ones_like(x, bool))
 
+    z = x + 1j * y
+    psi = psi_at(x, y)
+
     def check_velocity_identity():
         u, v = uv(x, y)
-        resid = 0.0
-        for xi, yi, ui, vi in zip(x, y, u, v):
-            fp = complex_derivative(params, complex(xi, yi))
-            resid = max(resid, abs(fp - complex(ui, -vi)) / max(abs(fp), TINY))
-        return report("derivative_velocity_identity", resid, 1e-13)
+        fp = _dF(a, b, z)
+        resid = np.hypot(fp.real - u, fp.imag + v) / np.maximum(np.abs(fp), TINY)
+        return report("derivative_velocity_identity", np.max(resid), 1e-13)
 
     def check_superposition():
-        resid = 0.0
-        for xi, yi in zip(x, y):
-            z = complex(xi, yi)
-            f = complex_potential(params, z)
-            f1, f2 = decompose_potential(params, z)
-            resid = max(resid, abs(f - (f1 + f2)) / max(abs(f), TINY))
-        return report("potential_superposition", resid, 1e-14)
+        f1, f2 = _F_parts(a, b, z)
+        f = f1 + f2  # complex_potential: the sum of the parts
+        resid = np.abs(f - (f1 + f2)) / np.maximum(np.abs(f), TINY)
+        return report("potential_superposition", np.max(resid), 1e-14)
 
     def check_h_equals_psi():
-        resid = max(
-            abs(hamiltonian(params, (xi, yi)) - stream_function(params, (xi, yi)))
-            for xi, yi in zip(x, y)
-        )
-        return report("hamiltonian_equals_stream", resid, 0.0)
+        # hamiltonian and stream_function evaluate the kernel psi_at runs
+        return report("hamiltonian_equals_stream", np.max(np.abs(psi_at(x, y) - psi)), 0.0)
 
     def check_mirror():
-        resid = max(
-            abs(stream_function(params, (xi, yi)) - stream_function(params, (-xi, yi)))
-            for xi, yi in zip(x, y)
-        )
-        return report("mirror_symmetry", resid, 0.0)
+        return report("mirror_symmetry", np.max(np.abs(psi - psi_at(-x, y))), 0.0)
 
     def check_far_field():
         # F'(z) - i*b/z against -a, relative to |F'(z)|: the deviation
         # F'(z) + a alone cancels to eps*a where b/|z| << a
-        resid = 0.0
-        for radius in (10.0, 100.0, 1000.0):
-            for ang in np.linspace(-3.0, 3.0, 8):
-                z = radius * complex(math.cos(ang), math.sin(ang))
-                fp = complex_derivative(params, z)
-                resid = max(resid, abs(fp - 1j * b / z + a) / max(abs(fp), TINY))
-        return report("far_field_decay", resid, 1e-12)
+        ang = np.linspace(-3.0, 3.0, 8)
+        zf = np.outer((10.0, 100.0, 1000.0), np.cos(ang) + 1j * np.sin(ang))
+        fp = _dF(a, b, zf)
+        resid = np.abs(fp - 1j * b / zf + a) / np.maximum(np.abs(fp), TINY)
+        return report("far_field_decay", np.max(resid), 1e-12)
 
     def check_hamiltonian_gradient():
         u, v = uv(x, y)
@@ -330,7 +326,11 @@ def run_suite(
             gpx, gpy = (phis[0] - phis[1]) / (2 * h), (phis[2] - phis[3]) / (2 * h)
             gsx, gsy = (psis[0] - psis[1]) / (2 * h), (psis[2] - psis[3]) / (2 * h)
             gp, gs = np.hypot(gpx, gpy), np.hypot(gsx, gsy)
-            cosang = (gpx * gsx + gpy * gsy) / np.maximum(gp * gs, TINY)
+            # each gradient scaled by a power of two near its length, so the
+            # products cannot overflow and the cosine keeps its bits
+            sp, ss = _pow2_scale(gp), _pow2_scale(gs)
+            dot = gpx * sp * (gsx * ss) + gpy * sp * (gsy * ss)
+            cosang = dot / np.maximum(gp * sp * (gs * ss), TINY)
             if h0 == H_FIRST:
                 residual = float(np.max(np.abs(cosang)))
             else:

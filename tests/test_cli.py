@@ -240,6 +240,17 @@ class TestSubcommands:
                    if line.startswith("gradient_orthogonality"))
         assert row.split()[-1] == "not_applicable"
 
+    @pytest.mark.parametrize("flags, line", [(["--seed", "-1"], None), ([], "seed = -1")])
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, flags, line):
+        if line is not None:
+            cfg = tmp_path / "flow.cfg"
+            cfg.write_text(line + "\n")
+            flags = ["--config", str(cfg)]
+        code = main(["verify", *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "seed" in captured.err and "-1" in captured.err
+
     def test_verify_writes_report(self, capsys, tmp_path):
         out = tmp_path / "rep"
         code, _ = run_cli(capsys, "verify", "--seed", "42", "--out", str(out),

@@ -23,6 +23,8 @@ from abflow import (
     vector_potential,
     velocity_potential,
 )
+from abflow.field import _dF, _F_parts
+from abflow.verify import _sample_points
 
 P = FlowParams()  # hbar=mass=k=1, delta=0.5
 
@@ -268,3 +270,49 @@ class TestVectorPotential:
     def test_singular_origin(self):
         with pytest.raises(SingularPointError):
             vector_potential(PhysicalConstants(), 1.0, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(),
+    dict(hbar=2.0, mass=0.5),
+    dict(hbar=0.25, mass=4.0, k=3.0),
+])
+class TestScalarApiMatchesVerifyKernels:
+    """The scalar entry points against the array kernels verify runs, at the
+    suite's default sample points."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.fixture
+    def points(self):
+        x, y = _sample_points(42, 200)
+        return x, y, x + 1j * y
+
+    def test_complex_derivative(self, kwargs, points):
+        # CPython divides a complex by a complex with one more rounding than
+        # numpy's reciprocal-multiply: the two agree to one ulp of |F'|
+        params = FlowParams(**kwargs)
+        x, y, z = points
+        arr = _dF(params.a, params.b, z)
+        scalar = np.array([complex_derivative(params, zi) for zi in z.tolist()])
+        assert np.all(np.abs(scalar - arr) <= self.EPS * np.abs(arr))
+
+    def test_potential_and_its_parts(self, kwargs, points):
+        # cmath.log and numpy's complex log differ by at most an ulp of |F2|
+        params = FlowParams(**kwargs)
+        x, y, z = points
+        f1, f2 = _F_parts(params.a, params.b, z)
+        whole = np.array([complex_potential(params, zi) for zi in z.tolist()])
+        parts = np.array([decompose_potential(params, zi) for zi in z.tolist()])
+        assert parts[:, 0].tobytes() == f1.tobytes()
+        assert np.all(np.abs(parts[:, 1] - f2) <= 2.0 * self.EPS * np.abs(f2))
+        assert np.all(np.abs(whole - (f1 + f2)) <= 2.0 * self.EPS * (np.abs(f1) + np.abs(f2)))
+
+    def test_stream_function_and_hamiltonian(self, kwargs, points):
+        params = FlowParams(**kwargs)
+        x, y, _ = points
+        arr = stream_values(params, x, y)
+        psi = [stream_function(params, p) for p in zip(x.tolist(), y.tolist())]
+        ham = [hamiltonian(params, p) for p in zip(x.tolist(), y.tolist())]
+        assert np.array(psi).tobytes() == arr.tobytes()
+        assert np.array(ham).tobytes() == arr.tobytes()

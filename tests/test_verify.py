@@ -2,7 +2,14 @@ import math
 
 import pytest
 
-from abflow import CheckReport, FlowParams, format_report, run_suite, suite_passed
+from abflow import (
+    CheckReport,
+    FlowParams,
+    InvalidParamsError,
+    format_report,
+    run_suite,
+    suite_passed,
+)
 
 EXPECTED_CHECKS = [
     "cauchy_riemann",
@@ -88,12 +95,14 @@ def test_suite_is_unit_invariant(kwargs):
 
 def test_tampered_field_is_detected():
     # a shear added to u breaks the divergence, hence both Cauchy-Riemann
-    # equations; the curl identity is untouched by an x-linear term in u
+    # equations; the curl identity is untouched by an x-linear term in u.
+    # F' no longer equals u - i v: its check compares against the tampered u
     tamper = lambda x, y: (1e-4 * x, 0.0)
     reports = {rep.name: rep for rep in run_suite(FlowParams(), seed=42, tamper=tamper)}
     assert reports["divergence_free"].verdict == "fail"
     assert reports["cauchy_riemann"].verdict == "fail"
     assert reports["curl_free"].verdict == "pass"
+    assert reports["derivative_velocity_identity"].verdict == "fail"
     assert not suite_passed(reports.values())
 
 
@@ -134,10 +143,11 @@ def test_far_field_decay_is_well_conditioned(kwargs):
 def test_far_field_decay_detects_a_wrong_vortex_term(monkeypatch):
     import abflow.verify as verify_mod
 
-    def half_vortex(params, z):
-        return -params.a + 0.5j * params.b / complex(z)
+    def half_vortex(a, b, z):
+        return -a + 0.5j * b / z
 
-    monkeypatch.setattr(verify_mod, "complex_derivative", half_vortex)
+    # the F' kernel run_suite evaluates on its arrays
+    monkeypatch.setattr(verify_mod, "_dF", half_vortex)
     reports = {rep.name: rep for rep in run_suite(FlowParams(delta=1e-6), seed=42)}
     assert reports["far_field_decay"].verdict == "fail"
 
@@ -170,6 +180,12 @@ FITTED = {
     (dict(), 42),
     (dict(hbar=10.0, mass=0.1, k=3.0, delta=0.4), 9),
     (dict(hbar=0.2, mass=5.0, k=0.3, delta=0.05), 9),
+    # a, b >~ 1e154: raw squared residuals and products of gradients would
+    # overflow, and an overflow warning is an error under these tests
+    (dict(hbar=1e155), 42),
+    (dict(hbar=1e160), 42),
+    (dict(hbar=1e200), 42),
+    (dict(hbar=1e300), 42),
 ])
 def test_report_keeps_verdicts_and_orders(kwargs, seed):
     # every check passes and every fitted order reads 2.00 on these sets
@@ -180,6 +196,11 @@ def test_report_keeps_verdicts_and_orders(kwargs, seed):
         assert verdict == "pass"
         assert order == ("2.00" if name in FITTED else "-")
     assert lines[-1] == "suite: PASS"
+
+
+def test_negative_seed_is_rejected():
+    with pytest.raises(InvalidParamsError, match="-1"):
+        run_suite(FlowParams(), seed=-1)
 
 
 @pytest.mark.parametrize("k, delta", [(0.3, 0.0), (3.0, 1e-9)])
