@@ -1,9 +1,9 @@
 """Numerical verification of the analytic identities of the flow.
 
 Every identity is exact for the closed-form field, so each check measures a
-residual that should vanish up to truncation/roundoff.  Each check runs the
-field's kernels once per identity on whole arrays of sample points, never
-point by point.  Finite-difference checks report two numbers:
+residual that should vanish up to truncation/roundoff.  Every check
+evaluates the field's kernels on whole arrays of sample points, never point
+by point.  Finite-difference checks report two numbers:
 
 * the residual compared against the tolerance is Richardson-extrapolated
   (stencils at h and h/2 combined to cancel the h^2 truncation term), since

@@ -292,7 +292,7 @@ class TestScalarApiMatchesVerifyKernels:
         # CPython divides a complex by a complex with one more rounding than
         # numpy's reciprocal-multiply: the two agree to one ulp of |F'|
         params = FlowParams(**kwargs)
-        x, y, z = points
+        _, _, z = points
         arr = _dF(params.a, params.b, z)
         scalar = np.array([complex_derivative(params, zi) for zi in z.tolist()])
         assert np.all(np.abs(scalar - arr) <= self.EPS * np.abs(arr))
@@ -300,7 +300,7 @@ class TestScalarApiMatchesVerifyKernels:
     def test_potential_and_its_parts(self, kwargs, points):
         # cmath.log and numpy's complex log differ by at most an ulp of |F2|
         params = FlowParams(**kwargs)
-        x, y, z = points
+        _, _, z = points
         f1, f2 = _F_parts(params.a, params.b, z)
         whole = np.array([complex_potential(params, zi) for zi in z.tolist()])
         parts = np.array([decompose_potential(params, zi) for zi in z.tolist()])
