@@ -7,6 +7,10 @@ is a first integral of the flow, so the budget is attainable whenever the
 error tolerances are; if bisection stalls the trajectory is reported with
 ``step_failure`` rather than silently accepted.
 
+Trajectories are integrated in one canonical frame, x = l*X and t = tau*T,
+in which the field is the same for every unit system; every guard is a
+constant of that one problem.
+
 The separatrix needs no integration: in canonical coordinates
 (x, y) = l*(X, U) with l = delta/k it is the curve X^2 = exp(2(U-1)) - U^2.
 """
@@ -20,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import critical
-from .contour import Polyline, canonical_x, default_core_radius, polygon_area
+from .contour import Polyline, canonical_x, polygon_area
 from .errors import InvalidParamsError, InvalidStartError
-from .field import FlowParams, _psi, _velocity
+from .field import FlowParams, _psi, _velocity, stream_values
 
 __all__ = [
     "IntegratorConfig",
@@ -35,13 +39,16 @@ __all__ = [
     "trace_separatrix",
 ]
 
-_MIN_STEP_FRACTION = 1e-13
+# guards of the canonical problem: lengths in l, times in tau
+_CORE_RADIUS = 1e-4
+_HALF_WIDTH = 10.0  # of the domain box, or twice the start point
+_FIRST_STEP = 1e-3
 _MAX_STEP = 0.1
+_MIN_STEP_FRACTION = 1e-13
 # a first return closes the orbit within this distance of the start and
-# this angle (radians) of its start direction, after an arc ten times longer
+# this angle (radians) of its start direction
 _CLOSURE_POS_TOL = 1e-6
 _CLOSURE_ANGLE_TOL = 1e-3
-_CLOSURE_MIN_ARC = 10.0 * _CLOSURE_POS_TOL
 
 # W(1/e): the loop meets the negative y axis at U = -W(1/e) (Corless et al.,
 # "On the Lambert W function", 1996)
@@ -63,10 +70,20 @@ class TrajectoryStatus(enum.Enum):
 class IntegratorConfig:
     """Tolerances and guards for trajectory integration.
 
-    ``h_drift_budget`` bounds |H(t) - H(0)| in units of the field scale
-    max(1, b), b = hbar*delta/mass.  ``core_radius`` defaults (None) to
-    1e-4*(delta/k), or 1e-6 without rotation.  The domain is a box covering
-    ten saddle heights, at least [-5, 5]^2, and twice the start point.
+    A trajectory is integrated in canonical coordinates x = l*X, t = tau*T:
+    l = delta/k and tau = l/a for a regular flow; a line flow or a rotation
+    has no length of its own, so l is the start's distance to the origin
+    (1 at the origin) and tau = l/a or l*l/b (a = hbar*k/mass,
+    b = hbar*delta/mass).  Every guard is a constant of that one problem,
+    so the samples, scaled by l and tau, do not depend on the unit system.
+    ``rel_tol`` and ``abs_tol`` bound the local error in units of l.
+    ``h_drift_budget`` bounds the drift of the canonical Hamiltonian, which
+    is |H(t) - H(0)| in units of b (of a*l for a line flow, whose H never
+    drifts).  ``core_radius`` defaults (None) to 1e-4*l.  The domain is the
+    box of half-width 10*l, widened to twice the start point.  The first
+    step is 1e-3*tau and no step is longer than 0.1*tau; a first return
+    within 1e-6*l of the start, in its start direction, closes an orbit.
+    ``max_time`` is in the flow's own time unit.
     """
 
     rel_tol: float = 1e-10
@@ -130,12 +147,20 @@ def _hermite(p, q, fp, fq, dt: float, s: float):
             + (-2 * s3 + 3 * s2) * q + (s3 - s2) * dt * fq)
 
 
-def _default_halfwidth(params: FlowParams) -> float:
-    # ten saddle heights, at least [-5, 5]^2
-    half = 5.0
-    if params.delta > 0.0 and params.k > 0.0:
-        half = max(half, 10.0 * params.saddle_height)
-    return half
+def _frame(params: FlowParams, x: float, y: float) -> tuple[float, float, float, float]:
+    """(l, tau, ca, cb): the canonical frame x = l*X, t = tau*T of a start
+    (x, y), in which the field is _velocity(ca, cb, X, U) with ca and cb
+    0.0 or 1.0; see `IntegratorConfig`."""
+    a, b = params.a, params.b
+    if a > 0.0 and b > 0.0:
+        l = params.saddle_height
+        return l, l / a, 1.0, 1.0
+    l = math.hypot(x, y) or 1.0
+    if a > 0.0:
+        return l, l / a, 1.0, 0.0
+    if b > 0.0:
+        return l, l * l / b, 0.0, 1.0
+    return l, 1.0, 0.0, 0.0  # no field: nothing moves
 
 
 def integrate(
@@ -148,45 +173,45 @@ def integrate(
     """Integrate the current field from p0 under adaptive step control.
 
     Halts on closed-orbit detection (if requested), core entry, domain exit,
-    or max_time.
+    or max_time.  The steps run in the canonical frame of `IntegratorConfig`;
+    the samples are mapped back, and the first is p0 itself.
     """
     if cfg is None:
         cfg = IntegratorConfig()
-    a, b = params.a, params.b
-    budget = cfg.h_drift_budget * max(1.0, b)
-
-    def energy(x: float, y: float) -> float:
-        return float(_psi(a, b, x, y))
-
-    x, y = float(p0[0]), float(p0[1])
-    if not (math.isfinite(x) and math.isfinite(y)):
+    start = float(p0[0]), float(p0[1])
+    if not (math.isfinite(start[0]) and math.isfinite(start[1])):
         raise InvalidStartError(f"start point {p0!r} is not finite")
-    core = cfg.core_radius or default_core_radius(params)
-    half = max(_default_halfwidth(params), 2.0 * max(abs(x), abs(y)))
+    l, tau, ca, cb = _frame(params, *start)
+    if not (0.0 < l < math.inf and 0.0 < tau < math.inf and cfg.max_time / tau < math.inf):
+        raise InvalidStartError(
+            f"cannot integrate from {p0!r} for max_time {cfg.max_time!r} "
+            f"in the canonical units l={l!r}, tau={tau!r}"
+        )
+    core = _CORE_RADIUS if cfg.core_radius is None else cfg.core_radius / l
+    x, y = start[0] / l, start[1] / l
+    half = max(_HALF_WIDTH, 2.0 * max(abs(x), abs(y)))
     if math.hypot(x, y) <= core:
         raise InvalidStartError(
-            f"start point {p0!r} lies within the core exclusion radius {core!r}"
+            f"start point {p0!r} lies within the core exclusion radius {core * l!r}"
         )
 
-    h0 = energy(x, y)
+    h0 = float(_psi(ca, cb, x, y))
     times = [0.0]
     pts = [(x, y)]
-    hs = [h0]
 
-    fx, fy = _velocity(a, b, x, y)
+    fx, fy = _velocity(ca, cb, x, y)
     speed0 = math.hypot(fx, fy)
     closure_on = detect_closure and speed0 > 0.0
     if closure_on:
         nx0, ny0 = fx / speed0, fy / speed0  # section normal = start direction
     x0, y0 = x, y
     g_prev = 0.0
-    arc = 0.0
 
     t = 0.0
-    h = 1e-3
+    h = _FIRST_STEP
     status = None
     rejections = 0
-    t_end = cfg.max_time
+    t_end = cfg.max_time / tau
 
     while t_end - t > 1e-12 * t_end:
         if h < _MIN_STEP_FRACTION * max(1.0, t):
@@ -200,26 +225,26 @@ def integrate(
         # round differently from 1 / 5 * k), and zero weights are left out.
         k1x, k1y = fx, fy
         try:
-            k2x, k2y = _velocity(a, b, x + ht * (1 / 5 * k1x), y + ht * (1 / 5 * k1y))
+            k2x, k2y = _velocity(ca, cb, x + ht * (1 / 5 * k1x), y + ht * (1 / 5 * k1y))
             k3x, k3y = _velocity(
-                a, b,
+                ca, cb,
                 x + ht * (3 / 40 * k1x + 9 / 40 * k2x),
                 y + ht * (3 / 40 * k1y + 9 / 40 * k2y),
             )
             k4x, k4y = _velocity(
-                a, b,
+                ca, cb,
                 x + ht * (44 / 45 * k1x - 56 / 15 * k2x + 32 / 9 * k3x),
                 y + ht * (44 / 45 * k1y - 56 / 15 * k2y + 32 / 9 * k3y),
             )
             k5x, k5y = _velocity(
-                a, b,
+                ca, cb,
                 x + ht * (19372 / 6561 * k1x - 25360 / 2187 * k2x
                           + 64448 / 6561 * k3x - 212 / 729 * k4x),
                 y + ht * (19372 / 6561 * k1y - 25360 / 2187 * k2y
                           + 64448 / 6561 * k3y - 212 / 729 * k4y),
             )
             k6x, k6y = _velocity(
-                a, b,
+                ca, cb,
                 x + ht * (9017 / 3168 * k1x - 355 / 33 * k2x + 46732 / 5247 * k3x
                           + 49 / 176 * k4x - 5103 / 18656 * k5x),
                 y + ht * (9017 / 3168 * k1y - 355 / 33 * k2y + 46732 / 5247 * k3y
@@ -230,7 +255,7 @@ def integrate(
                            - 2187 / 6784 * k5x + 11 / 84 * k6x)
             yn = y + ht * (35 / 384 * k1y + 500 / 1113 * k3y + 125 / 192 * k4y
                            - 2187 / 6784 * k5y + 11 / 84 * k6y)
-            k7x, k7y = _velocity(a, b, xn, yn)
+            k7x, k7y = _velocity(ca, cb, xn, yn)
         except ZeroDivisionError:
             status = TrajectoryStatus.STEP_FAILURE
             break
@@ -249,8 +274,7 @@ def integrate(
             status = TrajectoryStatus.ENTERED_CORE_RADIUS
             break
         else:
-            hn = energy(xn, yn)
-            shrink = 0.5 if abs(hn - h0) > budget else None
+            shrink = 0.5 if abs(float(_psi(ca, cb, xn, yn)) - h0) > cfg.h_drift_budget else None
         if shrink is not None:
             h = ht * shrink
             rejections += 1
@@ -262,7 +286,7 @@ def integrate(
 
         if closure_on:
             g_new = (xn - x0) * nx0 + (yn - y0) * ny0
-            if arc > _CLOSURE_MIN_ARC and g_prev < 0.0 <= g_new:
+            if g_prev < 0.0 <= g_new:
                 # refine the section crossing on the Hermite interpolant
                 lo, hi = 0.0, 1.0
                 for _ in range(80):
@@ -278,21 +302,18 @@ def integrate(
                 px = _hermite(x, xn, fx, k7x, ht, s)
                 py = _hermite(y, yn, fy, k7y, ht, s)
                 dist = math.hypot(px - x0, py - y0)
-                vx, vy = _velocity(a, b, px, py)
+                vx, vy = _velocity(ca, cb, px, py)
                 angle = abs(math.atan2(vx * ny0 - vy * nx0, vx * nx0 + vy * ny0))
                 if dist <= _CLOSURE_POS_TOL and angle <= _CLOSURE_ANGLE_TOL:
                     times.append(t + s * ht)
                     pts.append((px, py))
-                    hs.append(energy(px, py))
                     status = TrajectoryStatus.CLOSED_ORBIT_DETECTED
                     break
             g_prev = g_new
 
-        arc += math.hypot(xn - x, yn - y)
         t = t + ht
         times.append(t)
         pts.append((xn, yn))
-        hs.append(hn)
         x, y = xn, yn
         fx, fy = k7x, k7y  # FSAL
 
@@ -306,12 +327,14 @@ def integrate(
     if status is None:
         status = TrajectoryStatus.COMPLETED
 
-    harr = np.array(hs)
+    points = l * np.array(pts)
+    points[0] = start
+    hs = stream_values(params, points[:, 0], points[:, 1])
     return Trajectory(
-        times=np.array(times),
-        points=np.array(pts),
-        h_values=harr,
-        max_h_drift=float(np.max(np.abs(harr - harr[0]))),
+        times=tau * np.array(times),
+        points=points,
+        h_values=hs,
+        max_h_drift=float(np.max(np.abs(hs - hs[0]))),
         status=status,
     )
 
@@ -361,10 +384,9 @@ def trace_separatrix(params: FlowParams) -> SeparatrixResult:
 
     # the right arm, w = U - 1 spaced quadratically toward the saddle; X
     # passes the domain half-width H before w reaches log(H) + 1
-    half = _default_halfwidth(params) / l
-    u = 1.0 + (math.log(half) + 1.0) * np.linspace(0.0, 1.0, _ARM_SAMPLES) ** 2
+    u = 1.0 + (math.log(_HALF_WIDTH) + 1.0) * np.linspace(0.0, 1.0, _ARM_SAMPLES) ** 2
     x = canonical_x(u - 1.0)
-    n = int(np.argmax(np.maximum(x, u) > half)) + 1
+    n = int(np.argmax(np.maximum(x, u) > _HALF_WIDTH)) + 1
     right = l * np.column_stack([x[:n], u[:n]])
     left = right.copy()
     left[1:, 0] *= -1.0  # the saddle keeps x = +0.0

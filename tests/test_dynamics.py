@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -63,6 +64,7 @@ def bisect_axis_crossing(params, level, lo=1e-12, hi=None):
     return -0.5 * (lo + hi)
 
 
+@functools.cache
 def canonical_period(u0: float) -> float:
     """Independent oracle: the period, in units of tau, of the closed orbit
     through the canonical start (0, u0).  With K = log u0 - u0, R = exp(K+U)
@@ -122,6 +124,15 @@ class TestIntegrate:
     def test_nonfinite_start_rejected(self, start):
         with pytest.raises(InvalidStartError):
             integrate(P, start)
+
+    @pytest.mark.parametrize("params, start, max_time", [
+        (FlowParams(k=0.0), (0.0, 1e-200), 1.0),  # tau = l*l/b underflows to 0
+        (FlowParams(k=1e-300), (0.0, 1e299), 1.0),  # tau = l/a overflows
+        (FlowParams(mass=1e-10), (0.0, 0.25), 1e300),  # max_time/tau overflows
+    ])
+    def test_unrepresentable_units_rejected(self, params, start, max_time):
+        with pytest.raises(InvalidStartError):
+            integrate(params, start, IntegratorConfig(max_time=max_time))
 
     def test_no_sample_inside_core(self):
         cfg = IntegratorConfig(core_radius=0.3, max_time=50.0)
@@ -215,13 +226,61 @@ class TestClosedOrbit:
         assert traj.max_h_drift <= 1e-8 * params.b
 
     def test_drift_shrinks_with_tolerance(self):
-        # drift scales roughly linearly with the error tolerance
+        # drift scales roughly linearly with the error tolerance; the ladder
+        # starts below rel_tol = 1e-8, where the drift budget 1e-8*b binds
         drifts = []
         for f in (1.0, 0.5, 0.25):
-            cfg = IntegratorConfig(rel_tol=1e-8 * f, abs_tol=1e-10 * f, max_time=2.0)
+            cfg = IntegratorConfig(rel_tol=5e-9 * f, abs_tol=5e-11 * f, max_time=2.0)
             drifts.append(integrate(P, (0.0, 0.25), cfg).max_h_drift)
         assert drifts[0] / drifts[1] >= 1.7
         assert drifts[1] / drifts[2] >= 1.7
+
+
+def scaled_units(l: float, tau: float) -> FlowParams:
+    """delta = 0.5 and hbar = 1, with k and mass set so that the length unit
+    delta/k is l and the time unit delta*mass/(hbar*k^2) is tau."""
+    k = 0.5 / l
+    return FlowParams(mass=k * k * tau / 0.5, k=k, delta=0.5)
+
+
+class TestUnitInvariance:
+    # the steps run in canonical units x = l*X, t = tau*T, so one canonical
+    # start takes the same steps in every unit system
+
+    @staticmethod
+    def orbit(l, tau):
+        return integrate(scaled_units(l, tau), (0.0, 0.5 * l),
+                         IntegratorConfig(max_time=30.0 * tau), detect_closure=True)
+
+    @pytest.mark.parametrize("tau", [1e-4, 1.0, 1e4])
+    @pytest.mark.parametrize("l", [1e-6, 1e-4, 1.0, 1e6])
+    def test_closed_orbit_is_unit_invariant(self, l, tau):
+        traj = self.orbit(l, tau)
+        assert traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED
+        assert len(traj) == len(self.orbit(1.0, 1.0))
+        assert abs(traj.times[-1] / tau - canonical_period(0.5)) <= 1e-9
+
+    @pytest.mark.parametrize("r", [1e-5, 1e-2, 1.0, 10.0])
+    def test_rotation_period_at_any_radius(self, r):
+        params = FlowParams(k=0.0)
+        period = 2.0 * math.pi * r * r / params.b
+        traj = integrate(params, (0.0, r), IntegratorConfig(max_time=2.0 * period),
+                         detect_closure=True)
+        assert traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED
+        assert abs(traj.times[-1] / period - 1.0) <= 1e-9
+
+    def test_first_sample_is_the_start(self):
+        # l = delta/k is no power of two, so l*(x/l) need not give back x
+        starts = np.random.default_rng(0).uniform(-1.0, 1.0, (4, 5, 2))
+        missed = 0
+        for k, points in zip((3.0, 7.0, 0.3, 1.7), starts):
+            params = FlowParams(k=k)
+            l = params.saddle_height
+            for x, y in points.tolist():
+                missed += (l * (x / l), l * (y / l)) != (x, y)
+                traj = integrate(params, (x, y), IntegratorConfig(max_time=0.1))
+                assert traj.points[0].tolist() == [x, y]
+        assert missed > 0
 
 
 @pytest.fixture(scope="module")

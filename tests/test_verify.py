@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from abflow import (
@@ -10,6 +11,7 @@ from abflow import (
     run_suite,
     suite_passed,
 )
+from abflow.verify import ORDER_BAND
 
 EXPECTED_CHECKS = [
     "cauchy_riemann",
@@ -211,3 +213,30 @@ def test_fast_stream_residuals_on_the_field_scale(k, delta):
     for seed in (1, 2, 3):
         reports = run_suite(params, seed=seed)
         assert suite_passed(reports), (seed, format_report(reports))
+
+
+@pytest.mark.parametrize("hbar", [1e-40, 1e-150, 1e-300])
+def test_gradient_orthogonality_on_weak_fields(hbar):
+    # the speed threshold is relative to the field, with no absolute floor
+    # that would mask out every point of a weak one
+    rep = {r.name: r for r in run_suite(FlowParams(hbar=hbar), seed=42)}["gradient_orthogonality"]
+    assert rep.verdict == "pass"
+    assert ORDER_BAND[0] <= rep.order <= ORDER_BAND[1]
+
+
+def test_zero_field_has_no_gradient_orthogonality():
+    reports = {r.name: r for r in run_suite(FlowParams(k=0.0, delta=0.0), seed=42)}
+    assert reports["gradient_orthogonality"].verdict == "not_applicable"
+    assert suite_passed(reports.values())
+
+
+def test_superposition_detects_a_wrong_vortex_term(monkeypatch):
+    import abflow.verify as verify_mod
+
+    def half_vortex(a, b, z):
+        return -a * z, 0.5j * b * np.log(z)
+
+    # F1 + F2 is compared with phi + i*psi, which do not call _F_parts
+    monkeypatch.setattr(verify_mod, "_F_parts", half_vortex)
+    reports = {r.name: r for r in run_suite(FlowParams(), seed=42)}
+    assert reports["potential_superposition"].verdict == "fail"
