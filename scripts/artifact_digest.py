@@ -4,7 +4,8 @@
 Each call is one in-process ``abflow.cli.main`` run with ``--format all``
 into a fresh directory.  Its digest covers the exit code, stdout and the
 name and bytes of every artifact.  The calls cover every command at natural
-units and in two scaled unit systems.  One line per call, then one overall
+units and in two scaled unit systems, plus portraits that reach every
+branch of the level-curve pass.  One line per call, then one overall
 digest.  Two checkouts whose lines match wrote the same bytes, so a change
 that should not move any output can be checked by running this on both:
 
@@ -37,11 +38,26 @@ COMMANDS = {
     "sweep": ["sweep", "--deltas", "0.5,0.25,0.1"],
 }
 
+# portraits at natural units that reach every branch of the level-curve
+# pass: a rotation and a line flow, a bbox that cuts the separatrix loop and
+# one that clips its arms, no separatrix, explicit levels (50 has no curve
+# in the bbox), the smallest grid, and a flow whose vertices need bisection
+PORTRAITS = {
+    "rotation": ["--k", "0", "--grid", "160x120"],
+    "line-flow": ["--delta", "0", "--grid", "160x120"],
+    "cut-loop": ["--bbox", "-0.2,0.4,-0.1,0.3", "--grid", "160x120"],
+    "clipped-arms": ["--bbox", "-1,1,-0.5,1", "--grid", "160x120"],
+    "no-separatrix": ["--no-separatrix", "--grid", "160x120"],
+    "levels": ["--levels", "-2,-0.5,0.2,50", "--grid", "160x120"],
+    "grid-8x8": ["--grid", "8x8"],
+    "bisected": ["--delta", "1e-10", "--bbox", "-100,100,-150,50"],
+}
+
 CALLS = [
     (f"{command}/{units}", [*argv, *flags])
     for units, flags in UNITS.items()
     for command, argv in COMMANDS.items()
-]
+] + [(f"portrait/{name}", ["portrait", *flags]) for name, flags in PORTRAITS.items()]
 
 
 def digest(argv: list[str], out: Path) -> tuple[int, str]:

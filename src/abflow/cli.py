@@ -367,7 +367,7 @@ def _loop_bbox(result) -> tuple[float, float, float, float]:
     pts = np.vstack([result.loop.points] + [b.points for b in result.unbounded_branches])
     xmin, ymin = pts.min(axis=0)
     xmax, ymax = pts.max(axis=0)
-    mx = 0.05 * max(xmax - xmin, ymax - ymin, 1e-6)
+    mx = 0.05 * max(xmax - xmin, ymax - ymin)
     return (float(xmin - mx), float(xmax + mx), float(ymin - mx), float(ymax + mx))
 
 

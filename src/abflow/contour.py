@@ -4,10 +4,10 @@ Level curves come from their closed form: in canonical coordinates
 (x, y) = l*(X, U), l = delta/k, the level psi = b*(C + log l) is the curve
 X^2 + U^2 = exp(2(C + U)), which meets the y axis at Lambert-W values of e^C.
 Each piece is sampled from such a crossing at U = u0, where X^2 =
-u0^2*exp(2w) - (u0 + w)^2 at U = u0 + w; with delta = 0 the levels are lines,
-with k = 0 circles.  Every vertex lies on its level to roundoff and at most
-one grid-cell diagonal from the next.  Curves are clipped to the bbox into
-open runs; closed curves that fit in one grid cell are dropped.
+u0^2*exp(2w) - (u0 + w)^2 at U = u0 + w, all pieces of a portrait in one
+table; with delta = 0 the levels are lines, with k = 0 circles.  Every vertex
+lies on its level to roundoff and at most one cell diagonal from the next.
+Curves are clipped to the bbox into open runs; loops within a cell are dropped.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
 
 GRID_MAX = 2048  # largest grid side, a bound on memory
 SAMPLES_MAX = 1 << 20  # most circulation samples, a bound on memory
+_T65 = np.linspace(0.0, np.pi, 65)  # the parameters of a side's arc-length estimate
 
 
 @dataclass
@@ -52,11 +53,8 @@ class Polyline:
             raise InvalidContourError("polyline needs at least two 2-d points")
         if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
             raise InvalidContourError("polyline has coincident consecutive points")
-        if self.closed:
-            gap = float(np.hypot(*(pts[0] - pts[-1])))
-            span = float(np.abs(pts).max())
-            if gap > 1e-9 * max(1.0, span):
-                raise InvalidContourError("closed polyline endpoints do not match")
+        if self.closed and np.hypot(*(pts[0] - pts[-1])) > 1e-9 * np.abs(pts).max():
+            raise InvalidContourError("closed polyline endpoints do not match")
         self.points = pts
 
     def __len__(self) -> int:
@@ -101,13 +99,6 @@ def polygon_area(points: np.ndarray) -> float:
     p = np.asarray(points, dtype=float)
     x, y = p[:, 0], p[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def default_core_radius(params: FlowParams) -> float:
-    """Exclusion radius around the vortex core."""
-    if params.delta > 0.0 and params.k > 0.0:
-        return 1e-4 * params.saddle_height
-    return 1e-6
 
 
 def canonical_x(w, u0: float = 1.0) -> np.ndarray:
@@ -161,134 +152,142 @@ def _pieces(c: float, log_l: float) -> list[tuple[float, float, float, bool, boo
             (_log_root(f, math.log(-2.0 * cc)), 0.0, math.inf, True, False)]
 
 
-def _paths(x_of, y0: float, l: float, lo: float, hi: float, meets: list[bool], step: float):
-    """(points, closed) for lo <= w <= hi above the anchor (0, y0): the side
-    x = |y0|*x_of(w) >= 0 at y = y0 + l*w, cosine-spaced in t so that x
-    is smooth in t at square-root ends, resampled by arc length and bisected
-    until vertices are at most ``step`` apart, and mirrored."""
-
-    def side(t):
-        w = lo + (hi - lo) * (0.5 - 0.5 * np.cos(t))
-        w[-1] = hi
-        x = abs(y0) * x_of(w)
-        x[[0, -1]] = np.where(meets, 0.0, x[[0, -1]])
-        return np.column_stack([x, l * w])
-
-    t = np.linspace(0.0, np.pi, 65)
-    arc = np.append(0.0, np.cumsum(np.hypot(*np.diff(side(t), axis=0).T)))
-    if not arc[-1] > 1e-9 * step:  # a point at the grid's resolution
-        return []
-    t = np.interp(np.linspace(0.0, arc[-1], 3 + int(arc[-1] / (0.9 * step))), arc, t)
-    for _ in range(60):
-        pts = side(t)
-        long = np.hypot(*np.diff(pts, axis=0).T) > step
-        if not long.any():
-            break
-        t = np.sort(np.append(t, 0.5 * (t[:-1] + t[1:])[long]))
-    pts[:, 1] += y0
-    left = np.column_stack([0.0 - pts[:, 0], pts[:, 1]])  # 0.0 - 0.0 keeps +0.0
-    if meets == [False, True]:  # run both sides from where they meet
-        pts, left = pts[::-1], left[::-1]
-    if all(meets):
-        return [(np.vstack([pts, left[-2::-1]]), True)]
-    if any(meets):
-        return [(np.vstack([left[:0:-1], pts]), False)]
-    return [(left, False), (pts, False)]
-
-
 def _clip(pts: np.ndarray, closed: bool, spec: PortraitSpec) -> list[tuple[np.ndarray, bool]]:
-    """The runs of a path inside the bbox.  A closed path stays closed when
-    it lies inside entirely, and is dropped when it fits in one grid cell."""
-    pts = pts[np.append(True, np.any(pts[1:] != pts[:-1], axis=1))]
+    """The runs of a path inside the bbox, each from its smaller end.  A closed
+    path inside entirely stays closed, from its smallest vertex toward the
+    smaller neighbour, unless it fits in one grid cell."""
+    pts = pts[np.append(True, (pts[1:] != pts[:-1]).any(axis=1))]
     xmin, xmax, ymin, ymax = spec.bbox
     x, y = pts[:, 0], pts[:, 1]
     inside = (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
     if closed and inside.all():
         nx, ny = spec.grid
-        small = np.ptp(x) * (nx - 1) < xmax - xmin and np.ptp(y) * (ny - 1) < ymax - ymin
-        return [] if small else [(pts, True)]
+        if np.ptp(x) * (nx - 1) < xmax - xmin and np.ptp(y) * (ny - 1) < ymax - ymin:
+            return []
+        body = np.roll(pts[:-1], -int(np.lexsort((y[:-1], x[:-1]))[0]), axis=0)
+        if len(body) > 2 and tuple(body[-1]) < tuple(body[1]):
+            body = np.roll(body[::-1], 1, axis=0)
+        return [(np.vstack([body, body[:1]]), True)]
     if closed:  # start the body outside, so that no run wraps around
         k = int(np.argmin(inside))
         pts, inside = np.roll(pts[:-1], -k, axis=0), np.roll(inside[:-1], -k)
     ends = np.flatnonzero(np.diff(np.concatenate(([0], inside.astype(np.int8), [0]))))
-    return [(pts[i:j], False) for i, j in zip(ends[::2], ends[1::2]) if j - i >= 2]
+    runs = [pts[i:j] for i, j in zip(ends[::2], ends[1::2]) if j - i >= 2]
+    return [(r[::-1] if tuple(r[-1]) < tuple(r[0]) else r, False) for r in runs]
 
 
-def _normalize(poly: Polyline) -> Polyline:
-    pts = poly.points
-    if poly.closed:
-        body = pts[:-1]
-        start = int(np.lexsort((body[:, 1], body[:, 0]))[0])
-        body = np.roll(body, -start, axis=0)
-        if len(body) > 2 and tuple(body[-1]) < tuple(body[1]):
-            body = np.roll(body[::-1], 1, axis=0)
-        pts = np.vstack([body, body[:1]])
-    elif tuple(pts[-1]) < tuple(pts[0]):
-        pts = pts[::-1]
-    return Polyline(points=pts, level=poly.level, closed=poly.closed)
+def _trace(rows: list, rotation: bool, spec: PortraitSpec) -> list[Polyline]:
+    """The polylines of the pieces in ``rows``, each (level, u0, y0, l, lo,
+    hi, meet at lo, meet at hi), sampled in one table: each side x >= 0 at
+    y = y0 + l*w is cosine-spaced in t, so that x is smooth in t at
+    square-root ends, resampled by arc length and bisected until vertices
+    are at most one cell diagonal apart; then mirrored and clipped."""
+    level, u0, y0, l, lo, hi, meet_lo, meet_hi = (np.array(col) for col in zip(*rows))
+    piece = np.column_stack([lo, hi - lo, u0, np.abs(y0), l])
+
+    def side(t, n):  # x and y - y0 at t, n vertices a piece
+        lo, span, u0, abs_y0, l = np.repeat(piece, n, axis=0).T
+        last = np.cumsum(n) - 1
+        w = lo + span * (0.5 - 0.5 * np.cos(t))
+        w[last] = hi
+        x = abs_y0 * (np.sqrt(w * (2.0 - w)) if rotation else canonical_x(w, u0))
+        x[(last - n + 1)[meet_lo]] = 0.0
+        x[last[meet_hi]] = 0.0
+        return x, l * w
+
+    x, y = (v.reshape(-1, 65) for v in side(np.tile(_T65, len(lo)), np.full(len(lo), 65)))
+    arc = np.pad(np.cumsum(np.hypot(np.diff(x), np.diff(y)), axis=1), ((0, 0), (1, 0)))
+    keep = arc[:, -1] > 1e-9 * spec.cell_diag  # longer than a point at the grid's resolution
+    if not keep.any():
+        return []
+    piece, level, y0, hi, meet_lo, meet_hi, arc = (
+        v[keep] for v in (piece, level, y0, hi, meet_lo, meet_hi, arc))
+    n = 3 + (arc[:, -1] / (0.9 * spec.cell_diag)).astype(int)
+    t = np.concatenate([np.interp(np.linspace(0.0, s[-1], k), s, _T65) for s, k in zip(arc, n)])
+    for _ in range(60):
+        x, y = side(t, n)
+        long = np.hypot(np.diff(x), np.diff(y)) > spec.cell_diag
+        long[np.cumsum(n)[:-1] - 1] = False  # from one piece to the next
+        if not long.any():
+            break
+        i = np.flatnonzero(long)
+        n += np.bincount(np.searchsorted(np.cumsum(n), i, side="right"), minlength=len(n))
+        t = np.insert(t, i + 1, 0.5 * (t[i] + t[i + 1]))
+    y += np.repeat(y0, n)
+    right, mirror = np.column_stack([x, y]), np.column_stack([0.0 - x, y])  # 0.0 - 0.0 is +0.0
+    polylines = []
+    for s, k, lv, m_lo, m_hi in zip(np.cumsum(n) - n, n, level, meet_lo, meet_hi):
+        pts, left = right[s:s + k], mirror[s:s + k]
+        # a loop, a curve run through the end where its sides meet, or two sides
+        paths = ([(np.vstack([pts, left[-2::-1]]), True)] if m_lo and m_hi
+                 else [(np.vstack([left[:0:-1], pts]), False)] if m_lo
+                 else [(np.vstack([left[:-1], pts[::-1]]), False)] if m_hi
+                 else [(left, False), (pts, False)])
+        polylines += [Polyline(points=run, level=float(lv), closed=closed_run)
+                      for path, closed in paths for run, closed_run in _clip(path, closed, spec)]
+    return polylines
+
+
+def _curves(params: FlowParams, levels, spec: PortraitSpec) -> list[Polyline]:
+    """All polylines of the level sets {psi = level} inside the bbox, sampled
+    from their closed form, ordered by level and then by starting vertex."""
+    a, b = params.a, params.b
+    xmin, xmax, ymin, ymax = spec.bbox
+    r_near = math.hypot(max(xmin, -xmax, 0.0), max(ymin, -ymax, 0.0))
+    r_far = math.hypot(max(-xmin, xmax), max(-ymin, ymax))
+    lines, rows = [], []
+    for level in map(float, levels):
+        if not math.isfinite(level):
+            raise InvalidParamsError(f"level must be finite, got {level!r}")
+        if b == 0.0 or math.isinf(level / b) or (a > 0.0 and b / a == 0.0):
+            # the line y = -level/a: b*log r is below roundoff
+            y = -level / a if a > 0.0 else math.nan
+            if ymin <= y <= ymax:
+                x = np.linspace(xmin, xmax, 2 + int((xmax - xmin) / (0.9 * spec.cell_diag)))
+                lines.append(Polyline(np.column_stack([x, np.full_like(x, y)]), level))
+            continue
+        if a == 0.0:  # pure rotation: the circle X^2 + U^2 = 1 in units of its radius
+            l = math.exp(min(level / b, 709.0))
+            if not (r_near <= l <= r_far and l > 0.0):
+                continue
+            pieces = [(-1.0, 0.0, 2.0, True, True)]
+        else:
+            l, c, log_l = params.saddle_height, level / b, math.log(params.saddle_height)
+            if abs(c - log_l + 1.0) <= 8.0 * sys.float_info.epsilon * (1.0 + abs(log_l)):
+                c, log_l = -1.0, 0.0  # off the separatrix by rounding only: snap to it
+            pieces = _pieces(c, log_l)
+        for anchor, w_lo, w_hi, meet_lo, meet_hi in pieces:
+            y0 = l * anchor
+            if y0 == 0.0:  # the piece is below the float resolution of the vortex
+                continue
+            lo, hi = max(w_lo, (ymin - y0) / l), min(w_hi, (ymax - y0) / l)
+            if a > 0.0:  # r = |y0|*exp(w) grows along the curve: the bbox's annulus bounds w
+                lo = max(lo, math.log(r_near / abs(y0)) if r_near > 0.0 else -math.inf)
+                hi = min(hi, math.log(r_far / abs(y0)), 350.0)  # expm1(2w) overflows past 354
+            if lo < hi:
+                rows.append((level, anchor, y0, l, lo, hi, meet_lo and lo == w_lo,
+                             meet_hi and hi == w_hi))
+    curves = lines + (_trace(rows, a == 0.0, spec) if rows else [])
+    return sorted(curves, key=lambda p: (p.level, p.points[0, 0], p.points[0, 1], len(p)))
 
 
 def level_curves(params: FlowParams, level: float, spec: PortraitSpec) -> list[Polyline]:
     """All polylines of the level set {psi = level} inside the bbox, sampled
     from its closed form, ordered by starting vertex."""
-    level = float(level)
-    if not math.isfinite(level):
-        raise InvalidParamsError(f"level must be finite, got {level!r}")
-    a, b = params.a, params.b
-    xmin, xmax, ymin, ymax = spec.bbox
-    if b == 0.0 or math.isinf(level / b) or (a > 0.0 and b / a == 0.0):
-        # the line y = -level/a: b*log r is below roundoff
-        y = -level / a if a > 0.0 else math.nan
-        if not ymin <= y <= ymax:
-            return []
-        x = np.linspace(xmin, xmax, 2 + int((xmax - xmin) / (0.9 * spec.cell_diag)))
-        return [Polyline(points=np.column_stack([x, np.full_like(x, y)]), level=level)]
-
-    r_near = math.hypot(max(xmin, -xmax, 0.0), max(ymin, -ymax, 0.0))
-    r_far = math.hypot(max(-xmin, xmax), max(-ymin, ymax))
-    if a == 0.0:  # pure rotation: the circle X^2 + U^2 = 1 in units of its radius
-        l = math.exp(min(level / b, 709.0))
-        if not (r_near <= l <= r_far and l > 0.0):
-            return []
-        x_of = lambda w, anchor: np.sqrt(w * (2.0 - w))
-        pieces = [(-1.0, 0.0, 2.0, True, True)]
-    else:
-        l, c, log_l = params.saddle_height, level / b, math.log(params.saddle_height)
-        if abs(c - log_l + 1.0) <= 8.0 * sys.float_info.epsilon * (1.0 + abs(log_l)):
-            c, log_l = -1.0, 0.0  # off the separatrix by rounding only: snap to it
-        x_of = canonical_x
-        pieces = _pieces(c, log_l)
-
-    polylines = []
-    for anchor, w_lo, w_hi, meet_lo, meet_hi in pieces:
-        y0 = l * anchor
-        if y0 == 0.0:  # the piece is below the float resolution of the vortex
-            continue
-        lo, hi = max(w_lo, (ymin - y0) / l), min(w_hi, (ymax - y0) / l)
-        if a > 0.0:  # r = |y0|*exp(w) grows along the curve: the bbox's annulus bounds w
-            lo = max(lo, math.log(r_near / abs(y0)) if r_near > 0.0 else -math.inf)
-            hi = min(hi, math.log(r_far / abs(y0)), 350.0)  # expm1(2w) overflows past 354
-        meets = [meet_lo and lo == w_lo, meet_hi and hi == w_hi]
-        if lo >= hi:
-            continue
-        for path, closed in _paths(lambda w: x_of(w, anchor), y0, l, lo, hi, meets,
-                                   spec.cell_diag):
-            for pts, closed_run in _clip(path, closed, spec):
-                polylines.append(_normalize(Polyline(points=pts, level=level, closed=closed_run)))
-    return sorted(polylines, key=lambda p: (p.points[0, 0], p.points[0, 1], len(p)))
+    return _curves(params, [level], spec)
 
 
 def _auto_levels(params: FlowParams, spec: PortraitSpec) -> list[float]:
     # quantiles of psi on the grid, away from the vortex
     xmin, xmax, ymin, ymax = spec.bbox
     nx, ny = spec.grid
-    xg, yg = np.meshgrid(np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny))
+    xg, yg = np.meshgrid(np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny), copy=False)
     psi = stream_values(params, xg, yg)
     vals = psi[np.isfinite(psi) & (np.hypot(xg, yg) >= 2.0 * spec.cell_diag)]
     if vals.size == 0:
         return []
     qs = np.arange(1, spec.n_levels + 1) / (spec.n_levels + 1)
-    return [float(q) for q in np.unique(np.quantile(vals, qs))]
+    return [float(q) for q in np.unique(np.quantile(vals, qs, overwrite_input=True))]
 
 
 def portrait(params: FlowParams, spec: PortraitSpec) -> list[Polyline]:
@@ -304,7 +303,7 @@ def portrait(params: FlowParams, spec: PortraitSpec) -> list[Polyline]:
         levels = _auto_levels(params, spec)
     if spec.include_separatrix and params.delta > 0.0 and params.k > 0.0:
         levels.append(critical.separatrix_level(params))
-    return [p for level in sorted(set(levels)) for p in level_curves(params, level, spec)]
+    return _curves(params, sorted(set(levels)), spec)
 
 
 def circulation(
@@ -331,8 +330,7 @@ def circulation(
     reach = max(abs(cx), abs(cy)) + radius
     if 2.0 * reach * reach > sys.float_info.max:
         raise InvalidContourError(f"x*x + y*y overflows on a circle of reach {reach!r}")
-    gap = abs(math.hypot(cx, cy) - radius)
-    if gap <= max(default_core_radius(params), 1e-12 * max(1.0, radius)):
+    if params.b != 0.0 and abs(math.hypot(cx, cy) - radius) <= 1e-12 * radius:
         raise InvalidContourError("contour passes through the vortex core")
 
     def quad(n: int) -> float:

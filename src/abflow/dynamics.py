@@ -173,8 +173,8 @@ def integrate(
     """Integrate the current field from p0 under adaptive step control.
 
     Halts on closed-orbit detection (if requested), core entry, domain exit,
-    or max_time.  The steps run in the canonical frame of `IntegratorConfig`;
-    the samples are mapped back, and the first is p0 itself.
+    or max_time; a zero field gives p0 at 0 and at max_time.  Steps run in the
+    canonical frame of `IntegratorConfig`, mapped back; the first is p0 itself.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -212,6 +212,8 @@ def integrate(
     status = None
     rejections = 0
     t_end = cfg.max_time / tau
+    if ca == cb == 0.0:  # no field: nothing moves
+        t, times, pts = t_end, [0.0, t_end], [(x, y)] * 2
 
     while t_end - t > 1e-12 * t_end:
         if h < _MIN_STEP_FRACTION * max(1.0, t):
@@ -328,7 +330,7 @@ def integrate(
         status = TrajectoryStatus.COMPLETED
 
     points = l * np.array(pts)
-    points[0] = start
+    points[0 if ca or cb else slice(None)] = start  # p0 itself, twice on a zero field
     hs = stream_values(params, points[:, 0], points[:, 1])
     return Trajectory(
         times=tau * np.array(times),

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,39 @@ class TestSubcommands:
         assert doc["max_h_drift"] <= 1e-8
         rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
         assert rows.shape[1] == 4
+
+    def test_trajectory_on_zero_field(self, capsys):
+        doc = run_json(capsys, "trajectory", "--k", "0", "--delta", "0", "--start", "0,1",
+                       "--tmax", "1e4")
+        assert doc["samples"] == 2 and doc["status"] == "completed"
+
+    @pytest.mark.parametrize("flags, closed_form", [
+        (["--delta", "0"], 0.0),
+        (["--k", "0"], -math.pi),
+        ([], -math.pi),
+    ])
+    def test_circulation_on_small_circles(self, capsys, flags, closed_form):
+        # a circle of radius 1e-7 around the vortex (or around nothing, with
+        # delta = 0) touches no vortex; the trapezoid sum is exact there
+        doc = run_json(capsys, "circulation", "--radius", "1e-7", *flags)
+        assert doc["circulation"] == pytest.approx(closed_form, rel=1e-12, abs=1e-300)
+
+    def test_circulation_through_the_vortex_is_refused(self, capsys):
+        code, _ = run_cli(capsys, "circulation", "--center", "1,0", "--radius", "1")
+        assert code == 2
+
+    @pytest.mark.parametrize("l", [1e-12, 1e6])
+    def test_separatrix_svg_margin_is_five_percent(self, capsys, tmp_path, l):
+        # the arms span 20*l in x, the widest extent: with 5% margins the
+        # drawing spans 800*[0.05, 1.05]/1.1 pixels of the 800 wide image
+        out = tmp_path / "sep"
+        run_json(capsys, "separatrix", "--delta", repr(0.5 * l), "--k", "0.5",
+                 "--allow-any-delta", "--out", str(out), "--format", "svg")
+        svg = (out / "separatrix.svg").read_text()
+        xs = [float(pair.split(",")[0]) for points in re.findall(r'points="([^"]*)"', svg)
+              for pair in points.split()]
+        assert min(xs) == pytest.approx(800 * 0.05 / 1.1, abs=2e-3)
+        assert max(xs) == pytest.approx(800 * 1.05 / 1.1, abs=2e-3)
 
     def test_trajectory_singular_start(self, capsys):
         code, _ = run_cli(capsys, "trajectory", "--start", "0,0")

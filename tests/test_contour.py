@@ -92,6 +92,21 @@ class TestGeometryHelpers:
         with pytest.raises(InvalidContourError):
             Polyline(points=np.array([[0.0, 0.0], [1.0, 0.0]]), closed=True)
 
+    def test_closed_endpoint_check_is_relative_to_size(self):
+        # a loop of size 1e-15 whose end misses its start by a tenth of that
+        square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.1, 0.0]]
+        with pytest.raises(InvalidContourError):
+            Polyline(points=1e-15 * np.array(square), closed=True)
+
+    @pytest.mark.parametrize("l", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    def test_loops_close_at_every_scale(self, l):
+        params = FlowParams(delta=0.5 * l, k=0.5, allow_any_delta=True)
+        loop = trace_separatrix(params).loop
+        assert Polyline(points=loop.points, closed=True).closed
+        spec = PortraitSpec(bbox=(-4 * l, 4 * l, -3 * l, 3 * l), grid=(200, 150))
+        loops = [p for p in portrait(params, spec) if p.closed]
+        assert len(loops) >= 3
+
 
 class TestLevelCurves:
     def test_parallel_flow_gives_horizontal_line(self):
@@ -145,6 +160,11 @@ class TestLevelCurves:
 
     def test_missing_level_gives_empty_list(self):
         assert level_curves(P, 1e6, PortraitSpec()) == []
+
+    def test_level_below_grid_resolution_gives_empty_list(self):
+        # a circle of radius 1e-12 is shorter than 1e-9 cell diagonals
+        rotation = FlowParams(k=0.0)
+        assert level_curves(rotation, rotation.b * math.log(1e-12), PortraitSpec()) == []
 
     @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
     def test_nonfinite_level_rejected(self, level):
@@ -262,6 +282,40 @@ class TestPortrait:
         # deterministic ordering: levels ascending, then starting vertex
         keys = [(p.level, p.points[0, 0], p.points[0, 1]) for p in polys]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("params", [
+        P, FlowParams(k=0.0), FlowParams(delta=0.0), FlowParams(delta=1e-10),
+    ])
+    @pytest.mark.parametrize("bbox", [(-4.0, 4.0, -3.0, 3.0), (-0.2, 0.4, -0.1, 0.3)])
+    def test_portrait_is_level_curves_in_level_order(self, params, bbox):
+        # the batched pass gives each level what its one-level call gives;
+        # 1e6 has no curve in the bbox
+        levels = tuple(float(stream_values(params, x, y))
+                       for x, y in [(0.0, 0.25), (0.0, -1.0), (1.0, 1.0), (0.0, 2.5)])
+        spec = PortraitSpec(bbox=bbox, grid=(160, 120), levels=levels + (1e6,))
+        polys = portrait(params, spec)
+        want = [p for level in sorted({p.level for p in polys} | set(spec.levels))
+                for p in level_curves(params, level, spec)]
+        assert polys and len(polys) == len(want)
+        for got, ref in zip(polys, want):
+            assert (got.level, got.closed) == (ref.level, ref.closed)
+            assert np.array_equal(got.points, ref.points)
+
+    def test_bisection_keeps_vertices_a_cell_apart(self, monkeypatch):
+        # on this grid the arc-length resampling leaves segments longer than
+        # a cell diagonal, which the bisection splits
+        inserted = []
+        insert = np.insert
+
+        def spy(arr, index, values, *args, **kwargs):
+            inserted.append(np.size(index))
+            return insert(arr, index, values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "insert", spy)
+        spec = PortraitSpec(grid=(900, 700))
+        polys = portrait(P, spec)
+        assert sum(inserted) > 0
+        check_vertices(P, polys, spec)
 
     def test_explicit_levels(self):
         spec = PortraitSpec(levels=(-2.0, 0.0), include_separatrix=False)

@@ -91,6 +91,15 @@ class TestIntegrate:
         assert traj.points[-1] == pytest.approx([-5.0, 2.0], abs=1e-10)
         assert np.max(np.abs(traj.points[:, 1] - 2.0)) <= 1e-10
 
+    def test_zero_field_gives_start_and_end(self):
+        # nothing moves: the start at t = 0 and at max_time, not one sample per step
+        traj = integrate(FlowParams(k=0.0, delta=0.0), (0.3, 1.0), IntegratorConfig(max_time=1e3))
+        assert len(traj) == 2
+        assert traj.status is TrajectoryStatus.COMPLETED
+        assert traj.times.tolist() == [0.0, 1e3]
+        assert traj.points.tolist() == [[0.3, 1.0], [0.3, 1.0]]
+        assert traj.max_h_drift == 0.0
+
     def test_times_strictly_increasing(self):
         traj = integrate(P, (0.0, 0.25), IntegratorConfig(max_time=2.0))
         assert np.all(np.diff(traj.times) > 0)
