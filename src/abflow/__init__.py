@@ -41,6 +41,7 @@ from .errors import (
     InvalidContourError,
     InvalidParamsError,
     InvalidStartError,
+    NumericalError,
     SingularPointError,
 )
 from .field import (

@@ -31,6 +31,7 @@ from .errors import (
     InvalidContourError,
     InvalidParamsError,
     InvalidStartError,
+    NumericalError,
     SingularPointError,
 )
 from .field import (
@@ -217,8 +218,13 @@ class _Emitter:
         self.write(name, header + "\n" + text, "csv")
 
     def finish(self, summary: dict) -> None:
+        """Print the JSON summary and write it if wanted; a summary that
+        holds NaN or an infinity is a NumericalError, printed nowhere."""
         summary["files"] = sorted(self.files)
-        text = json.dumps(summary, sort_keys=True, indent=2)
+        try:
+            text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise NumericalError(f"a {summary['command']} result is not finite in doubles") from exc
         self.write("summary.json", text + "\n", "json")
         print(text)
 
@@ -543,6 +549,9 @@ def main(argv=None) -> int:
     except (InvalidParamsError, InvalidContourError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ class Polyline:
             raise InvalidContourError("polyline needs at least two 2-d points")
         if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
             raise InvalidContourError("polyline has coincident consecutive points")
-        if self.closed and np.hypot(*(pts[0] - pts[-1])) > 1e-9 * np.abs(pts).max():
+        if self.closed and np.hypot(*(pts[0] - pts[-1])) > 1e-9 * np.ptp(pts, axis=0).max():
             raise InvalidContourError("closed polyline endpoints do not match")
         self.points = pts
 
@@ -333,14 +333,18 @@ def circulation(
     if params.b != 0.0 and abs(math.hypot(cx, cy) - radius) <= 1e-12 * radius:
         raise InvalidContourError("contour passes through the vortex core")
 
+    # the uniform stream's trapezoid sum is zero in exact arithmetic; in
+    # doubles it leaves roundoff ~eps*a*R, so only the vortex is summed, with
+    # b split into a power of two s and b/s in [1, 2): the terms keep their
+    # bits, scaled by 1/s, and the sum overflows only where s times it does
+    s = math.ldexp(1.0, math.frexp(params.b)[1] - 1)
+
     def quad(n: int) -> float:
-        # the uniform stream's trapezoid sum is zero in exact arithmetic; in
-        # doubles it leaves roundoff ~eps*a*R, so only the vortex is summed
         theta = 2.0 * np.pi * np.arange(n) / n
         ct, st = np.cos(theta), np.sin(theta)
-        u, v = _velocity(0.0, params.b, cx + radius * ct, cy + radius * st)
+        u, v = _velocity(0.0, params.b / s, cx + radius * ct, cy + radius * st)
         integrand = radius * (-st * u + ct * v)
-        return float(np.sum(integrand) * (2.0 * np.pi / n))
+        return s * float(np.sum(integrand) * (2.0 * np.pi / n))
 
     value = quad(samples)
     estimate = abs(value - quad(max(16, samples // 2)))

@@ -76,10 +76,10 @@ def vortex_singularity(params: FlowParams) -> CriticalPoint | None:
 def jacobian_entries(params: FlowParams, x, y):
     """Entries (alpha, beta) of the Jacobian [[alpha, beta], [beta, -alpha]]
     of the current at (x, y), scalars or arrays; no singularity check."""
-    b = params.b
+    # b/r2 times ratios of at most 1, so nothing overflows a finite result
     r2 = x * x + y * y
-    r4 = r2 * r2
-    return -2.0 * b * x * y / r4, b * (x * x - y * y) / r4
+    b_r2 = params.b / r2
+    return b_r2 * (-2.0 * x * y / r2), b_r2 * ((x * x - y * y) / r2)
 
 
 def jacobian(params: FlowParams, p) -> np.ndarray:

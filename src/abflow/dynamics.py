@@ -26,7 +26,7 @@ import numpy as np
 from . import critical
 from .contour import Polyline, canonical_x, polygon_area
 from .errors import InvalidParamsError, InvalidStartError
-from .field import FlowParams, _psi, _velocity, stream_values
+from .field import FlowParams, _frame, _psi, _velocity, stream_values
 
 __all__ = [
     "IntegratorConfig",
@@ -145,22 +145,6 @@ def _hermite(p, q, fp, fq, dt: float, s: float):
     s2, s3 = s * s, s * s * s
     return ((2 * s3 - 3 * s2 + 1) * p + (s3 - 2 * s2 + s) * dt * fp
             + (-2 * s3 + 3 * s2) * q + (s3 - s2) * dt * fq)
-
-
-def _frame(params: FlowParams, x: float, y: float) -> tuple[float, float, float, float]:
-    """(l, tau, ca, cb): the canonical frame x = l*X, t = tau*T of a start
-    (x, y), in which the field is _velocity(ca, cb, X, U) with ca and cb
-    0.0 or 1.0; see `IntegratorConfig`."""
-    a, b = params.a, params.b
-    if a > 0.0 and b > 0.0:
-        l = params.saddle_height
-        return l, l / a, 1.0, 1.0
-    l = math.hypot(x, y) or 1.0
-    if a > 0.0:
-        return l, l / a, 1.0, 0.0
-    if b > 0.0:
-        return l, l * l / b, 0.0, 1.0
-    return l, 1.0, 0.0, 0.0  # no field: nothing moves
 
 
 def integrate(

@@ -19,3 +19,7 @@ class InvalidStartError(AbflowError, ValueError):
 
 class InvalidContourError(AbflowError, ValueError):
     """Polyline or quadrature contour is malformed or out of range."""
+
+
+class NumericalError(AbflowError, ArithmeticError):
+    """A result is not finite in doubles (CLI exit 4)."""

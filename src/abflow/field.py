@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,14 @@ class FlowParams:
                 f"delta={self.delta!r} exceeds {DELTA_MAX}; "
                 "pass allow_any_delta=True to lift the bound"
             )
+        # where k and delta leave them nonzero, a, b and delta/k must be finite
+        # normal doubles, or the flow has no canonical frame (tau may overflow)
+        regular = self.delta > 0 and self.k > 0
+        for name, v, on in (("a = hbar*k/mass", self.a, self.k > 0),
+                            ("b = hbar*delta/mass", self.b, self.delta > 0),
+                            ("delta/k", self.delta / self.k if regular else 0.0, regular)):
+            if on and not sys.float_info.min <= v <= sys.float_info.max:
+                raise InvalidParamsError(f"{name} is {v!r}, not a finite normal double")
 
     @property
     def a(self) -> float:
@@ -110,6 +119,24 @@ class PhysicalConstants:
             raise InvalidParamsError(
                 f"light_speed must be positive, got {self.light_speed!r}"
             )
+
+
+def _frame(params: FlowParams, x: float = 0.0, y: float = 0.0):
+    """(l, tau, ca, cb): the canonical frame x = l*X, t = tau*T, in which the
+    field is _velocity(ca, cb, X, U) with ca and cb 0.0 or 1.0.  A regular
+    flow has l = delta/k and tau = l/a; a line flow or a rotation has no
+    length of its own, so l is the distance of (x, y) to the origin (1 at
+    the origin) and tau = l/a or l*l/b."""
+    a, b = params.a, params.b
+    if a > 0.0 and b > 0.0:
+        l = params.saddle_height
+        return l, l / a, 1.0, 1.0
+    l = math.hypot(x, y) or 1.0
+    if a > 0.0:
+        return l, l / a, 1.0, 0.0
+    if b > 0.0:
+        return l, l * l / b, 0.0, 1.0
+    return l, 1.0, 0.0, 0.0  # no field: nothing moves
 
 
 def _point(p) -> tuple[float, float]:

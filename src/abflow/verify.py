@@ -1,23 +1,27 @@
 """Numerical verification of the analytic identities of the flow.
 
 Every identity is exact for the closed-form field, so each check measures a
-residual that should vanish up to truncation/roundoff.  Every check
-evaluates the field's kernels on whole arrays of sample points, never point
-by point.  Finite-difference checks report two numbers:
+residual that should vanish up to truncation/roundoff.  The suite works in
+the flow's canonical frame x = l*X, t = tau*T (`field._frame`): sample
+points, stencil steps and radii are in units of l, and every stencil and
+per-point identity runs on the canonical flow, whose coefficients a and b
+are each 0 or 1 and whose values are of order one, so these reports are the
+same bits in every unit system.  Three checks compare a public physical
+output with its closed form (the velocity at the stagnation point, the
+saddle's eigenvalues, the circulation around circles of radius l*R), and
+`canonical_scaling` ties the physical kernels at l*(X, U) to the canonical
+ones at (X, U).  Every check evaluates the kernels on whole arrays of
+sample points, never point by point.  Finite-difference checks report two
+numbers:
 
 * the residual compared against the tolerance is Richardson-extrapolated
   (stencils at h and h/2 combined to cancel the h^2 truncation term), since
   the raw stencil value at the documented step still carries a truncation
   floor above the tolerance near the inner sampling radius;
 * the convergence order is fitted from RMS-aggregated raw residuals over a
-  step-size ladder coarse enough for truncation to dominate roundoff; where
-  some step's residual lies within the roundoff its stencil can produce,
-  about eps*max|f|/h^p for a p-th derivative (a linear field, a vortex too
-  weak to resolve), there is no order to fit and none is reported.
-
-Residuals are expressed in units of the field coefficient scale
-max(1, hbar*k/mass, hbar*delta/mass), so verdicts do not depend on the unit
-system; with the default natural units the tolerances are absolute.
+  step-size ladder coarse enough for truncation to dominate roundoff, and
+  only where the flow has a vortex: a line or zero flow's fields are linear,
+  so its stencils hold roundoff alone and there is no order to fit.
 """
 
 from __future__ import annotations
@@ -30,8 +34,10 @@ import numpy as np
 
 from . import critical
 from .contour import circulation
-from .errors import InvalidParamsError
-from .field import FlowParams, _dF, _F_parts, current, potential_values, stream_values, velocity
+from .errors import InvalidContourError, InvalidParamsError
+from .field import (
+    FlowParams, _dF, _F_parts, _frame, current, potential_values, stream_values, velocity,
+)
 
 __all__ = ["CheckReport", "run_suite", "format_report", "suite_passed"]
 
@@ -41,11 +47,6 @@ H_FIRST = 1e-4
 H_LAPLACE = 1e-3
 NORM_TOL = 1e-6
 TINY = 1e-300
-# bound on a stencil's roundoff in units of eps*max|f|/h^p; on line flows,
-# where the residual is roundoff alone, it measures at most 1.6 of that unit,
-# and the decade above it keeps roundoff from bending a fitted order
-ROUNDOFF = 16.0 * np.finfo(float).eps
-SMALLEST_NORMAL = np.finfo(float).tiny  # below it doubles are spaced evenly
 
 
 @dataclass(frozen=True)
@@ -67,35 +68,8 @@ def _verdict(residual: float, tolerance: float, order: float | None) -> str:
     return "pass" if ok else "fail"
 
 
-def _order_from_rms(errors: list[float], floors: list[float]) -> float | None:
-    """Mean log2 ratio of successive ladder errors, or None when some step's
-    error lies within the roundoff its stencil can produce (e.g. a linear
-    field): truncation must dominate at every step for a fit to mean
-    anything."""
-    if any(e <= f for e, f in zip(errors, floors)):
-        return None
-    return float(np.mean([math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]))
-
-
-def _pow2_scale(v) -> np.ndarray:
-    """2**-e with 2**(e-1) <= |v| < 2**e, e at least -1022 (1 where v is 0):
-    scaling by it is exact, and the scaled values lie below 1, so their
-    squares cannot overflow."""
-    return np.ldexp(1.0, -np.maximum(np.frexp(v)[1], -1022))
-
-
 def _rms(v: np.ndarray) -> float:
-    """Root mean square, computed on v scaled by a power of two near max|v|:
-    the same bits as unscaled where no square over- or underflows, and
-    finite for any finite v."""
-    s = _pow2_scale(np.max(np.abs(v)))
-    return float(np.sqrt(np.mean(np.square(v * s))) / s)
-
-
-def _roundoff(values, h: np.ndarray, power: int) -> np.ndarray:
-    """Per point, the roundoff a difference over the stencil ``values`` with
-    step h can leave in a power-th derivative: ROUNDOFF*max|f|/h^power."""
-    return ROUNDOFF * np.maximum(np.max(np.abs(values), axis=0), SMALLEST_NORMAL) / h**power
+    return float(np.sqrt(np.mean(np.square(v))))
 
 
 def _sample_points(seed: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,12 +90,13 @@ def run_suite(
 ) -> list[CheckReport]:
     """Run every identity check at seeded random regular points.
 
-    Finite-difference stencils are evaluated on whole arrays of points;
-    the per-point identities evaluate the field's kernels on the same arrays.
-    ``tamper(x, y) -> (du, dv)`` is a test-only hook that perturbs the
-    sampled velocity field, used to confirm the suite detects a broken field.
-    Failures are reported, never raised; a negative seed is an
-    InvalidParamsError.
+    The points lie at radii 0.1 to 5 in units of l.  Finite-difference
+    stencils and per-point identities evaluate the canonical flow's kernels
+    on whole arrays of points; an order is fitted exactly when the flow has
+    a vortex.  ``tamper(X, U) -> (du, dv)`` is a test-only hook that
+    perturbs the canonical velocity field, used to confirm the suite
+    detects a broken field.  Failures are reported, never raised; a
+    negative seed is an InvalidParamsError.
     """
     x, y = _sample_points(seed, n_points)
     scale = np.maximum(1.0, np.hypot(x, y))
@@ -132,12 +107,11 @@ def run_suite(
         f"hbar={params.hbar:g} mass={params.mass:g} "
         f"k={params.k:g} delta={params.delta:g}"
     )
-    a, b = params.a, params.b
-    field_unit = max(a, b)
-    field_unit_or_one = max(1.0, field_unit)
+    l, tau, ca, cb = _frame(params)
+    canon = FlowParams(k=ca, delta=cb, allow_any_delta=True)
 
     def uv(xa, ya):
-        u, v = velocity(params, xa, ya)
+        u, v = velocity(canon, xa, ya)
         if np.ndim(u) == 0:  # a line flow's constant field
             u, v = np.full(np.shape(xa), u), np.full(np.shape(xa), v)
         if tamper is not None:
@@ -145,8 +119,15 @@ def run_suite(
             u, v = u + du, v + dv
         return u, v
 
-    phi_at = functools.partial(potential_values, params)
-    psi_at = functools.partial(stream_values, params)  # also the Hamiltonian
+    phi_at = functools.partial(potential_values, canon)
+    psi_at = functools.partial(stream_values, canon)  # also the Hamiltonian
+
+    def fitted_order(errors):
+        # mean log2 ratio of successive ladder errors; without a vortex the
+        # stencils hold roundoff alone, and there is no order to fit
+        if cb == 0.0:
+            return None
+        return float(np.mean([math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]))
 
     def report(name, residual, tol, order=None, applicable=True):
         if not applicable:
@@ -159,56 +140,39 @@ def run_suite(
         uw, vw = uv(x - h, y)
         un, vn = uv(x, y + h)
         us, vs = uv(x, y - h)
-        div = (ue - uw + vn - vs) / (2.0 * h)
-        curl = (ve - vw - un + us) / (2.0 * h)
-        return div, curl, _roundoff([ue, ve, uw, vw, un, vn, us, vs], h, 1)
+        return (ue - uw + vn - vs) / (2.0 * h), (ve - vw - un + us) / (2.0 * h)
 
     h1 = H_FIRST * scale
-    d1, c1, _ = div_curl_values(h1)
-    d2, c2, _ = div_curl_values(0.5 * h1)
+    d1, c1 = div_curl_values(h1)
+    d2, c2 = div_curl_values(0.5 * h1)
     div_x, curl_x = (4.0 * d2 - d1) / 3.0, (4.0 * c2 - c1) / 3.0
     div_curl_ladder = [div_curl_values(h0 * scale) for h0 in ORDER_LADDER]
-    div_curl_floors = [_rms(fl) for _, _, fl in div_curl_ladder]
 
     def check_divergence():
-        return report(
-            "divergence_free",
-            np.max(np.abs(div_x)) / field_unit_or_one,
-            NORM_TOL,
-            _order_from_rms([_rms(d) for d, _, _ in div_curl_ladder], div_curl_floors),
-        )
+        errs = [_rms(d) for d, _ in div_curl_ladder]
+        return report("divergence_free", np.max(np.abs(div_x)), NORM_TOL, fitted_order(errs))
 
     def check_curl():
-        return report(
-            "curl_free",
-            np.max(np.abs(curl_x)) / field_unit_or_one,
-            NORM_TOL,
-            _order_from_rms([_rms(c) for _, c, _ in div_curl_ladder], div_curl_floors),
-        )
+        errs = [_rms(c) for _, c in div_curl_ladder]
+        return report("curl_free", np.max(np.abs(curl_x)), NORM_TOL, fitted_order(errs))
 
     def check_cauchy_riemann():
         # the two equations for u - i v are the divergence and curl identities
-        resid = max(np.max(np.abs(div_x)), np.max(np.abs(curl_x))) / field_unit_or_one
-        errs = [_rms(np.hypot(d, c)) for d, c, _ in div_curl_ladder]
-        return report("cauchy_riemann", resid, NORM_TOL, _order_from_rms(errs, div_curl_floors))
+        resid = max(np.max(np.abs(div_x)), np.max(np.abs(curl_x)))
+        errs = [_rms(np.hypot(d, c)) for d, c in div_curl_ladder]
+        return report("cauchy_riemann", resid, NORM_TOL, fitted_order(errs))
 
     def check_harmonic(name, f, mask):
         xs, ys, scale_m = x[mask], y[mask], scale[mask]
 
         def lap(h):
-            vals = [f(xs + h, ys), f(xs - h, ys), f(xs, ys + h), f(xs, ys - h), f(xs, ys)]
-            lap_h = (vals[0] + vals[1] + vals[2] + vals[3] - 4.0 * vals[4]) / h**2
-            return lap_h, _roundoff(vals, h, 2)
+            return (f(xs + h, ys) + f(xs - h, ys) + f(xs, ys + h) + f(xs, ys - h)
+                    - 4.0 * f(xs, ys)) / h**2
 
         h1 = H_LAPLACE * scale_m
-        extrap = (4.0 * lap(0.5 * h1)[0] - lap(h1)[0]) / 3.0
-        ladder = [lap(h0 * scale_m) for h0 in ORDER_LADDER]
-        return report(
-            name,
-            np.max(np.abs(extrap)) / field_unit_or_one,
-            NORM_TOL,
-            _order_from_rms([_rms(e) for e, _ in ladder], [_rms(fl) for _, fl in ladder]),
-        )
+        extrap = (4.0 * lap(0.5 * h1) - lap(h1)) / 3.0
+        errs = [_rms(lap(h0 * scale_m)) for h0 in ORDER_LADDER]
+        return report(name, np.max(np.abs(extrap)), NORM_TOL, fitted_order(errs))
 
     def check_potential_harmonic():
         return check_harmonic("velocity_potential_harmonic", phi_at, off_cut)
@@ -221,7 +185,7 @@ def run_suite(
 
     def check_velocity_identity():
         u, v = uv(x, y)
-        fp = _dF(a, b, z)
+        fp = _dF(ca, cb, z)
         resid = np.hypot(fp.real - u, fp.imag + v) / np.maximum(np.abs(fp), TINY)
         return report("derivative_velocity_identity", np.max(resid), 1e-13)
 
@@ -229,9 +193,9 @@ def run_suite(
         # F1 + F2 = -a*z + i*b*log(z) against phi + i*psi, whose arctan2 and
         # log(r^2) kernels do not share the complex log; relative to the
         # size of the terms, since F itself may cancel
-        f1, f2 = _F_parts(a, b, z)
+        f1, f2 = _F_parts(ca, cb, z)
         resid = np.abs(f1 + f2 - (phi_at(x, y) + 1j * psi))
-        size = a * np.abs(z) + b * (np.abs(np.log(np.abs(z))) + np.pi)
+        size = ca * np.abs(z) + cb * (np.abs(np.log(np.abs(z))) + np.pi)
         return report("potential_superposition", np.max(resid / np.maximum(size, TINY)), 1e-14)
 
     def check_h_equals_psi():
@@ -246,50 +210,45 @@ def run_suite(
         # F'(z) + a alone cancels to eps*a where b/|z| << a
         ang = np.linspace(-3.0, 3.0, 8)
         zf = np.outer((10.0, 100.0, 1000.0), np.cos(ang) + 1j * np.sin(ang))
-        fp = _dF(a, b, zf)
-        resid = np.abs(fp - 1j * b / zf + a) / np.maximum(np.abs(fp), TINY)
+        fp = _dF(ca, cb, zf)
+        resid = np.abs(fp - 1j * cb / zf + ca) / np.maximum(np.abs(fp), TINY)
         return report("far_field_decay", np.max(resid), 1e-12)
 
     def check_hamiltonian_gradient():
         u, v = uv(x, y)
-        errs, floors = [], []
+        errs = []
         for h0 in ORDER_LADDER:
             h = h0 * scale
-            vals = [psi_at(x, y + h), psi_at(x, y - h), psi_at(x + h, y), psi_at(x - h, y)]
-            dhdy = (vals[0] - vals[1]) / (2.0 * h)
-            dhdx = (vals[2] - vals[3]) / (2.0 * h)
-            err = np.hypot(dhdy - u, -dhdx - v)
-            errs.append(_rms(err))
-            floors.append(_rms(_roundoff(vals, h, 1)))
+            dhdy = (psi_at(x, y + h) - psi_at(x, y - h)) / (2.0 * h)
+            dhdx = (psi_at(x + h, y) - psi_at(x - h, y)) / (2.0 * h)
+            errs.append(_rms(np.hypot(dhdy - u, -dhdx - v)))
         rel = errs[-1] / max(_rms(np.hypot(u, v)), TINY)
-        return report(
-            "hamiltonian_gradient_consistency", rel, 1e-3, _order_from_rms(errs, floors)
-        )
+        return report("hamiltonian_gradient_consistency", rel, 1e-3, fitted_order(errs))
 
     def check_jacobian_fd():
         h = 1e-5
         xs, ys = x[:100], y[:100]
-        alpha, beta = critical.jacobian_entries(params, xs, ys)
+        alpha, beta = critical.jacobian_entries(canon, xs, ys)
         ue, ve = uv(xs + h, ys)
         uw, vw = uv(xs - h, ys)
         un, vn = uv(xs, ys + h)
         us, vs = uv(xs, ys - h)
         fd = [(ue - uw) / (2 * h), (un - us) / (2 * h), (ve - vw) / (2 * h), (vn - vs) / (2 * h)]
         resid = max(float(np.max(np.abs(j - d))) for j, d in zip((alpha, beta, beta, -alpha), fd))
-        return report("jacobian_finite_difference", resid / field_unit_or_one, 1e-5)
+        return report("jacobian_finite_difference", resid, 1e-5)
 
     def check_stagnation():
         sp = critical.stagnation_point(params)
         if sp is None:
             return report("stagnation_zero_velocity", 0.0, 0.0, applicable=False)
         speed = float(np.hypot(*current(params, sp.location)))
-        return report("stagnation_zero_velocity", speed / a, 1e-13)
+        return report("stagnation_zero_velocity", speed / params.a, 1e-13)
 
     def check_eigenvalues():
         sp = critical.stagnation_point(params)
         if sp is None:
             return report("saddle_eigenvalues", 0.0, 0.0, applicable=False)
-        c_exact = params.hbar * params.k**2 / (params.delta * params.mass)
+        c_exact = params.a / l  # = hbar*k^2/(delta*mass)
         lam = np.linalg.eigvalsh(critical.jacobian(params, sp.location))
         resid = max(
             abs(lam.max() - c_exact) / c_exact, abs(lam.min() + c_exact) / c_exact
@@ -297,53 +256,55 @@ def run_suite(
         return report("saddle_eigenvalues", resid, 1e-12)
 
     def check_circulation():
-        values = [
-            circulation(params, (0.0, 0.0), radius, 512).value
-            for radius in (0.3, 1.0, 3.0, 7.0)
+        try:
+            values = [
+                circulation(params, (0.0, 0.0), l * radius, 512).value
+                for radius in (0.3, 1.0, 3.0, 7.0)
+            ]
+        except InvalidContourError:  # l so large that x*x + y*y overflows
+            return report("circulation_contour_independence", math.inf, 1e-10)
+        # off the closed form, or one radius off another, relative to it
+        expected = -2.0 * math.pi * params.b
+        resid = max(max(abs(v - expected) for v in values), max(values) - min(values))
+        return report("circulation_contour_independence", resid / max(abs(expected), TINY), 1e-10)
+
+    def check_canonical_scaling():
+        # the physical kernels at l*(X, U) against the canonical ones scaled
+        # by l/tau (velocity) and l*l/tau (potentials), psi shifted by
+        # b*log(l); each relative to the size of its terms, where the log's
+        # rounded argument adds up to eps*b
+        lx, ly, r = l * x, l * y, np.hypot(x, y)
+        vel, pot, b = l / tau, l * l / tau, params.b
+        u, v = velocity(params, lx, ly)
+        uc, vc = velocity(canon, x, y)
+        shift = b * math.log(l)
+        resids = [
+            np.hypot(u - vel * uc, v - vel * vc) / np.maximum(vel * (ca + cb / r), TINY),
+            np.abs(stream_values(params, lx, ly) - (pot * psi + shift))
+            / np.maximum(pot * (ca * np.abs(y) + cb * np.abs(np.log(r))) + abs(shift) + b, TINY),
+            np.abs(potential_values(params, lx, ly) - pot * phi_at(x, y))
+            / np.maximum(pot * (ca * np.abs(x) + cb * np.pi), TINY),
         ]
-        expected = -2.0 * math.pi * b
-        resid = max(abs(v - expected) for v in values)
-        resid = max(
-            resid,
-            max(
-                abs(v1 - v2) for i, v1 in enumerate(values) for v2 in values[i + 1:]
-            ),
-        )
-        # quadrature roundoff grows with a*R, the value with b
-        resid /= max(field_unit_or_one, abs(expected))
-        return report("circulation_contour_independence", resid, 1e-10)
+        return report("canonical_scaling", max(np.max(rd) for rd in resids), 1e-14)
 
     def check_orthogonality():
         u0, v0 = uv(x, y)
-        speed = np.hypot(u0, v0)
-        mask = off_cut & (speed > 0.0) & (speed >= 1e-3 * field_unit)
+        mask = off_cut & (np.hypot(u0, v0) >= 1e-3)
         if not mask.any():  # a zero field has no direction to be orthogonal to
             return report("gradient_orthogonality", 0.0, 0.0, applicable=False)
         xs, ys = x[mask], y[mask]
-        residual = 0.0
-        errs, floors = [], []
-        for h0 in ORDER_LADDER + (H_FIRST,):
+
+        def cosines(h0):
             h = (h0 * scale)[mask]
-            phis = [phi_at(xs + h, ys), phi_at(xs - h, ys), phi_at(xs, ys + h), phi_at(xs, ys - h)]
-            psis = [psi_at(xs + h, ys), psi_at(xs - h, ys), psi_at(xs, ys + h), psi_at(xs, ys - h)]
-            gpx, gpy = (phis[0] - phis[1]) / (2 * h), (phis[2] - phis[3]) / (2 * h)
-            gsx, gsy = (psis[0] - psis[1]) / (2 * h), (psis[2] - psis[3]) / (2 * h)
-            gp, gs = np.hypot(gpx, gpy), np.hypot(gsx, gsy)
-            # each gradient scaled by a power of two near its length, so the
-            # products cannot overflow and the cosine keeps its bits
-            sp, ss = _pow2_scale(gp), _pow2_scale(gs)
-            dot = gpx * sp * (gsx * ss) + gpy * sp * (gsy * ss)
-            cosang = dot / np.maximum(gp * sp * (gs * ss), TINY)
-            if h0 == H_FIRST:
-                residual = float(np.max(np.abs(cosang)))
-            else:
-                errs.append(_rms(cosang))
-                # relative roundoff of each gradient bounds that of the cosine
-                floors.append(_rms(
-                    _roundoff(phis, h, 1) / np.maximum(gp, TINY)
-                    + _roundoff(psis, h, 1) / np.maximum(gs, TINY)
-                ))
-        return report("gradient_orthogonality", residual, 1e-4, _order_from_rms(errs, floors))
+            gpx = (phi_at(xs + h, ys) - phi_at(xs - h, ys)) / (2 * h)
+            gpy = (phi_at(xs, ys + h) - phi_at(xs, ys - h)) / (2 * h)
+            gsx = (psi_at(xs + h, ys) - psi_at(xs - h, ys)) / (2 * h)
+            gsy = (psi_at(xs, ys + h) - psi_at(xs, ys - h)) / (2 * h)
+            return (gpx * gsx + gpy * gsy) / (np.hypot(gpx, gpy) * np.hypot(gsx, gsy))
+
+        errs = [_rms(cosines(h0)) for h0 in ORDER_LADDER]
+        residual = np.max(np.abs(cosines(H_FIRST)))
+        return report("gradient_orthogonality", residual, 1e-4, fitted_order(errs))
 
     checks = [
         check_divergence,
@@ -361,6 +322,7 @@ def run_suite(
         check_stagnation,
         check_eigenvalues,
         check_circulation,
+        check_canonical_scaling,
         check_orthogonality,
     ]
     reports = [check() for check in checks]

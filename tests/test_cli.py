@@ -48,6 +48,21 @@ class TestEval:
         doc = run_json(capsys, "eval", "--flux", str(math.pi), "--at", "1,1")
         assert doc["params"]["delta"] == pytest.approx(0.5, rel=1e-15)
 
+    def test_overflowing_coefficient_is_usage_error(self, capsys):
+        code = main(["eval", "--hbar", "1e307", "--k", "100", "--at", "1,1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "not a finite normal double" in captured.err
+
+    def test_nonfinite_result_is_numerical_failure(self, capsys, tmp_path):
+        # psi = -a*y = -1e309 overflows: no summary is printed or written
+        out = tmp_path / "eval"
+        code = main(["eval", "--hbar", "1e307", "--at", "0,100", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.startswith("error:")
+        assert not (out / "summary.json").exists()
+
     def test_relaxed_delta_flag(self, capsys):
         code, _ = run_cli(capsys, "eval", "--delta", "0.8", "--at", "1,1")
         assert code == 2
@@ -210,6 +225,13 @@ class TestSubcommands:
         doc = run_json(capsys, "circulation", "--radius", "1e-7", *flags)
         assert doc["circulation"] == pytest.approx(closed_form, rel=1e-12, abs=1e-300)
 
+    def test_circulation_near_the_top_of_the_double_range(self, capsys):
+        # b = 5e306: the circulation is finite, though the sum of b's
+        # trapezoid terms would overflow
+        doc = run_json(capsys, "circulation", "--hbar", "1e307")
+        assert doc["circulation"] == pytest.approx(-math.pi * 1e307, rel=1e-12)
+        assert math.isfinite(doc["richardson_error_estimate"])
+
     def test_circulation_through_the_vortex_is_refused(self, capsys):
         code, _ = run_cli(capsys, "circulation", "--center", "1,0", "--radius", "1")
         assert code == 2
@@ -265,6 +287,13 @@ class TestSubcommands:
                             "--seed", "42")
         assert code == 0
         assert "suite: PASS" in out
+
+    @pytest.mark.parametrize("hbar, exit_code", [("1e307", 0), ("1e-315", 2)])
+    def test_verify_at_the_edges_of_the_double_range(self, capsys, hbar, exit_code):
+        # a = 1e307 is a valid flow; a = 1e-315 is subnormal and refused
+        code, out = run_cli(capsys, "verify", "--hbar", hbar)
+        assert code == exit_code
+        assert ("suite: PASS" in out) == (exit_code == 0)
 
     def test_verify_zero_field(self, capsys):
         code, out = run_cli(capsys, "verify", "--k", "0", "--delta", "0")

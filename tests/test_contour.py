@@ -98,6 +98,13 @@ class TestGeometryHelpers:
         with pytest.raises(InvalidContourError):
             Polyline(points=1e-15 * np.array(square), closed=True)
 
+    def test_closed_endpoint_check_is_relative_to_the_path_not_its_position(self):
+        # a square of side 1e-12 around (1, 1) whose end misses its start by
+        # 900 side lengths
+        square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [900.0, 0.0]]
+        with pytest.raises(InvalidContourError):
+            Polyline(points=1.0 + 1e-12 * np.array(square), closed=True)
+
     @pytest.mark.parametrize("l", [1e-12, 1e-6, 1.0, 1e6, 1e12])
     def test_loops_close_at_every_scale(self, l):
         params = FlowParams(delta=0.5 * l, k=0.5, allow_any_delta=True)

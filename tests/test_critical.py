@@ -96,6 +96,14 @@ class TestJacobian:
         jac = jacobian(P, (0.0, 0.5))
         assert np.allclose(jac, [[0.0, -2.0], [-2.0, 0.0]], atol=1e-14)
 
+    def test_at_saddle_near_the_top_of_the_double_range(self):
+        # b = 5e304 and r^2 = 2.5e5: b*(x*x - y*y) alone would overflow
+        params = FlowParams(hbar=1e300, mass=1e-5, k=1e-3)
+        jac = jacobian(params, stagnation_point(params).location)
+        c = stagnation_point(params).eigenvalues[0]
+        assert c == pytest.approx(2e299, rel=1e-15)
+        assert np.allclose(jac, [[0.0, -c], [-c, 0.0]], rtol=1e-15, atol=0.0)
+
     def test_delta_zero_is_constant_field(self):
         assert np.array_equal(jacobian(FlowParams(delta=0.0), (3.0, -1.0)),
                               np.zeros((2, 2)))

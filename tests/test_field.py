@@ -31,7 +31,8 @@ P = FlowParams()  # hbar=mass=k=1, delta=0.5
 coord = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 point_off_origin = st.tuples(coord, coord).filter(lambda p: math.hypot(*p) > 1e-3)
 param_value = st.floats(0.1, 10.0, allow_nan=False)
-delta_value = st.floats(0.0, 0.5, allow_nan=False)
+# zero, or large enough that b = hbar*delta/mass is a normal double
+delta_value = st.one_of(st.just(0.0), st.floats(1e-300, 0.5))
 
 
 def any_params(hbar, mass, k, delta):
@@ -57,6 +58,22 @@ class TestParams:
             FlowParams(delta=0.8)
         p = FlowParams(delta=0.8, allow_any_delta=True)
         assert p.delta == 0.8
+
+    @pytest.mark.parametrize("bad", [
+        dict(hbar=1e-315),  # a and b subnormal
+        dict(hbar=1e307, k=100.0),  # a = 1e309 overflows
+        dict(hbar=1e308, mass=0.1),  # a and b overflow
+        dict(delta=1e-310, allow_any_delta=True),  # b and delta/k subnormal
+        dict(k=1e-310),  # a subnormal, delta/k overflows
+    ])
+    def test_unrepresentable_scales_are_rejected(self, bad):
+        with pytest.raises(InvalidParamsError, match="not a finite normal double"):
+            FlowParams(**bad)
+
+    def test_underflowing_time_unit_is_accepted(self):
+        # only a, b and delta/k must be normal: tau = delta/(a*k) overflows here
+        params = FlowParams(k=1e-300)
+        assert params.saddle_height / params.a == math.inf
 
     def test_pure_rotation_allowed(self):
         p = FlowParams(k=0.0, delta=0.5)

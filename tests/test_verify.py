@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abflow import (
     CheckReport,
@@ -14,6 +16,7 @@ from abflow import (
 from abflow.verify import ORDER_BAND
 
 EXPECTED_CHECKS = [
+    "canonical_scaling",
     "cauchy_riemann",
     "circulation_contour_independence",
     "curl_free",
@@ -90,8 +93,8 @@ def test_pure_rotation_passes():
     dict(delta=2.0, allow_any_delta=True),
 ])
 def test_suite_is_unit_invariant(kwargs):
-    # residual gates are in field-coefficient units, so rescaled parameters
-    # must not trip them
+    # the checks run in the canonical frame, so rescaled parameters must not
+    # trip them
     assert suite_passed(run_suite(FlowParams(**kwargs), seed=9))
 
 
@@ -182,8 +185,8 @@ FITTED = {
     (dict(), 42),
     (dict(hbar=10.0, mass=0.1, k=3.0, delta=0.4), 9),
     (dict(hbar=0.2, mass=5.0, k=0.3, delta=0.05), 9),
-    # a, b >~ 1e154: raw squared residuals and products of gradients would
-    # overflow, and an overflow warning is an error under these tests
+    # a, b >~ 1e154: squares of the physical field would overflow, and an
+    # overflow warning is an error under these tests
     (dict(hbar=1e155), 42),
     (dict(hbar=1e160), 42),
     (dict(hbar=1e200), 42),
@@ -207,8 +210,8 @@ def test_negative_seed_is_rejected():
 
 @pytest.mark.parametrize("k, delta", [(0.3, 0.0), (3.0, 1e-9)])
 def test_fast_stream_residuals_on_the_field_scale(k, delta):
-    # a = hbar*k/mass up to 3e6 >> max(1, b): stencil and quadrature roundoff
-    # grow with a, so the residuals are read in units of max(1, a, b)
+    # a = hbar*k/mass up to 3e6 >> max(1, b): the stencils run on the
+    # canonical flow, and the circulation is read relative to -2*pi*b
     params = FlowParams(hbar=1e3, mass=1e-3, k=k, delta=delta)
     for seed in (1, 2, 3):
         reports = run_suite(params, seed=seed)
@@ -217,8 +220,8 @@ def test_fast_stream_residuals_on_the_field_scale(k, delta):
 
 @pytest.mark.parametrize("hbar", [1e-40, 1e-150, 1e-300])
 def test_gradient_orthogonality_on_weak_fields(hbar):
-    # the speed threshold is relative to the field, with no absolute floor
-    # that would mask out every point of a weak one
+    # the speed threshold applies to the canonical field, so a weak field
+    # keeps its points
     rep = {r.name: r for r in run_suite(FlowParams(hbar=hbar), seed=42)}["gradient_orthogonality"]
     assert rep.verdict == "pass"
     assert ORDER_BAND[0] <= rep.order <= ORDER_BAND[1]
@@ -240,3 +243,53 @@ def test_superposition_detects_a_wrong_vortex_term(monkeypatch):
     monkeypatch.setattr(verify_mod, "_F_parts", half_vortex)
     reports = {r.name: r for r in run_suite(FlowParams(), seed=42)}
     assert reports["potential_superposition"].verdict == "fail"
+
+
+PHYSICAL = {
+    "canonical_scaling", "circulation_contour_independence", "saddle_eigenvalues",
+    "stagnation_zero_velocity",
+}
+
+
+def bits(reports):
+    """Each report's repr, params left out, outside the physical checks."""
+    return [repr(replace(r, params="")) for r in reports if r.name not in PHYSICAL]
+
+
+@given(
+    kind=st.sampled_from(["regular", "rotation", "line"]),
+    log_l=st.floats(-6.0, 6.0),
+    log_tau=st.floats(-4.0, 4.0),
+    delta=st.floats(1e-12, 0.5),
+    seed=st.integers(0, 1000),
+)
+@settings(max_examples=200, deadline=None)
+def test_suite_is_the_canonical_suite_in_every_unit_system(kind, log_l, log_tau, delta, seed):
+    # l = delta/k in [1e-6, 1e6], tau in [1e-4, 1e4]: a = l/tau and b = a*l;
+    # a line flow or a rotation takes a = l/tau or b = l*l/tau
+    l, tau = 10.0**log_l, 10.0**log_tau
+    params = {
+        "regular": FlowParams(hbar=l * l / (tau * delta), k=delta / l, delta=delta),
+        "rotation": FlowParams(hbar=l * l / (tau * delta), k=0.0, delta=delta),
+        "line": FlowParams(hbar=l / tau, k=1.0, delta=0.0),
+    }[kind]
+    canon = FlowParams(k=float(kind != "rotation"), delta=float(kind != "line"),
+                       allow_any_delta=True)
+    reports = run_suite(params, seed=seed)
+    assert suite_passed(reports), format_report(reports)
+    assert bits(reports) == bits(run_suite(canon, seed=seed))
+
+
+def test_saddle_near_the_top_of_the_double_range():
+    # b = 5e304 at a saddle of r^2 = 2.5e5: the Jacobian must not overflow
+    reports = run_suite(FlowParams(hbar=1e300, mass=1e-5, k=1e-3), seed=42)
+    assert suite_passed(reports), format_report(reports)
+
+
+def test_scale_beyond_the_kernels_fails_without_raising():
+    # l = 5e199: x*x + y*y overflows at the saddle, at the mapped points and
+    # on the circulation circles, which the circulation refuses to sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        reports = {r.name: r for r in run_suite(FlowParams(k=1e-200), seed=42)}
+    assert reports["circulation_contour_independence"].verdict == "fail"
+    assert reports["canonical_scaling"].verdict == "fail"
