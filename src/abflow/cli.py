@@ -422,6 +422,8 @@ def _cmd_trajectory(s: argparse.Namespace) -> int:
         "final_point": traj.points[-1].tolist(),
         "max_h_drift": traj.max_h_drift,
     }
+    if s.detect_closure:
+        summary["return_distance"] = float(np.hypot(*(traj.points[-1] - traj.points[0])))
     if traj.status is dynamics.TrajectoryStatus.CLOSED_ORBIT_DETECTED:
         summary["period"] = float(traj.times[-1])
     em.finish(summary)

@@ -1,4 +1,4 @@
-"""Trajectory integration, closed-orbit detection, and the separatrix.
+"""Trajectory integration, closed orbits, and the separatrix.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with per-step error
 control plus a hard budget on the Hamiltonian drift |H(t) - H(0)|: a step
@@ -11,8 +11,10 @@ Trajectories are integrated in one canonical frame, x = l*X and t = tau*T,
 in which the field is the same for every unit system; every guard is a
 constant of that one problem.
 
-The separatrix needs no integration: in canonical coordinates
-(x, y) = l*(X, U) with l = delta/k it is the curve X^2 = exp(2(U-1)) - U^2.
+Orbits are level sets of psi, so closure needs no search: whether a level
+closes, and its period, follow from its y-axis crossings, and a closed orbit
+is integrated for one period.  In canonical coordinates (x, y) = l*(X, U)
+with l = delta/k the separatrix is the curve X^2 = exp(2(U-1)) - U^2.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import critical
-from .contour import Polyline, canonical_x, polygon_area
+from .contour import Polyline, _pieces, canonical_x
 from .errors import InvalidParamsError, InvalidStartError
 from .field import FlowParams, _frame, _psi, _velocity, stream_values
 
@@ -45,14 +47,16 @@ _HALF_WIDTH = 10.0  # of the domain box, or twice the start point
 _FIRST_STEP = 1e-3
 _MAX_STEP = 0.1
 _MIN_STEP_FRACTION = 1e-13
-# a first return closes the orbit within this distance of the start and
-# this angle (radians) of its start direction
+# a closed orbit ends within this distance of its start after one period
 _CLOSURE_POS_TOL = 1e-6
-_CLOSURE_ANGLE_TOL = 1e-3
+# the tanh-sinh nodes of the period quadrature, step 1/16 (Takahasi & Mori,
+# "Double exponential formulas for numerical integration", 1974)
+_TS_NODES = np.arange(-72, 73) / 16.0
 
 # W(1/e): the loop meets the negative y axis at U = -W(1/e) (Corless et al.,
-# "On the Lambert W function", 1996)
+# "On the Lambert W function", 1996); its area is 2*int X dU over the loop
 _W_INV_E = 0.2784645427610738
+_LOOP_AREA = 0.731444628777403
 # vertices per side of the loop and per unbounded arm
 _LOOP_SIDE_SAMPLES = 700
 _ARM_SAMPLES = 580
@@ -81,9 +85,10 @@ class IntegratorConfig:
     is |H(t) - H(0)| in units of b (of a*l for a line flow, whose H never
     drifts).  ``core_radius`` defaults (None) to 1e-4*l.  The domain is the
     box of half-width 10*l, widened to twice the start point.  The first
-    step is 1e-3*tau and no step is longer than 0.1*tau; a first return
-    within 1e-6*l of the start, in its start direction, closes an orbit.
-    ``max_time`` is in the flow's own time unit.
+    step is 1e-3*tau and no step is longer than 0.1*tau.  An orbit whose
+    level set closes is closed if, integrated for its period, it ends
+    within 1e-6*l of its start.  ``max_time`` is in the flow's own time
+    unit.
     """
 
     rel_tol: float = 1e-10
@@ -139,12 +144,27 @@ class SeparatrixResult:
     lower_axis_crossing: float
 
 
-def _hermite(p, q, fp, fq, dt: float, s: float):
-    """Cubic Hermite interpolant at s in [0, 1] of one step of length dt from
-    p (slope fp) to q (slope fq); floats or arrays."""
-    s2, s3 = s * s, s * s * s
-    return ((2 * s3 - 3 * s2 + 1) * p + (s3 - 2 * s2 + s) * dt * fp
-            + (-2 * s3 + 3 * s2) * q + (s3 - s2) * dt * fq)
+def _canonical_period(ca: float, cb: float, X: float, U: float) -> float | None:
+    """The period, in units of tau, of the orbit through the canonical point
+    (X, U), or None if it does not close.  A rotation turns in 2*pi*R^2; a
+    regular flow's level log R - U = C closes exactly when C < -1 and U < 1,
+    in T = 2*int R^2/|X| dU between its y-axis crossings: a tanh-sinh sum
+    whose nodes lie at w = +-d from the nearer crossing u0, where
+    R^2/|X| = |u0|*exp(2w)/canonical_x(w, u0) keeps its digits."""
+    if cb == 0.0:
+        return None
+    if ca == 0.0:
+        return 2.0 * math.pi * (X * X + U * U)
+    c = math.log(math.hypot(X, U)) - U
+    if not (c < -1.0 and U < 1.0):
+        return None
+    top, w_lo = _pieces(c, 0.0)[0][:2]  # the loop spans top + w_lo <= U <= top
+    s = 0.5 * math.pi * np.sinh(_TS_NODES)
+    d = -w_lo / (1.0 + np.exp(2.0 * np.abs(s)))
+    lower = _TS_NODES < 0.0
+    u0, w = np.where(lower, top + w_lo, top), np.where(lower, d, -d)
+    weights = -w_lo * (math.pi / 32.0) * np.cosh(_TS_NODES) / np.cosh(s) ** 2
+    return float(np.sum(weights * np.abs(u0) * np.exp(2.0 * w) / canonical_x(w, u0)))
 
 
 def integrate(
@@ -156,8 +176,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate the current field from p0 under adaptive step control.
 
-    Halts on closed-orbit detection (if requested), core entry, domain exit,
-    or max_time; a zero field gives p0 at 0 and at max_time.  Steps run in the
+    Halts on core entry, domain exit, or max_time; a zero field gives p0 at 0
+    and at max_time.  With ``detect_closure`` a closed level ends after one
+    period, closed if it returns within 1e-6*l of p0.  Steps run in the
     canonical frame of `IntegratorConfig`, mapped back; the first is p0 itself.
     """
     if cfg is None:
@@ -184,18 +205,14 @@ def integrate(
     pts = [(x, y)]
 
     fx, fy = _velocity(ca, cb, x, y)
-    speed0 = math.hypot(fx, fy)
-    closure_on = detect_closure and speed0 > 0.0
-    if closure_on:
-        nx0, ny0 = fx / speed0, fy / speed0  # section normal = start direction
     x0, y0 = x, y
-    g_prev = 0.0
 
     t = 0.0
     h = _FIRST_STEP
     status = None
     rejections = 0
-    t_end = cfg.max_time / tau
+    period = _canonical_period(ca, cb, x, y) if detect_closure else None
+    t_end = min(cfg.max_time / tau, period or math.inf)
     if ca == cb == 0.0:  # no field: nothing moves
         t, times, pts = t_end, [0.0, t_end], [(x, y)] * 2
 
@@ -270,33 +287,6 @@ def integrate(
             continue
         rejections = 0
 
-        if closure_on:
-            g_new = (xn - x0) * nx0 + (yn - y0) * ny0
-            if g_prev < 0.0 <= g_new:
-                # refine the section crossing on the Hermite interpolant
-                lo, hi = 0.0, 1.0
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    px = _hermite(x, xn, fx, k7x, ht, mid)
-                    py = _hermite(y, yn, fy, k7y, ht, mid)
-                    gm = (px - x0) * nx0 + (py - y0) * ny0
-                    if gm < 0.0:
-                        lo = mid
-                    else:
-                        hi = mid
-                s = 0.5 * (lo + hi)
-                px = _hermite(x, xn, fx, k7x, ht, s)
-                py = _hermite(y, yn, fy, k7y, ht, s)
-                dist = math.hypot(px - x0, py - y0)
-                vx, vy = _velocity(ca, cb, px, py)
-                angle = abs(math.atan2(vx * ny0 - vy * nx0, vx * nx0 + vy * ny0))
-                if dist <= _CLOSURE_POS_TOL and angle <= _CLOSURE_ANGLE_TOL:
-                    times.append(t + s * ht)
-                    pts.append((px, py))
-                    status = TrajectoryStatus.CLOSED_ORBIT_DETECTED
-                    break
-            g_prev = g_new
-
         t = t + ht
         times.append(t)
         pts.append((xn, yn))
@@ -311,7 +301,8 @@ def integrate(
         h = min(_MAX_STEP, ht * grow)
 
     if status is None:
-        status = TrajectoryStatus.COMPLETED
+        closed = t_end == period and math.hypot(x - x0, y - y0) <= _CLOSURE_POS_TOL
+        status = TrajectoryStatus.CLOSED_ORBIT_DETECTED if closed else TrajectoryStatus.COMPLETED
 
     points = l * np.array(pts)
     points[0 if ca or cb else slice(None)] = start  # p0 itself, twice on a zero field
@@ -328,8 +319,9 @@ def integrate(
 def detect_closed_orbit(
     params: FlowParams, p0, cfg: IntegratorConfig | None = None
 ) -> OrbitResult:
-    """First-return test: integrate until the trajectory re-enters the
-    closure tolerance of p0 with matching velocity direction, or max_time."""
+    """Integrate from p0 with ``detect_closure``: an orbit whose level set
+    closes, run for its period within max_time, is closed if it ends within
+    1e-6*l of p0, and its period is that time."""
     traj = integrate(params, p0, cfg, detect_closure=True)
     start = traj.points[0]
     last = traj.points[-1]
@@ -381,7 +373,7 @@ def trace_separatrix(params: FlowParams) -> SeparatrixResult:
         loop=Polyline(points=loop_pts, level=level, closed=True),
         unbounded_branches=[Polyline(points=left, level=level),
                             Polyline(points=right, level=level)],
-        loop_area=abs(polygon_area(loop_pts[:-1])),
+        loop_area=_LOOP_AREA * l * l,
         loop_max_radius=l,
         lower_axis_crossing=-_W_INV_E * l,
     )

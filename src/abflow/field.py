@@ -152,11 +152,12 @@ def _check_regular(params: FlowParams, x: float, y: float) -> None:
 
 
 def _velocity(a: float, b: float, x, y):
-    # shared kernel for velocity / current / the trajectory integrator
+    # shared kernel for velocity / current / the trajectory integrator; it
+    # divides by r^2 first, since b*y underflows where b and y are both small
     if b == 0.0:
         return -a, 0.0
     r2 = x * x + y * y
-    return -a + b * y / r2, -b * x / r2
+    return -a + b * (y / r2), -b * (x / r2)
 
 
 def velocity(params: FlowParams, x: float, y: float) -> tuple[float, float]:

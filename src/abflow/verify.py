@@ -107,7 +107,7 @@ def run_suite(
         f"hbar={params.hbar:g} mass={params.mass:g} "
         f"k={params.k:g} delta={params.delta:g}"
     )
-    l, tau, ca, cb = _frame(params)
+    l, _, ca, cb = _frame(params)
     canon = FlowParams(k=ca, delta=cb, allow_any_delta=True)
 
     def uv(xa, ya):
@@ -272,9 +272,12 @@ def run_suite(
         # the physical kernels at l*(X, U) against the canonical ones scaled
         # by l/tau (velocity) and l*l/tau (potentials), psi shifted by
         # b*log(l); each relative to the size of its terms, where the log's
-        # rounded argument adds up to eps*b
+        # rounded argument adds up to eps*b.  The factors are formed from a
+        # and b, as tau itself may overflow: l/tau is a (b/l for a
+        # rotation) and l*l/tau is b (a*l for a line flow)
         lx, ly, r = l * x, l * y, np.hypot(x, y)
-        vel, pot, b = l / tau, l * l / tau, params.b
+        a, b = params.a, params.b
+        vel, pot = (a if ca else b / l), (b if cb else a * l)
         u, v = velocity(params, lx, ly)
         uc, vc = velocity(canon, x, y)
         shift = b * math.log(l)

@@ -6,7 +6,6 @@ import math
 import numpy as np
 
 from abflow import FlowParams, InvalidParamsError, Trajectory, current
-from abflow.dynamics import _hermite
 
 
 def winding_number(points: np.ndarray, about=(0.0, 0.0)) -> int:
@@ -49,4 +48,7 @@ def position_at(params: FlowParams, traj: Trajectory, t: float) -> np.ndarray:
         return traj.points[i].copy()
     s = (t - float(times[i])) / dt
     p, q = traj.points[i], traj.points[i + 1]
-    return _hermite(p, q, current(params, p), current(params, q), dt, s)
+    fp, fq = current(params, p), current(params, q)
+    s2, s3 = s * s, s * s * s
+    return ((2 * s3 - 3 * s2 + 1) * p + (s3 - 2 * s2 + s) * dt * fp
+            + (-2 * s3 + 3 * s2) * q + (s3 - s2) * dt * fq)

@@ -208,6 +208,17 @@ class TestSubcommands:
         assert doc["max_h_drift"] <= 1e-8
         rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
         assert rows.shape[1] == 4
+        # the distance from the last sample back to the start
+        assert doc["return_distance"] == np.hypot(*(rows[-1, 1:3] - rows[0, 1:3]))
+        assert 0.0 < doc["return_distance"] <= 1e-6 * 0.5
+
+    def test_trajectory_reports_return_distance_only_with_closure(self, capsys):
+        argv = ["trajectory", "--start", "0,3", "--tmax", "1"]
+        assert "return_distance" not in run_json(capsys, *argv)
+        doc = run_json(capsys, *argv, "--detect-closure")
+        assert doc["status"] == "completed" and "period" not in doc
+        end = np.subtract(doc["final_point"], doc["start"])
+        assert doc["return_distance"] == np.hypot(*end) > 0.5
 
     def test_trajectory_on_zero_field(self, capsys):
         doc = run_json(capsys, "trajectory", "--k", "0", "--delta", "0", "--start", "0,1",

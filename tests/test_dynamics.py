@@ -67,20 +67,24 @@ def bisect_axis_crossing(params, level, lo=1e-12, hi=None):
 @functools.cache
 def canonical_period(u0: float) -> float:
     """Independent oracle: the period, in units of tau, of the closed orbit
-    through the canonical start (0, u0).  With K = log u0 - u0, R = exp(K+U)
+    through the canonical start (0, u0).  With K = log|u0| - u0, R = exp(K+U)
     and X = sqrt(R^2 - U^2), T = 2*int R^2/X dU between the orbit's y-axis
-    crossings -W(exp K) and u0, in 30-digit arithmetic."""
+    crossings, -W0(exp K) and u0 for u0 > 0 or u0 and -W0(-exp K) for
+    u0 < 0, in 30-digit arithmetic."""
     with mpmath.workdps(30):
         u0 = mpmath.mpf(u0)
-        big_k = mpmath.log(u0) - u0
-        lower = -mpmath.lambertw(mpmath.exp(big_k)).real
+        big_k = mpmath.log(abs(u0)) - u0
+        if u0 > 0:
+            lower, upper = -mpmath.lambertw(mpmath.exp(big_k)).real, u0
+        else:
+            lower, upper = u0, -mpmath.lambertw(-mpmath.exp(big_k)).real
 
         def integrand(u):
             r2 = mpmath.exp(2 * (big_k + u))
             # next to a crossing, R^2 - U^2 may round to a hair below zero
             return r2 / mpmath.sqrt(abs(r2 - u * u))
 
-        return float(2 * mpmath.quad(integrand, [lower, 0, u0]))
+        return float(2 * mpmath.quad(integrand, [lower, 0, upper]))
 
 
 class TestIntegrate:
@@ -193,13 +197,53 @@ class TestClosedOrbit:
         FlowParams(hbar=1e3, mass=4e-3, k=2.0, delta=0.5),
     ])
     def test_period_matches_quadrature(self, params):
-        # a wrong Dormand-Prince coefficient leaves the orbit closed but
-        # moves the period far beyond 1e-9
+        # the period is the level set's; the orbit integrated for it must
+        # come back, which a wrong Dormand-Prince coefficient prevents
         l = params.saddle_height
         tau = params.delta * params.mass / (params.hbar * params.k ** 2)
         result = detect_closed_orbit(params, (0.0, 0.5 * l))
         assert result.closed
-        assert result.period / tau == pytest.approx(canonical_period(0.5), rel=1e-9)
+        assert result.return_distance <= 1e-6 * l
+        assert result.period / tau == pytest.approx(canonical_period(0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("u0, rel", [
+        *[(u0, 1e-12) for u0 in (-0.278, -0.27, -0.2, 0.01, 0.25, 0.5, 0.9, 0.99)],
+        (0.999, 1e-9), (0.9999, 1e-9),  # next to the saddle
+    ])
+    def test_period_from_the_level_set(self, u0, rel):
+        # -0.278 lies just inside the loop's lowest point -W(1/e)
+        result = detect_closed_orbit(P, (0.0, 0.5 * u0))
+        assert result.closed
+        assert result.return_distance <= 1e-6 * 0.5
+        assert result.period / 0.5 == pytest.approx(canonical_period(u0), rel=rel)
+
+    @pytest.mark.parametrize("u", [-0.1, 0.2, 0.45])
+    def test_off_axis_starts_share_their_level_period(self, u):
+        # points (X, U) on the level through (0, 0.5): X^2 = R^2 - U^2 with
+        # R = exp(K + U), K = log 0.5 - 0.5
+        x = math.sqrt(math.exp(2.0 * (math.log(0.5) - 0.5 + u)) - u * u)
+        result = detect_closed_orbit(P, (0.5 * x, 0.5 * u))
+        assert result.closed
+        assert result.period / 0.5 == pytest.approx(canonical_period(0.5), rel=1e-12)
+
+    def test_closure_is_the_start_inside_the_separatrix_loop(self):
+        # a start closes exactly when it lies inside the homoclinic loop,
+        # in every unit system; starts within |C + 1| < 1e-3 of the
+        # separatrix level are left out, as their orbits pass the saddle
+        rng = np.random.default_rng(5)
+        verdicts = []
+        for _ in range(60):
+            l, tau = 10.0 ** rng.uniform(-6, 6), 10.0 ** rng.uniform(-4, 4)
+            params = scaled_units(l, tau)
+            x, u = rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 1.5)
+            if abs(math.log(math.hypot(x, u)) - u + 1.0) < 1e-3 or math.hypot(x, u) < 1e-3:
+                continue
+            inside = winding_number(trace_separatrix(params).loop.points[:-1] / l, (x, u)) != 0
+            result = detect_closed_orbit(params, (x * l, u * l),
+                                         IntegratorConfig(max_time=100.0 * tau))
+            assert result.closed == inside, (l, tau, x, u)
+            verdicts.append(inside)
+        assert 10 <= sum(verdicts) <= len(verdicts) - 10
 
     def test_period_stable_under_tolerance_halving(self):
         base = IntegratorConfig()
@@ -268,6 +312,7 @@ class TestUnitInvariance:
         assert traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED
         assert len(traj) == len(self.orbit(1.0, 1.0))
         assert abs(traj.times[-1] / tau - canonical_period(0.5)) <= 1e-9
+        assert np.hypot(*(traj.points[-1] - traj.points[0])) <= 1e-6 * l
 
     @pytest.mark.parametrize("r", [1e-5, 1e-2, 1.0, 10.0])
     def test_rotation_period_at_any_radius(self, r):
@@ -350,9 +395,9 @@ class TestClosedFormSeparatrix:
     def test_loop_metrics_match_closed_forms(self, params):
         sep = trace_separatrix(params)
         l = params.saddle_height
-        assert sep.lower_axis_crossing == pytest.approx(-W1E * l, rel=1e-5)
-        assert sep.loop_max_radius == pytest.approx(l, rel=1e-5)
-        assert sep.loop_area == pytest.approx(A1 * l * l, rel=1e-5)
+        assert sep.lower_axis_crossing == pytest.approx(-W1E * l, rel=1e-5, abs=0.0)
+        assert sep.loop_max_radius == pytest.approx(l, rel=1e-5, abs=0.0)
+        assert sep.loop_area == pytest.approx(A1 * l * l, rel=1e-15, abs=0.0)
         assert len(sep.unbounded_branches) == 2
 
     def test_every_vertex_on_separatrix_level(self, params):
