@@ -5,7 +5,8 @@ Each call is one in-process ``abflow.cli.main`` run with ``--format all``
 into a fresh directory.  Its digest covers the exit code, stdout and the
 name and bytes of every artifact.  The calls cover every command at natural
 units and in two scaled unit systems, plus portraits that reach every
-branch of the level-curve pass.  One line per call, then one overall
+branch of the level-curve pass and point tables that mirror only in part
+about the y axis or not at all.  One line per call, then one overall
 digest.  Two checkouts whose lines match wrote the same bytes, so a change
 that should not move any output can be checked by running this on both:
 
@@ -41,7 +42,8 @@ COMMANDS = {
 # portraits at natural units that reach every branch of the level-curve
 # pass: a rotation and a line flow, a bbox that cuts the separatrix loop and
 # one that clips its arms, no separatrix, explicit levels (50 has no curve
-# in the bbox), the smallest grid, and a flow whose vertices need bisection
+# in the bbox), the smallest grid, and a flow whose vertices need bisection;
+# then a bbox with no left half and a line flow's off-center bbox
 PORTRAITS = {
     "rotation": ["--k", "0", "--grid", "160x120"],
     "line-flow": ["--delta", "0", "--grid", "160x120"],
@@ -51,13 +53,19 @@ PORTRAITS = {
     "levels": ["--levels", "-2,-0.5,0.2,50", "--grid", "160x120"],
     "grid-8x8": ["--grid", "8x8"],
     "bisected": ["--delta", "1e-10", "--bbox", "-100,100,-150,50"],
+    # point tables whose mirror about the y axis is absent or partial
+    "right-half": ["--bbox", "0.1,4,-3,3", "--grid", "160x120"],
+    "lines-off-center": ["--delta", "0", "--allow-any-delta", "--bbox", "-1,3,-3,3",
+                         "--grid", "160x120"],
 }
 
 CALLS = [
     (f"{command}/{units}", [*argv, *flags])
     for units, flags in UNITS.items()
     for command, argv in COMMANDS.items()
-] + [(f"portrait/{name}", ["portrait", *flags]) for name, flags in PORTRAITS.items()]
+] + [(f"portrait/{name}", ["portrait", *flags]) for name, flags in PORTRAITS.items()] + [
+    ("separatrix/delta-1e-9", ["separatrix", "--delta", "1e-9"]),
+]
 
 
 def digest(argv: list[str], out: Path) -> tuple[int, str]:

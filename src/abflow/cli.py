@@ -181,6 +181,10 @@ def _flow_params(s: argparse.Namespace, delta: float | None = None) -> FlowParam
 
 
 class _Emitter:
+    """The artifacts of one command: each is written under --out if its
+    kind is wanted, the directory made on the first write, and the summary
+    lists every file written."""
+
     def __init__(self, s: argparse.Namespace):
         self.fmt = s.format
         self.out = Path(s.out) if s.out else None
@@ -216,6 +220,37 @@ class _Emitter:
         row = ",".join(["%r"] * cells.shape[1]) + "\n"
         text = row * len(cells) % tuple(cells.ravel().tolist())
         self.write(name, header + "\n" + text, "csv")
+
+    def write_points(self, tables: list[tuple[str, np.ndarray]]) -> None:
+        """Write each (name, n x 2 array), in order, as the "x,y" CSV that
+        write_csv gives it, formatting the rows of all tables in one pass.
+        The flow is even in x, so its tables mirror about the y axis, and
+        repr(-v) is "-" + repr(v): each distinct (|x|, y) row (by bits,
+        found with one lexsort) is formatted once, and a row whose x has its
+        sign bit set, NaN aside, is "-" + that text.  Tables without a
+        mirror are written the same way and gain less."""
+        if not tables or not self.wants("csv"):
+            return
+        pts = np.concatenate([np.asarray(points, dtype=float) for _, points in tables])
+        x = pts[:, 0]
+        folded = np.column_stack([np.abs(x), pts[:, 1]])
+        bits = folded.view(np.uint64)
+        order = np.lexsort((bits[:, 1], bits[:, 0]))
+        ranked = bits[order]
+        first = np.ones(len(pts), dtype=bool)
+        first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+        row_of = np.empty(len(pts), dtype=np.intp)
+        row_of[order] = np.cumsum(first) - 1
+        distinct = folded[order[first]]
+        texts = ("%r,%r\n" * len(distinct) % tuple(distinct.ravel().tolist())).splitlines(True)
+        row_of, minus = row_of.tolist(), (np.signbit(x) & ~np.isnan(x)).tolist()
+        end = 0
+        for name, points in tables:
+            # hold one table's row strings at a time, not the command's
+            start, end = end, end + len(points)
+            rows = ["-" + texts[i] if m else texts[i]
+                    for i, m in zip(row_of[start:end], minus[start:end])]
+            self.write(name, "x,y\n" + "".join(rows), "csv")
 
     def finish(self, summary: dict) -> None:
         """Print the JSON summary and write it if wanted; a summary that
@@ -305,10 +340,12 @@ def _cmd_portrait(s: argparse.Namespace) -> int:
     polylines = portrait(params, spec)
     em = _Emitter(s)
     counters: dict[float, int] = {}
+    tables = []
     for poly in polylines:
         idx = counters.get(poly.level, 0)
         counters[poly.level] = idx + 1
-        em.write_csv(f"level_{float(poly.level)!r}_{idx}.csv", "x,y", poly.points)
+        tables.append((f"level_{float(poly.level)!r}_{idx}.csv", poly.points))
+    em.write_points(tables)
 
     sep_level = None
     saddle = vortex = None
@@ -316,7 +353,7 @@ def _cmd_portrait(s: argparse.Namespace) -> int:
         vortex = (0.0, 0.0)
         if params.k > 0.0:
             sep_level = critical.separatrix_level(params)
-            saddle = critical.stagnation_point(params).location
+            saddle = (0.0, params.saddle_height)
     if em.wants("svg"):
         em.write(
             "portrait.svg",
@@ -340,9 +377,10 @@ def _cmd_separatrix(s: argparse.Namespace) -> int:
     params = _flow_params(s)
     result = dynamics.trace_separatrix(params)
     em = _Emitter(s)
-    em.write_csv("separatrix_loop.csv", "x,y", result.loop.points)
-    for i, branch in enumerate(result.unbounded_branches):
-        em.write_csv(f"separatrix_branch_{i}.csv", "x,y", branch.points)
+    em.write_points([("separatrix_loop.csv", result.loop.points)] + [
+        (f"separatrix_branch_{i}.csv", branch.points)
+        for i, branch in enumerate(result.unbounded_branches)
+    ])
     sep_level = critical.separatrix_level(params)
     if em.wants("svg"):
         em.write(
@@ -351,7 +389,7 @@ def _cmd_separatrix(s: argparse.Namespace) -> int:
                 [result.loop, *result.unbounded_branches],
                 _loop_bbox(result),
                 sep_level,
-                critical.stagnation_point(params).location,
+                (0.0, params.saddle_height),
                 (0.0, 0.0),
             ),
             "svg",

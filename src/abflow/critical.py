@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError, SingularPointError
+from .errors import InvalidParamsError, NumericalError, SingularPointError
 from .field import FlowParams, _check_regular, _point
 
 __all__ = [
@@ -32,7 +33,7 @@ class PointKind(enum.Enum):
 class CriticalPoint:
     """A stagnation point (regular saddle) or the singular vortex core.
 
-    For a saddle, ``eigenvalues`` is (+c, -c) with c = hbar*k^2/(delta*mass),
+    For a saddle, ``eigenvalues`` is (+c, -c) with c = a/l = hbar*k^2/(delta*mass),
     ``eigenvectors`` holds the matching unit directions (unstable first, sign
     fixed by positive x component), and ``level`` is the Hamiltonian there.
     The vortex carries no eigenstructure and no finite level.
@@ -49,12 +50,15 @@ def stagnation_point(params: FlowParams) -> CriticalPoint | None:
     """The saddle at (0, delta/k), or None when delta = 0 or k = 0.
 
     With delta = 0 the velocity is constant and nonzero everywhere; with
-    k = 0 the flow is a pure rotation with no stagnation point.
+    k = 0 the flow is a pure rotation with no stagnation point.  A saddle
+    rate c = a/l that is not a finite normal double is a NumericalError.
     """
     if params.delta == 0.0 or params.k == 0.0:
         return None
     y0 = params.saddle_height
-    c = params.b / (y0 * y0)  # = hbar*k^2/(delta*mass), in rounded arithmetic
+    c = params.a / y0  # = hbar*k^2/(delta*mass), in rounded arithmetic
+    if not sys.float_info.min <= c <= sys.float_info.max:
+        raise NumericalError(f"the saddle rate a/l is {c!r}, not a finite normal double")
     unstable = np.array([1.0, -1.0]) / math.sqrt(2.0)
     stable = np.array([1.0, 1.0]) / math.sqrt(2.0)
     return CriticalPoint(

@@ -5,8 +5,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from abflow import cli
+from abflow import FlowParams, PortraitSpec, cli, portrait, trace_separatrix
 from abflow.cli import main
 
 
@@ -20,6 +21,43 @@ def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
     assert code == 0, out
     return json.loads(out)
+
+
+def xy_csv(points) -> str:
+    """The x,y CSV write_csv gives a table: one "%r,%r" row per point."""
+    return "x,y\n" + "".join(",".join(["%r"] * 2) % tuple(p) + "\n" for p in points.tolist())
+
+
+# the unit systems of scripts/artifact_digest.py
+UNITS = [
+    dict(),
+    dict(hbar=2.0, mass=0.5),
+    dict(hbar=0.25, mass=4.0, k=3.0),
+]
+
+# cells whose text is easy to get wrong: signed zeros, subnormals, the ends
+# of the double range, infinities and NaN with either sign bit
+# (repr(-nan) is "nan")
+EDGE_CELLS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+              -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan, -math.nan,
+              0.1 + 0.2, 0.5]
+cell = st.one_of(st.sampled_from(EDGE_CELLS), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def point_tables(draw):
+    """1-30 tables cut from rows drawn from one pool, each row with its x
+    and its y as they are or negated: exact mirror pairs, rows that differ
+    only in the sign of a zero or a NaN, and repeats within and across
+    tables."""
+    pool = draw(st.lists(st.tuples(cell, cell), min_size=1, max_size=12))
+    # each pick is a pool row, then a mask: 1 negates its x, 2 its y
+    picks = draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), st.integers(0, 3)),
+                          min_size=30, max_size=300))
+    rows = [(-pool[i][0] if m & 1 else pool[i][0], -pool[i][1] if m & 2 else pool[i][1])
+            for i, m in picks]
+    cuts = sorted(draw(st.sets(st.integers(1, len(rows) - 1), max_size=29)))
+    return [np.array(rows[a:b]) for a, b in zip([0, *cuts], [*cuts, len(rows)])]
 
 
 class TestEval:
@@ -191,6 +229,13 @@ class TestSubcommands:
         assert doc["stagnation_point"]["location"] == [0.0, 0.5]
         doc = run_json(capsys, "stagnation", "--delta", "0")
         assert doc["stagnation_point"] is None
+
+    def test_stagnation_rate_below_the_double_range(self, capsys):
+        # a = 1e-250 and l = 5e99: the eigenvalues a/l = 2e-350 are no double
+        code = main(["stagnation", "--hbar", "1e-150", "--k", "1e-100"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "a/l" in captured.err
 
     def test_separatrix(self, capsys, tmp_path):
         out = tmp_path / "sep"
@@ -442,6 +487,46 @@ class TestArtifacts:
         em.write_csv("t.csv", header, rows)
         expected = "\n".join([header, *(",".join(map(repr, r)) for r in rows)]) + "\n"
         assert (tmp_path / "t.csv").read_text() == expected
+
+    @given(tables=point_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_point_tables_match_per_table_format(self, tables):
+        em = cli._Emitter(argparse.Namespace(format="csv", out="unused"))
+        written = []
+        em.write = lambda name, text, kind: written.append((name, text, kind))
+        em.write_points([(f"t{i}.csv", t) for i, t in enumerate(tables)])
+        assert written == [(f"t{i}.csv", xy_csv(t), "csv") for i, t in enumerate(tables)]
+
+    def test_portrait_without_curves_writes_no_csv(self, capsys, tmp_path):
+        doc = run_json(capsys, "portrait", "--levels", "50", "--no-separatrix",
+                       "--grid", "40x30", "--out", str(tmp_path / "none"), "--format", "csv")
+        assert doc["polylines"] == 0 and doc["files"] == []
+        assert not (tmp_path / "none").exists()
+
+    @pytest.mark.parametrize("units", UNITS)
+    def test_point_csvs_match_the_library_points(self, capsys, tmp_path, units):
+        params = FlowParams(**units)
+        flags = [arg for key, v in units.items() for arg in (f"--{key}", repr(v))]
+        doc = run_json(capsys, "separatrix", *flags, "--out", str(tmp_path / "sep"),
+                       "--format", "csv")
+        result = trace_separatrix(params)
+        tables = {"separatrix_loop.csv": result.loop.points}
+        for i, branch in enumerate(result.unbounded_branches):
+            tables[f"separatrix_branch_{i}.csv"] = branch.points
+        assert doc["files"] == sorted(tables)
+        for name, points in tables.items():
+            assert (tmp_path / "sep" / name).read_text() == xy_csv(points)
+
+        doc = run_json(capsys, "portrait", *flags, "--grid", "160x120",
+                       "--out", str(tmp_path / "fig"), "--format", "csv")
+        counters = {}
+        tables = {}
+        for poly in portrait(params, PortraitSpec(grid=(160, 120))):
+            idx = counters[poly.level] = counters.get(poly.level, -1) + 1
+            tables[f"level_{float(poly.level)!r}_{idx}.csv"] = poly.points
+        assert doc["files"] == sorted(tables)
+        for name, points in tables.items():
+            assert (tmp_path / "fig" / name).read_text() == xy_csv(points)
 
     @pytest.mark.parametrize("argv", [["eval", "--at", "1,1"], ["separatrix"]])
     @pytest.mark.parametrize("out", ["file", "file/sub"])

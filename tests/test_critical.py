@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from abflow import (
     FlowParams,
     InvalidParamsError,
+    NumericalError,
     PointKind,
     complex_potential,
     current,
@@ -51,6 +52,16 @@ class TestStagnationPoint:
     def test_absent_cases(self):
         assert stagnation_point(FlowParams(delta=0.0)) is None
         assert stagnation_point(FlowParams(k=0.0, delta=0.5)) is None
+
+    def test_rate_below_the_double_range_is_numerical_error(self):
+        # a = 1e-250 and l = 5e99: the rate a/l = 2e-350 underflows to 0
+        with pytest.raises(NumericalError, match="a/l"):
+            stagnation_point(FlowParams(hbar=1e-150, k=1e-100))
+
+    def test_rate_where_l_squared_overflows(self):
+        # a = 1e100 and l = 5e199: b/(l*l) would read 0, a/l is 2e-100
+        lam = stagnation_point(FlowParams(hbar=1e300, k=1e-200)).eigenvalues
+        assert lam == pytest.approx((2e-100, -2e-100), rel=1e-15, abs=0.0)
 
     @given(hbar=param_value, mass=param_value, k=param_value, delta=delta_pos)
     @settings(max_examples=50)

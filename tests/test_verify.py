@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -308,3 +309,27 @@ def test_scaling_without_a_time_unit():
     # l*l/tau are a and b themselves
     reports = run_suite(FlowParams(hbar=1e-120, k=1e-100), seed=42)
     assert suite_passed(reports), format_report(reports)
+
+
+def test_saddle_rate_below_the_double_range():
+    # a/l = 2e-350 underflows; the eigenvalues are checked on the canonical
+    # Jacobian, with no 0/0 and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = {rep.name: rep for rep in run_suite(FlowParams(hbar=1e-150, k=1e-100), seed=42)}
+    assert reports["saddle_eigenvalues"].verdict == "pass"
+    assert suite_passed(reports.values()), format_report(list(reports.values()))
+
+
+def test_tampered_jacobian_fails_saddle_eigenvalues(monkeypatch):
+    import abflow.critical as critical_mod
+
+    entries = critical_mod.jacobian_entries
+
+    def scaled(params, x, y):
+        alpha, beta = entries(params, x, y)
+        return alpha * (1.0 + 1e-9), beta * (1.0 + 1e-9)
+
+    monkeypatch.setattr(critical_mod, "jacobian_entries", scaled)
+    reports = {rep.name: rep for rep in run_suite(FlowParams(), seed=42)}
+    assert reports["saddle_eigenvalues"].verdict == "fail"
