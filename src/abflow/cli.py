@@ -16,6 +16,7 @@ Precedence: flags > key=value config file > defaults.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -157,9 +158,9 @@ def _load_config(path: str | None, command: str) -> dict:
 
 
 def _settings(args: argparse.Namespace) -> argparse.Namespace:
-    """The command's settings only: flags > config file > defaults."""
+    """The command's name and settings only: flags > config file > defaults."""
     given = dict(vars(args))
-    command = given.pop("command")
+    command = given["command"]
     config = _load_config(given.pop("config", None), command)
     defaults = {name: row[1] for name, row in _SETTINGS.items() if command in row[2]}
     return argparse.Namespace(**{**defaults, **config, **given})
@@ -252,6 +253,12 @@ class _Emitter:
                     for i, m in zip(row_of[start:end], minus[start:end])]
             self.write(name, "x,y\n" + "".join(rows), "csv")
 
+    def write_svg(self, name: str, curves, bbox, markers) -> None:
+        """Render and write the curves with their markers if an SVG is
+        wanted; a bbox of None fits the curves."""
+        if self.wants("svg"):
+            self.write(name, render_portrait(curves, bbox or _bbox_of(curves), *markers), "svg")
+
     def finish(self, summary: dict) -> None:
         """Print the JSON summary and write it if wanted; a summary that
         holds NaN or an infinity is a NumericalError, printed nowhere."""
@@ -268,14 +275,8 @@ def _summary_head(command: str, params: FlowParams) -> dict:
     natural = params.hbar == 1.0 and params.mass == 1.0
     return {
         "command": command,
-        "params": {
-            "hbar": params.hbar,
-            "mass": params.mass,
-            "k": params.k,
-            "delta": params.delta,
-            "a": params.a,
-            "b": params.b,
-        },
+        "params": {name: getattr(params, name)
+                   for name in ("hbar", "mass", "k", "delta", "a", "b")},
         "units": {
             "hbar": params.hbar,
             "mass": params.mass,
@@ -285,8 +286,34 @@ def _summary_head(command: str, params: FlowParams) -> dict:
     }
 
 
-def _cmd_eval(s: argparse.Namespace) -> int:
-    params = _flow_params(s)
+def _on_one_flow(handler):
+    """The command that runs handler(s, params, em) on the flow its settings
+    give.  The handler returns (summary keys, exit code); the command prints
+    the flow's summary head with those keys and the files written."""
+
+    @functools.wraps(handler)
+    def run(s: argparse.Namespace) -> int:
+        params = _flow_params(s)
+        em = _Emitter(s)
+        keys, code = handler(s, params, em)
+        em.finish({**_summary_head(s.command, params), **keys})
+        return code
+
+    return run
+
+
+def _markers(params: FlowParams) -> tuple:
+    """The separatrix level, saddle and vortex that render_portrait marks,
+    each None where the flow has none."""
+    if params.delta == 0.0:
+        return None, None, None
+    if params.k == 0.0:
+        return None, None, (0.0, 0.0)
+    return critical.separatrix_level(params), (0.0, params.saddle_height), (0.0, 0.0)
+
+
+@_on_one_flow
+def _cmd_eval(s: argparse.Namespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
     if s.at is None:
         raise InvalidParamsError("eval requires --at x,y")
     p = s.at
@@ -294,8 +321,7 @@ def _cmd_eval(s: argparse.Namespace) -> int:
     j = current(params, p)
     f = complex_potential(params, z)
     fp = complex_derivative(params, z)
-    summary = {
-        **_summary_head("eval", params),
+    return {
         "point": list(p),
         "current": [float(j[0]), float(j[1])],
         "complex_potential": [f.real, f.imag],
@@ -304,32 +330,24 @@ def _cmd_eval(s: argparse.Namespace) -> int:
         "hamiltonian": hamiltonian(params, p),
         "velocity_potential": velocity_potential(params, p),
         "near_branch_cut": near_branch_cut(p),
-    }
-    _Emitter(s).finish(summary)
-    return 0
+    }, 0
 
 
-def _cmd_stagnation(s: argparse.Namespace) -> int:
-    params = _flow_params(s)
+@_on_one_flow
+def _cmd_stagnation(s: argparse.Namespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
     sp = critical.stagnation_point(params)
-    summary = {
-        **_summary_head("stagnation", params),
-    }
     if sp is None:
-        summary["stagnation_point"] = None
-    else:
-        summary["stagnation_point"] = {
-            "location": sp.location.tolist(),
-            "eigenvalues": list(sp.eigenvalues),
-            "eigenvectors": [v.tolist() for v in sp.eigenvectors],
-            "level": sp.level,
-        }
-    _Emitter(s).finish(summary)
-    return 0
+        return {"stagnation_point": None}, 0
+    return {"stagnation_point": {
+        "location": sp.location.tolist(),
+        "eigenvalues": list(sp.eigenvalues),
+        "eigenvectors": [v.tolist() for v in sp.eigenvectors],
+        "level": sp.level,
+    }}, 0
 
 
-def _cmd_portrait(s: argparse.Namespace) -> int:
-    params = _flow_params(s)
+@_on_one_flow
+def _cmd_portrait(s: argparse.Namespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
     spec = PortraitSpec(
         bbox=s.bbox,
         grid=s.grid,
@@ -338,7 +356,6 @@ def _cmd_portrait(s: argparse.Namespace) -> int:
         include_separatrix=s.separatrix,
     )
     polylines = portrait(params, spec)
-    em = _Emitter(s)
     counters: dict[float, int] = {}
     tables = []
     for poly in polylines:
@@ -346,97 +363,61 @@ def _cmd_portrait(s: argparse.Namespace) -> int:
         counters[poly.level] = idx + 1
         tables.append((f"level_{float(poly.level)!r}_{idx}.csv", poly.points))
     em.write_points(tables)
-
-    sep_level = None
-    saddle = vortex = None
-    if params.delta > 0.0:
-        vortex = (0.0, 0.0)
-        if params.k > 0.0:
-            sep_level = critical.separatrix_level(params)
-            saddle = (0.0, params.saddle_height)
-    if em.wants("svg"):
-        em.write(
-            "portrait.svg",
-            render_portrait(polylines, spec.bbox, sep_level, saddle, vortex),
-            "svg",
-        )
-    summary = {
-        **_summary_head("portrait", params),
+    markers = _markers(params)
+    em.write_svg("portrait.svg", polylines, spec.bbox, markers)
+    return {
         "bbox": list(spec.bbox),
         "grid": list(spec.grid),
         "levels": sorted({float(p.level) for p in polylines}),
-        "separatrix_level": sep_level,
+        "separatrix_level": markers[0],
         "polylines": len(polylines),
         "closed_polylines": sum(1 for p in polylines if p.closed),
-    }
-    em.finish(summary)
-    return 0
+    }, 0
 
 
-def _cmd_separatrix(s: argparse.Namespace) -> int:
-    params = _flow_params(s)
+@_on_one_flow
+def _cmd_separatrix(s: argparse.Namespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
     result = dynamics.trace_separatrix(params)
-    em = _Emitter(s)
     em.write_points([("separatrix_loop.csv", result.loop.points)] + [
         (f"separatrix_branch_{i}.csv", branch.points)
         for i, branch in enumerate(result.unbounded_branches)
     ])
-    sep_level = critical.separatrix_level(params)
-    if em.wants("svg"):
-        em.write(
-            "separatrix.svg",
-            render_portrait(
-                [result.loop, *result.unbounded_branches],
-                _loop_bbox(result),
-                sep_level,
-                (0.0, params.saddle_height),
-                (0.0, 0.0),
-            ),
-            "svg",
-        )
-    summary = {
-        **_summary_head("separatrix", params),
-        "separatrix_level": sep_level,
+    markers = _markers(params)
+    em.write_svg("separatrix.svg", [result.loop, *result.unbounded_branches], None, markers)
+    return {
+        "separatrix_level": markers[0],
         "loop_points": len(result.loop.points),
         "loop_area": result.loop_area,
         "loop_max_radius": result.loop_max_radius,
         "lower_axis_crossing": result.lower_axis_crossing,
         "unbounded_branches": len(result.unbounded_branches),
-    }
-    em.finish(summary)
-    return 0
+    }, 0
 
 
-def _loop_bbox(result) -> tuple[float, float, float, float]:
-    pts = np.vstack([result.loop.points] + [b.points for b in result.unbounded_branches])
+def _bbox_of(curves) -> tuple[float, float, float, float]:
+    """The curves' bounding box with 5% margins."""
+    pts = np.vstack([c.points for c in curves])
     xmin, ymin = pts.min(axis=0)
     xmax, ymax = pts.max(axis=0)
     mx = 0.05 * max(xmax - xmin, ymax - ymin)
     return (float(xmin - mx), float(xmax + mx), float(ymin - mx), float(ymax + mx))
 
 
-def _cmd_circulation(s: argparse.Namespace) -> int:
-    params = _flow_params(s)
+@_on_one_flow
+def _cmd_circulation(s: argparse.Namespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
     result = circulation(params, s.center, s.radius, s.samples)
-    expected = (
-        -2.0 * math.pi * params.b
-        if math.hypot(*s.center) < s.radius
-        else 0.0
-    )
-    summary = {
-        **_summary_head("circulation", params),
+    closed_form = -2.0 * math.pi * params.b
+    return {
         "contour": result.contour,
         "circulation": result.value,
         "richardson_error_estimate": result.richardson_error_estimate,
-        "closed_form_if_origin_enclosed": -2.0 * math.pi * params.b,
-        "expected": expected,
-    }
-    _Emitter(s).finish(summary)
-    return 0
+        "closed_form_if_origin_enclosed": closed_form,
+        "expected": closed_form if math.hypot(*s.center) < s.radius else 0.0,
+    }, 0
 
 
-def _cmd_trajectory(s: argparse.Namespace) -> int:
-    params = _flow_params(s)
+@_on_one_flow
+def _cmd_trajectory(s: argparse.Namespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
     if s.start is None:
         raise InvalidParamsError("trajectory requires --start x,y")
     cfg = dynamics.IntegratorConfig(
@@ -445,14 +426,12 @@ def _cmd_trajectory(s: argparse.Namespace) -> int:
     traj = dynamics.integrate(
         params, s.start, cfg, detect_closure=s.detect_closure
     )
-    em = _Emitter(s)
     em.write_csv(
         "trajectory.csv",
         "t,x,y,h",
         np.column_stack([traj.times, traj.points, traj.h_values]),
     )
-    summary = {
-        **_summary_head("trajectory", params),
+    keys = {
         "start": list(s.start),
         "status": traj.status.value,
         "samples": len(traj),
@@ -461,11 +440,10 @@ def _cmd_trajectory(s: argparse.Namespace) -> int:
         "max_h_drift": traj.max_h_drift,
     }
     if s.detect_closure:
-        summary["return_distance"] = float(np.hypot(*(traj.points[-1] - traj.points[0])))
+        keys["return_distance"] = float(np.hypot(*(traj.points[-1] - traj.points[0])))
     if traj.status is dynamics.TrajectoryStatus.CLOSED_ORBIT_DETECTED:
-        summary["period"] = float(traj.times[-1])
-    em.finish(summary)
-    return 4 if traj.status is dynamics.TrajectoryStatus.STEP_FAILURE else 0
+        keys["period"] = float(traj.times[-1])
+    return keys, 4 if traj.status is dynamics.TrajectoryStatus.STEP_FAILURE else 0
 
 
 def _cmd_verify(s: argparse.Namespace) -> int:
@@ -475,18 +453,13 @@ def _cmd_verify(s: argparse.Namespace) -> int:
     print(text)
     em = _Emitter(s)
     em.write("verify_report.txt", text + "\n", None)
-    payload = [
-        {
-            "name": rep.name,
-            "params": rep.params,
-            "residual": None if math.isnan(rep.residual) else rep.residual,
-            "tolerance": None if math.isnan(rep.tolerance) else rep.tolerance,
-            "order": rep.order,
-            "verdict": rep.verdict,
-        }
-        for rep in reports
-    ]
-    em.write("verify_report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n", "json")
+    if em.wants("json"):
+        payload = [  # each report's fields, NaN as null
+            {k: None if isinstance(v, float) and math.isnan(v) else v
+             for k, v in dataclasses.asdict(rep).items()}
+            for rep in reports
+        ]
+        em.write("verify_report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n", "json")
     return 0 if verify_mod.suite_passed(reports) else 1
 
 
@@ -562,15 +535,11 @@ def _fold_signed_values(argv: list[str]) -> list[str]:
     # --flag=value so argparse does not mistake the value for an option
     valued = {_flag(name) for name, row in _SETTINGS.items() if row[0] is not _bool}
     out = []
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg in valued and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{arg}={argv[i + 1]}")
-            i += 2
+    for arg in argv:
+        if out and out[-1] in valued and arg.startswith("-"):
+            out[-1] += "=" + arg
         else:
             out.append(arg)
-            i += 1
     return out
 
 

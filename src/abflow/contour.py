@@ -64,7 +64,8 @@ class Polyline:
 @dataclass(frozen=True)
 class PortraitSpec:
     """Grid, bounding box, and level selection for portraits.  ``grid``, 8 to
-    GRID_MAX per side, sets the automatic levels' samples and the spacing."""
+    GRID_MAX per side, sets the automatic levels' samples and the spacing;
+    the bbox's bounds are finite and so is x*x + y*y on it."""
 
     bbox: tuple[float, float, float, float] = (-4.0, 4.0, -3.0, 3.0)
     grid: tuple[int, int] = (400, 300)
@@ -76,6 +77,10 @@ class PortraitSpec:
         xmin, xmax, ymin, ymax = self.bbox
         if not (xmax > xmin and ymax > ymin):
             raise InvalidParamsError(f"degenerate bbox {self.bbox!r}")
+        # the farthest corner; where its x*x + y*y is finite, so is the cell diagonal
+        xr, yr = max(-xmin, xmax), max(-ymin, ymax)
+        if not xr * xr + yr * yr <= sys.float_info.max:
+            raise InvalidParamsError(f"x*x + y*y is not finite on bbox {self.bbox!r}")
         nx, ny = self.grid
         if not (8 <= nx <= GRID_MAX and 8 <= ny <= GRID_MAX):
             raise InvalidParamsError(f"grid must be 8 to {GRID_MAX} per side, got {self.grid!r}")

@@ -180,12 +180,16 @@ def integrate(
     and at max_time.  With ``detect_closure`` a closed level ends after one
     period, closed if it returns within 1e-6*l of p0.  Steps run in the
     canonical frame of `IntegratorConfig`, mapped back; the first is p0 itself.
+    A start that is not finite, lies in the core, has no canonical units, or
+    where psi's x*x + y*y overflows is an InvalidStartError.
     """
     if cfg is None:
         cfg = IntegratorConfig()
     start = float(p0[0]), float(p0[1])
     if not (math.isfinite(start[0]) and math.isfinite(start[1])):
         raise InvalidStartError(f"start point {p0!r} is not finite")
+    if params.b > 0.0 and not math.isfinite(start[0] * start[0] + start[1] * start[1]):
+        raise InvalidStartError(f"psi is not finite at {p0!r}: x*x + y*y overflows there")
     l, tau, ca, cb = _frame(params, *start)
     if not (0.0 < l < math.inf and 0.0 < tau < math.inf and cfg.max_time / tau < math.inf):
         raise InvalidStartError(

@@ -1,13 +1,15 @@
 import argparse
+import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abflow import FlowParams, PortraitSpec, cli, portrait, trace_separatrix
+from abflow import FlowParams, PortraitSpec, cli, dynamics, portrait, trace_separatrix
 from abflow.cli import main
 
 
@@ -212,6 +214,15 @@ class TestPortrait:
                  "--out", str(out), "--format", "svg")
         assert (out / "portrait.svg").read_text().count('class="sep"') == 3
 
+    @pytest.mark.parametrize("bbox", ["-inf,4,-3,3", "0,1e308,-1e308,1e308", "0,1e200,0,1e200"])
+    def test_bbox_where_x2_plus_y2_overflows_is_usage_error(self, capsys, tmp_path, bbox):
+        out = tmp_path / "p"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout = run_cli(capsys, "portrait", f"--bbox={bbox}",
+                                   "--out", str(out), "--format", "all")
+        assert code == 2 and stdout == "" and not out.exists()
+
     def test_explicit_levels(self, capsys):
         doc = run_json(capsys, "portrait", "--levels", "-0.8465735902799727",
                        "--no-separatrix", "--grid", "150x120")
@@ -256,6 +267,26 @@ class TestSubcommands:
         # the distance from the last sample back to the start
         assert doc["return_distance"] == np.hypot(*(rows[-1, 1:3] - rows[0, 1:3]))
         assert 0.0 < doc["return_distance"] <= 1e-6 * 0.5
+
+    def test_trajectory_step_failure_prints_its_summary_and_exits_4(
+            self, capsys, tmp_path, monkeypatch):
+        # no CLI input is known to reach a step failure: stand one in
+        integrate = dynamics.integrate
+
+        def failing(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            return dataclasses.replace(traj, status=dynamics.TrajectoryStatus.STEP_FAILURE)
+
+        monkeypatch.setattr(dynamics, "integrate", failing)
+        out = tmp_path / "traj"
+        code, stdout = run_cli(capsys, "trajectory", "--start", "0,0.25", "--hbar", "2",
+                               "--out", str(out), "--format", "all")
+        assert code == 4
+        doc = json.loads(stdout)
+        assert doc["command"] == "trajectory" and doc["status"] == "step_failure"
+        assert doc["params"]["hbar"] == 2.0 and doc["units"]["hbar"] == 2.0
+        assert doc["files"] == ["trajectory.csv"]
+        assert json.loads((out / "summary.json").read_text()) == doc
 
     def test_trajectory_reports_return_distance_only_with_closure(self, capsys):
         argv = ["trajectory", "--start", "0,3", "--tmax", "1"]
@@ -313,6 +344,14 @@ class TestSubcommands:
     def test_trajectory_nonfinite_start(self, capsys, start):
         code, _ = run_cli(capsys, "trajectory", "--start", start)
         assert code == 3
+
+    def test_trajectory_start_whose_square_overflows(self, capsys, tmp_path):
+        out = tmp_path / "t"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout = run_cli(capsys, "trajectory", "--start", "0,1e160", "--out", str(out))
+            assert code == 3 and stdout == "" and not out.exists()
+            assert run_json(capsys, "trajectory", "--start", "1e150,0")["status"] == "completed"
 
     def test_separatrix_takes_no_tolerance_flags(self, capsys):
         for flag in ("--rtol", "--atol", "--tmax"):

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -358,6 +360,29 @@ class TestPortrait:
             PortraitSpec(bbox=(1, -1, 0, 1))
         with pytest.raises(Exception):
             PortraitSpec(grid=(4, 100))
+
+    @pytest.mark.parametrize("bbox", [
+        (-math.inf, 4.0, -3.0, 3.0),
+        (-4.0, 4.0, -3.0, math.inf),
+        (-4.0, math.nan, -3.0, 3.0),
+        (0.0, 1e308, -1e308, 1e308),  # the cell diagonal overflows too
+        (0.0, 1e200, 0.0, 1e200),
+        # the corner nearest the largest square, one double past the edge
+        (-1.0, math.nextafter(math.sqrt(sys.float_info.max), math.inf), 0.0, 1.0),
+    ])
+    def test_bbox_where_x2_plus_y2_is_not_finite_is_rejected(self, bbox):
+        with pytest.raises(InvalidParamsError):
+            PortraitSpec(bbox=bbox)
+
+    def test_bbox_at_the_edge_of_the_double_range(self):
+        # the largest square bbox on which x*x + y*y stays finite
+        h = math.sqrt(0.5 * sys.float_info.max)
+        spec = PortraitSpec(bbox=(-h, h, -h, h), grid=(40, 30))
+        assert math.isfinite(h * h + h * h) and math.isfinite(spec.cell_diag)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            polys = portrait(P, spec)
+        assert polys and all(np.isfinite(p.points).all() for p in polys)
 
     @pytest.mark.parametrize("grid", [(GRID_MAX + 1, 100), (100, 10**12)])
     def test_grid_upper_bound(self, grid):

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -146,6 +147,29 @@ class TestIntegrate:
     def test_unrepresentable_units_rejected(self, params, start, max_time):
         with pytest.raises(InvalidStartError):
             integrate(params, start, IntegratorConfig(max_time=max_time))
+
+    @pytest.mark.parametrize("params", [P, FlowParams(hbar=2.0, mass=0.5), FlowParams(k=0.25),
+                                        FlowParams(hbar=0.25, mass=4.0, k=3.0)])
+    def test_start_whose_square_overflows_rejected(self, params):
+        # psi forms x*x + y*y, which overflows one double past sqrt(max)
+        past = math.nextafter(math.sqrt(sys.float_info.max), math.inf)
+        for start in [(0.0, past), (-past, 0.0), (0.8 * past, 0.8 * past), (0.0, 1e160)]:
+            with pytest.raises(InvalidStartError):
+                integrate(params, start)
+
+    @pytest.mark.parametrize("params", [P, FlowParams(k=0.25)])
+    def test_largest_start_with_a_finite_square_runs(self, params):
+        # l = 0.5 and 2 are powers of two, so the samples l*(y/l) are y itself
+        y = math.sqrt(sys.float_info.max)
+        for start in [(0.0, y), (-y, 0.0)]:
+            traj = integrate(params, start)
+            assert np.isfinite(traj.h_values).all() and math.isfinite(traj.max_h_drift)
+
+    def test_line_flow_start_beyond_the_square_range_runs(self):
+        # psi = -a*y has no x*x + y*y to overflow
+        traj = integrate(FlowParams(delta=0.0), (0.0, 1e160))
+        assert traj.status is TrajectoryStatus.COMPLETED
+        assert np.isfinite(traj.h_values).all()
 
     def test_no_sample_inside_core(self):
         cfg = IntegratorConfig(core_radius=0.3, max_time=50.0)

@@ -139,7 +139,7 @@ def test_report_dataclass_verdict_rule():
     dict(hbar=10.0, mass=0.1, k=10.0, delta=0.1),
 ])
 def test_far_field_decay_is_well_conditioned(kwargs):
-    # F'(z) + a alone cancels to eps*a when b/|z| << a; the check must not
+    # u + a alone cancels to eps*a when b/|z| << a; the check must not
     # read that cancellation as a wrong field
     reports = {rep.name: rep for rep in run_suite(FlowParams(**kwargs), seed=42)}
     assert reports["far_field_decay"].verdict == "pass"
@@ -149,13 +149,19 @@ def test_far_field_decay_is_well_conditioned(kwargs):
 def test_far_field_decay_detects_a_wrong_vortex_term(monkeypatch):
     import abflow.verify as verify_mod
 
-    def half_vortex(a, b, z):
-        return -a + 0.5j * b / z
+    def half_vortex_off(x, y):
+        # half of the canonical vortex's current (y, -x)/r^2 taken off
+        r2 = x * x + y * y
+        return -0.5 * y / r2, 0.5 * x / r2
 
-    # the F' kernel run_suite evaluates on its arrays
-    monkeypatch.setattr(verify_mod, "_dF", half_vortex)
-    reports = {rep.name: rep for rep in run_suite(FlowParams(delta=1e-6), seed=42)}
+    reports = {rep.name: rep
+               for rep in run_suite(FlowParams(delta=1e-6), seed=42, tamper=half_vortex_off)}
     assert reports["far_field_decay"].verdict == "fail"
+
+    # a wrong F' kernel, with the current intact, breaks F' = u - i v
+    monkeypatch.setattr(verify_mod, "_dF", lambda a, b, z: -a + 0.5j * b / z)
+    reports = {rep.name: rep for rep in run_suite(FlowParams(delta=1e-6), seed=42)}
+    assert reports["derivative_velocity_identity"].verdict == "fail"
 
 
 def test_every_seed_passes_at_natural_units():
