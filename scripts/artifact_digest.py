@@ -5,10 +5,11 @@ Each call is one in-process ``abflow.cli.main`` run with ``--format all``
 into a fresh directory.  Its digest covers the exit code, stdout and the
 name and bytes of every artifact.  The calls cover every command at natural
 units and in two scaled unit systems, plus portraits that reach every
-branch of the level-curve pass and point tables that mirror only in part
-about the y axis or not at all.  One line per call, then one overall
-digest.  Two checkouts whose lines match wrote the same bytes, so a change
-that should not move any output can be checked by running this on both:
+branch of the level-curve pass, point tables that mirror only in part
+about the y axis or not at all, and the largest grid whose automatic levels
+sample every node.  One line per call, then one overall digest.  Two
+checkouts whose lines match wrote the same bytes, so a change that should
+not move any output can be checked by running this on both:
 
     PYTHONPATH=src python3 scripts/artifact_digest.py
 """
@@ -43,7 +44,8 @@ COMMANDS = {
 # pass: a rotation and a line flow, a bbox that cuts the separatrix loop and
 # one that clips its arms, no separatrix, explicit levels (50 has no curve
 # in the bbox), the smallest grid, and a flow whose vertices need bisection;
-# then a bbox with no left half and a line flow's off-center bbox
+# then a bbox with no left half and a line flow's off-center bbox, and the
+# largest grid whose automatic levels are quantiles over every node
 PORTRAITS = {
     "rotation": ["--k", "0", "--grid", "160x120"],
     "line-flow": ["--delta", "0", "--grid", "160x120"],
@@ -57,6 +59,7 @@ PORTRAITS = {
     "right-half": ["--bbox", "0.1,4,-3,3", "--grid", "160x120"],
     "lines-off-center": ["--delta", "0", "--allow-any-delta", "--bbox", "-1,3,-3,3",
                          "--grid", "160x120"],
+    "grid-128x96": ["--grid", "128x96"],
 }
 
 CALLS = [

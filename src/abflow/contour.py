@@ -36,6 +36,7 @@ __all__ = [
 
 GRID_MAX = 2048  # largest grid side, a bound on memory
 SAMPLES_MAX = 1 << 20  # most circulation samples, a bound on memory
+LEVEL_NODES = (128, 96)  # most grid nodes per side that the automatic levels sample
 _T65 = np.linspace(0.0, np.pi, 65)  # the parameters of a side's arc-length estimate
 
 
@@ -64,8 +65,10 @@ class Polyline:
 @dataclass(frozen=True)
 class PortraitSpec:
     """Grid, bounding box, and level selection for portraits.  ``grid``, 8 to
-    GRID_MAX per side, sets the automatic levels' samples and the spacing;
-    the bbox's bounds are finite and so is x*x + y*y on it."""
+    GRID_MAX per side, sets the vertex spacing; the automatic levels are
+    quantiles of psi over at most 128x96 of its nodes (every node of a grid
+    within that, every ceil(nx/128)-th and ceil(ny/96)-th of a larger one).
+    The bbox's bounds are finite and so is x*x + y*y on it."""
 
     bbox: tuple[float, float, float, float] = (-4.0, 4.0, -3.0, 3.0)
     grid: tuple[int, int] = (400, 300)
@@ -283,10 +286,13 @@ def level_curves(params: FlowParams, level: float, spec: PortraitSpec) -> list[P
 
 
 def _auto_levels(params: FlowParams, spec: PortraitSpec) -> list[float]:
-    # quantiles of psi on the grid, away from the vortex
+    # quantiles of psi on the grid's nodes, away from the vortex: per side
+    # every ceil(n/cap)-th node from the first, at most LEVEL_NODES in all
     xmin, xmax, ymin, ymax = spec.bbox
-    nx, ny = spec.grid
-    xg, yg = np.meshgrid(np.linspace(xmin, xmax, nx), np.linspace(ymin, ymax, ny), copy=False)
+    (nx, ny), (cx, cy) = spec.grid, LEVEL_NODES
+    xs = np.linspace(xmin, xmax, nx)[::math.ceil(nx / cx)]
+    ys = np.linspace(ymin, ymax, ny)[::math.ceil(ny / cy)]
+    xg, yg = np.meshgrid(xs, ys, copy=False)
     psi = stream_values(params, xg, yg)
     vals = psi[np.isfinite(psi) & (np.hypot(xg, yg) >= 2.0 * spec.cell_diag)]
     if vals.size == 0:

@@ -8,6 +8,8 @@ cross and the vortex core as a dot.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 __all__ = ["render_portrait"]
@@ -33,13 +35,20 @@ def render_portrait(
     Each polyline's points attribute is one %-format over its pixel
     coordinates, three decimals each."""
     xmin, xmax, ymin, ymax = (float(v) for v in bbox)
-    sx = width / (xmax - xmin)
-    height = int(round((ymax - ymin) * sx))
-    sy = height / (ymax - ymin)
+    # the height is 1 to 16 widths whatever the aspect ratio; a side too
+    # small for a finite scale (below about 1e-305) takes the largest one
+    sx = min(width / (xmax - xmin), sys.float_info.max)
+    height = int(round(min(max((ymax - ymin) * sx, 1.0), 16.0 * width)))
+    sy = min(height / (ymax - ymin), sys.float_info.max)
 
     def to_px(x, y):
         # floats or arrays
         return (x - xmin) * sx, (ymax - y) * sy
+
+    def marker_px(point):
+        # a marker out of view stays within one image size of it
+        cx, cy = to_px(float(point[0]), float(point[1]))
+        return min(max(cx, -width), 2.0 * width), min(max(cy, -height), 2.0 * height)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -58,7 +67,7 @@ def render_portrait(
         cls = ' class="sep"' if is_sep else ""
         parts.append(f"<polyline{cls} points=\"{coords}\"/>")
     if saddle is not None:
-        cx, cy = to_px(float(saddle[0]), float(saddle[1]))
+        cx, cy = marker_px(saddle)
         r = 6.0
         parts.append(
             f'<line class="saddle" x1="{cx - r:.3f}" y1="{cy - r:.3f}" '
@@ -69,7 +78,7 @@ def render_portrait(
             f'x2="{cx + r:.3f}" y2="{cy - r:.3f}"/>'
         )
     if vortex is not None:
-        cx, cy = to_px(float(vortex[0]), float(vortex[1]))
+        cx, cy = marker_px(vortex)
         parts.append(f'<circle class="vortex" cx="{cx:.3f}" cy="{cy:.3f}" r="3.5"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

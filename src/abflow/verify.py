@@ -199,10 +199,6 @@ def run_suite(
         size = ca * np.abs(z) + cb * (np.abs(np.log(np.abs(z))) + np.pi)
         return report("potential_superposition", np.max(resid / np.maximum(size, TINY)), 1e-14)
 
-    def check_h_equals_psi():
-        # hamiltonian and stream_function evaluate the kernel psi_at runs
-        return report("hamiltonian_equals_stream", np.max(np.abs(psi_at(x, y) - psi)), 0.0)
-
     def check_mirror():
         return report("mirror_symmetry", np.max(np.abs(psi - psi_at(-x, y))), 0.0)
 
@@ -313,7 +309,6 @@ def run_suite(
         check_stream_harmonic,
         check_velocity_identity,
         check_superposition,
-        check_h_equals_psi,
         check_mirror,
         check_far_field,
         check_hamiltonian_gradient,

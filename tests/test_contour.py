@@ -25,7 +25,8 @@ from abflow import (
     stream_values,
     trace_separatrix,
 )
-from abflow.contour import GRID_MAX, SAMPLES_MAX, polygon_area
+from abflow import contour
+from abflow.contour import GRID_MAX, SAMPLES_MAX, _auto_levels, polygon_area
 from helpers import hausdorff_distance, winding_number
 
 P = FlowParams()
@@ -277,6 +278,46 @@ class TestPortraitAccuracy:
             polys = portrait(params, spec)
             assert polys
             check_vertices(params, polys, spec)
+
+
+class TestAutoLevels:
+    @staticmethod
+    def reference(params, spec, xs, ys):
+        """The levels' quantiles of psi over the nodes xs x ys, away from the vortex."""
+        xg, yg = np.meshgrid(xs, ys)
+        psi = stream_values(params, xg, yg)
+        vals = psi[np.isfinite(psi) & (np.hypot(xg, yg) >= 2.0 * spec.cell_diag)]
+        qs = np.arange(1, spec.n_levels + 1) / (spec.n_levels + 1)
+        return [float(q) for q in np.unique(np.quantile(vals, qs))]
+
+    @pytest.mark.parametrize("params", [P, FlowParams(k=0.0), FlowParams(delta=1e-10)])
+    @pytest.mark.parametrize("grid", [(8, 8), (120, 90), (128, 96)])
+    @pytest.mark.parametrize("bbox", [(-4.0, 4.0, -3.0, 3.0), (-0.2, 0.4, -0.1, 0.3)])
+    def test_grids_within_the_cap_use_every_node(self, params, grid, bbox):
+        spec = PortraitSpec(bbox=bbox, grid=grid)
+        xs, ys = np.linspace(*bbox[:2], grid[0]), np.linspace(*bbox[2:], grid[1])
+        assert _auto_levels(params, spec) == self.reference(params, spec, xs, ys)
+
+    @pytest.mark.parametrize("grid", [(GRID_MAX, GRID_MAX), (129, 97), (600, 450)])
+    def test_larger_grids_use_a_strided_lattice_of_their_nodes(self, monkeypatch, grid):
+        spec = PortraitSpec(grid=grid, n_levels=24)
+        seen = []
+
+        def recording(params, x, y):
+            seen.append((np.array(x), np.array(y)))
+            return stream_values(params, x, y)
+
+        monkeypatch.setattr(contour, "stream_values", recording)
+        levels = _auto_levels(P, spec)
+        (xg, yg), = seen
+        assert xg.size <= 128 * 96
+        # every ceil(n/cap)-th node of the grid, from the first
+        kx, ky = -(-grid[0] // 128), -(-grid[1] // 96)
+        xs = np.linspace(*spec.bbox[:2], grid[0])[np.arange(0, grid[0], kx)]
+        ys = np.linspace(*spec.bbox[2:], grid[1])[np.arange(0, grid[1], ky)]
+        assert np.array_equal(xg, np.broadcast_to(xs, xg.shape))
+        assert np.array_equal(yg, np.broadcast_to(ys[:, None], yg.shape))
+        assert levels == self.reference(P, spec, xs, ys)
 
 
 class TestPortrait:

@@ -1,8 +1,5 @@
 import importlib.util
-import math
 from pathlib import Path
-
-import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -20,19 +17,6 @@ def test_make_portraits(tmp_path, capsys):
         assert (tmp_path / name / "portrait.svg").exists()
         assert (tmp_path / name / "summary.json").exists()
     assert 'class="sep"' in (tmp_path / "portrait_vortex" / "portrait.svg").read_text()
-
-
-def test_flux_sweep(capsys):
-    load("flux_sweep").run([0.5, 0.25])
-    header, *rows = capsys.readouterr().out.splitlines()
-    assert header.split() == ["delta", "loop_area", "max_radius", "lower_y",
-                              "circulation", "-2*pi*delta"]
-    assert len(rows) == 2
-    for row, delta in zip(rows, (0.5, 0.25)):
-        values = [float(v) for v in row.split()]
-        assert values[0] == delta
-        assert values[2] == pytest.approx(delta, rel=1e-6)
-        assert values[4] == pytest.approx(-2.0 * math.pi * delta, abs=1e-9)
 
 
 def test_artifact_digest_is_repeatable():

@@ -25,7 +25,6 @@ EXPECTED_CHECKS = [
     "divergence_free",
     "far_field_decay",
     "gradient_orthogonality",
-    "hamiltonian_equals_stream",
     "hamiltonian_gradient_consistency",
     "jacobian_finite_difference",
     "mirror_symmetry",
