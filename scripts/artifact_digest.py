@@ -6,10 +6,11 @@ into a fresh directory.  Its digest covers the exit code, stdout and the
 name and bytes of every artifact.  The calls cover every command at natural
 units and in two scaled unit systems, plus portraits that reach every
 branch of the level-curve pass, point tables that mirror only in part
-about the y axis or not at all, and the largest grid whose automatic levels
-sample every node.  One line per call, then one overall digest.  Two
-checkouts whose lines match wrote the same bytes, so a change that should
-not move any output can be checked by running this on both:
+about the y axis or not at all, the largest grid whose automatic levels
+sample every node, and a closed orbit next to the saddle.  One line per
+call, then one overall digest.  Two checkouts whose lines match wrote the
+same bytes, so a change that should not move any output can be checked by
+running this on both:
 
     PYTHONPATH=src python3 scripts/artifact_digest.py
 """
@@ -68,6 +69,7 @@ CALLS = [
     for command, argv in COMMANDS.items()
 ] + [(f"portrait/{name}", ["portrait", *flags]) for name, flags in PORTRAITS.items()] + [
     ("separatrix/delta-1e-9", ["separatrix", "--delta", "1e-9"]),
+    ("trajectory/near-saddle", ["trajectory", "--start", "0,0.499995", "--detect-closure"]),
 ]
 
 

@@ -2,8 +2,8 @@
 
 The field is a uniform stream superposed with a point vortex at the origin;
 the package evaluates it and its complex potential in closed form, locates
-and classifies the critical points, integrates trajectories with a
-Hamiltonian-drift budget, extracts level curves and circulation, and checks
+and classifies the critical points, integrates trajectories held on their
+level of the Hamiltonian, extracts level curves and circulation, and checks
 every analytic identity numerically.
 """
 

@@ -261,11 +261,14 @@ class _Emitter:
 
     def finish(self, summary: dict) -> None:
         """Print the JSON summary and write it if wanted; a summary that
-        holds NaN or an infinity is a NumericalError, printed nowhere."""
+        holds NaN or an infinity is a NumericalError, printed nowhere, and
+        the files this command wrote are removed."""
         summary["files"] = sorted(self.files)
         try:
             text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
         except ValueError as exc:
+            for name in self.files:
+                (self.out / name).unlink(missing_ok=True)
             raise NumericalError(f"a {summary['command']} result is not finite in doubles") from exc
         self.write("summary.json", text + "\n", "json")
         print(text)

@@ -1,11 +1,11 @@
 """Trajectory integration, closed orbits, and the separatrix.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with per-step error
-control plus a hard budget on the Hamiltonian drift |H(t) - H(0)|: a step
-whose endpoint violates the budget is rejected and bisected.  The Hamiltonian
-is a first integral of the flow, so the budget is attainable whenever the
-error tolerances are; if bisection stalls the trajectory is reported with
-``step_failure`` rather than silently accepted.
+control.  The Hamiltonian psi is a first integral of the flow, so each
+accepted step is projected back onto the start's level set along grad psi
+(Hairer, Lubich & Wanner, "Geometric Numerical Integration", 2nd ed.,
+2006, section IV.4): the drift |H(t) - H(0)| stays at roundoff, and a
+closed orbit next to the saddle does not slide onto a nearby level.
 
 Trajectories are integrated in one canonical frame, x = l*X and t = tau*T,
 in which the field is the same for every unit system; every guard is a
@@ -47,6 +47,7 @@ _HALF_WIDTH = 10.0  # of the domain box, or twice the start point
 _FIRST_STEP = 1e-3
 _MAX_STEP = 0.1
 _MIN_STEP_FRACTION = 1e-13
+SAMPLES_MAX = 1 << 18  # most samples of one trajectory, a bound on memory and time
 # a closed orbit ends within this distance of its start after one period
 _CLOSURE_POS_TOL = 1e-6
 # the tanh-sinh nodes of the period quadrature, step 1/16 (Takahasi & Mori,
@@ -80,27 +81,25 @@ class IntegratorConfig:
     (1 at the origin) and tau = l/a or l*l/b (a = hbar*k/mass,
     b = hbar*delta/mass).  Every guard is a constant of that one problem,
     so the samples, scaled by l and tau, do not depend on the unit system.
-    ``rel_tol`` and ``abs_tol`` bound the local error in units of l.
-    ``h_drift_budget`` bounds the drift of the canonical Hamiltonian, which
-    is |H(t) - H(0)| in units of b (of a*l for a line flow, whose H never
-    drifts).  ``core_radius`` defaults (None) to 1e-4*l.  The domain is the
-    box of half-width 10*l, widened to twice the start point.  The first
-    step is 1e-3*tau and no step is longer than 0.1*tau.  An orbit whose
-    level set closes is closed if, integrated for its period, it ends
-    within 1e-6*l of its start.  ``max_time`` is in the flow's own time
-    unit.
+    ``rel_tol`` and ``abs_tol`` bound the local error in units of l; each
+    step is projected onto the start's level, so psi drifts by roundoff.
+    ``core_radius`` defaults (None) to 1e-4*l.  The domain is the box of
+    half-width 10*l, widened to twice the start point.  The first step is
+    1e-3*tau and no step is longer than 0.1*tau.  An orbit whose level set
+    closes is closed if, integrated for its period, it ends within 1e-6*l
+    of its start.  ``max_time`` is in the flow's own time unit; needing
+    more than SAMPLES_MAX samples to reach it is an InvalidParamsError.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     core_radius: float | None = None
     max_time: float = 100.0
-    h_drift_budget: float = 1e-8
 
     def __post_init__(self):
         if self.rel_tol < 1e-14 or self.abs_tol < 1e-14:
             raise InvalidParamsError("tolerances must be at least 1e-14")
-        for name in ("rel_tol", "abs_tol", "max_time", "h_drift_budget"):
+        for name in ("rel_tol", "abs_tol", "max_time"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise InvalidParamsError(f"{name} must be positive, got {v!r}")
@@ -276,20 +275,24 @@ def integrate(
         err = math.sqrt(0.5 * ((ex / sx) ** 2 + (ey / sy) ** 2))
 
         if err > 1.0:
-            shrink = max(0.2, 0.9 * err ** -0.2)
-        elif math.hypot(xn, yn) <= core:
-            status = TrajectoryStatus.ENTERED_CORE_RADIUS
-            break
-        else:
-            shrink = 0.5 if abs(float(_psi(ca, cb, xn, yn)) - h0) > cfg.h_drift_budget else None
-        if shrink is not None:
-            h = ht * shrink
+            h = ht * max(0.2, 0.9 * err ** -0.2)
             rejections += 1
             if rejections > 200:
                 status = TrajectoryStatus.STEP_FAILURE
                 break
             continue
+        if math.hypot(xn, yn) <= core:
+            status = TrajectoryStatus.ENTERED_CORE_RADIUS
+            break
         rejections = 0
+        if len(times) == SAMPLES_MAX:
+            raise InvalidParamsError(f"trajectory reached SAMPLES_MAX = {SAMPLES_MAX} samples "
+                                     f"at time {tau * t!r} of max_time {cfg.max_time!r}")
+        # one Newton step onto the level h0 along grad psi = (-v, u); k7 anew (FSAL)
+        g, s = float(_psi(ca, cb, xn, yn)) - h0, k7x * k7x + k7y * k7y
+        if 0.0 < abs(g) < math.inf and s > 0.0:
+            xn, yn = xn + g / s * k7y, yn - g / s * k7x
+            k7x, k7y = _velocity(ca, cb, xn, yn)
 
         t = t + ht
         times.append(t)
@@ -327,12 +330,9 @@ def detect_closed_orbit(
     closes, run for its period within max_time, is closed if it ends within
     1e-6*l of p0, and its period is that time."""
     traj = integrate(params, p0, cfg, detect_closure=True)
-    start = traj.points[0]
-    last = traj.points[-1]
-    dist = float(np.hypot(*(last - start)))
-    if traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED:
-        return OrbitResult(closed=True, period=float(traj.times[-1]), return_distance=dist)
-    return OrbitResult(closed=False, period=None, return_distance=dist)
+    closed = traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED
+    return OrbitResult(closed=closed, period=float(traj.times[-1]) if closed else None,
+                       return_distance=float(np.hypot(*(traj.points[-1] - traj.points[0]))))
 
 
 def trace_separatrix(params: FlowParams) -> SeparatrixResult:

@@ -1,11 +1,26 @@
-"""Geometry helpers that only the tests use: winding numbers and Hausdorff
-distances of polylines, and a trajectory's position between samples."""
+"""Helpers that only the tests use: the unit band of the scaling law,
+winding numbers and Hausdorff distances of polylines, and a trajectory's
+position between samples."""
 
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from abflow import FlowParams, InvalidParamsError, Trajectory, current
+
+# decimal logarithms of the length and time units and of delta
+UNITS = dict(
+    log_l=st.floats(-6.0, 6.0),
+    log_tau=st.floats(-4.0, 4.0),
+    log_delta=st.floats(-12.0, math.log10(0.5)),
+)
+
+
+def flow(l: float, tau: float, delta: float) -> FlowParams:
+    """The flow with length unit delta/k = l and time unit tau: a = l/tau and
+    b = l*l/tau."""
+    return FlowParams(hbar=l * l / (tau * delta), k=delta / l, delta=delta)
 
 
 def winding_number(points: np.ndarray, about=(0.0, 0.0)) -> int:

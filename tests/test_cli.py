@@ -261,7 +261,7 @@ class TestSubcommands:
                        "--detect-closure", "--out", str(out))
         assert doc["status"] == "closed_orbit_detected"
         assert doc["period"] > 0
-        assert doc["max_h_drift"] <= 1e-8
+        assert doc["max_h_drift"] <= 1e-15  # roundoff: the orbit is held on its level
         rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
         assert rows.shape[1] == 4
         # the distance from the last sample back to the start
@@ -287,6 +287,28 @@ class TestSubcommands:
         assert doc["params"]["hbar"] == 2.0 and doc["units"]["hbar"] == 2.0
         assert doc["files"] == ["trajectory.csv"]
         assert json.loads((out / "summary.json").read_text()) == doc
+
+    def test_nonfinite_trajectory_leaves_no_artifacts(self, capsys, tmp_path):
+        # l = delta/k is no power of two, so the largest start with a finite
+        # square maps back one ulp past it and psi overflows there: the
+        # summary is not finite, and the CSV written before it is removed
+        out = tmp_path / "traj"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["trajectory", "--hbar", "0.25", "--mass", "4", "--k", "3",
+                         "--start", "0,1.3407807929942596e154", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert "not finite" in captured.err
+        assert not (out / "trajectory.csv").exists()
+
+    def test_trajectory_past_the_sample_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(dynamics, "SAMPLES_MAX", 100)
+        out = tmp_path / "traj"
+        code = main(["trajectory", "--start", "0,0.25", "--out", str(out), "--format", "all"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "SAMPLES_MAX = 100 samples" in captured.err
+        assert not out.exists()
 
     def test_trajectory_reports_return_distance_only_with_closure(self, capsys):
         argv = ["trajectory", "--start", "0,3", "--tmax", "1"]

@@ -22,6 +22,7 @@ from abflow import (
     stagnation_point,
     trace_separatrix,
 )
+from helpers import UNITS, flow
 
 EPS = sys.float_info.epsilon
 CANON = FlowParams(k=1.0, delta=1.0, allow_any_delta=True)
@@ -35,19 +36,6 @@ LOOP_AREA = 4.0
 CIRCULATION = 4.0  # of 2*pi*b, the vortex's circulation
 PERIOD = 4.0
 PORTRAIT_VERTICES = 128.0  # in units of l
-
-UNITS = dict(
-    log_l=st.floats(-6.0, 6.0),
-    log_tau=st.floats(-4.0, 4.0),
-    log_delta=st.floats(-12.0, math.log10(0.5)),
-)
-
-
-def flow(l: float, tau: float, delta: float) -> FlowParams:
-    """The flow with length unit delta/k = l and time unit tau: a = l/tau and
-    b = l*l/tau."""
-    return FlowParams(hbar=l * l / (tau * delta), k=delta / l, delta=delta)
-
 
 def eps_off(value, canonical, scale: float) -> float:
     """How far value is from scale*canonical, in eps of scale*max|canonical|."""
