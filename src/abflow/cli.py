@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -190,6 +191,7 @@ class _Emitter:
         self.fmt = s.format
         self.out = Path(s.out) if s.out else None
         self.files: list[str] = []
+        self.made: list[Path] = []  # the directories the first write made, deepest first
 
     def wants(self, kind: str | None) -> bool:
         """Whether an artifact of kind (csv, json or svg; None for every
@@ -205,6 +207,8 @@ class _Emitter:
         path = self.out / name
         try:
             if not self.files:
+                dirs = (self.out, *self.out.parents)
+                self.made = list(itertools.takewhile(lambda d: not d.exists(), dirs))
                 os.makedirs(self.out, exist_ok=True)
             path.write_text(text)
         except OSError as exc:
@@ -262,13 +266,16 @@ class _Emitter:
     def finish(self, summary: dict) -> None:
         """Print the JSON summary and write it if wanted; a summary that
         holds NaN or an infinity is a NumericalError, printed nowhere, and
-        the files this command wrote are removed."""
+        the files this command wrote are removed, then the directories it
+        made for them."""
         summary["files"] = sorted(self.files)
         try:
             text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
         except ValueError as exc:
             for name in self.files:
                 (self.out / name).unlink(missing_ok=True)
+            for made in self.made:
+                made.rmdir()
             raise NumericalError(f"a {summary['command']} result is not finite in doubles") from exc
         self.write("summary.json", text + "\n", "json")
         print(text)

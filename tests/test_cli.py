@@ -2,8 +2,12 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -288,11 +292,17 @@ class TestSubcommands:
         assert doc["files"] == ["trajectory.csv"]
         assert json.loads((out / "summary.json").read_text()) == doc
 
-    def test_nonfinite_trajectory_leaves_no_artifacts(self, capsys, tmp_path):
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_nonfinite_trajectory_leaves_no_artifacts(self, capsys, tmp_path, existed):
         # l = delta/k is no power of two, so the largest start with a finite
         # square maps back one ulp past it and psi overflows there: the
-        # summary is not finite, and the CSV written before it is removed
-        out = tmp_path / "traj"
+        # summary is not finite, and the CSV written before it is removed,
+        # with the --out directories the command made; one that was there
+        # before stays, with what it held
+        out = tmp_path / "runs" / "traj"
+        if existed:
+            out.mkdir(parents=True)
+            (out / "notes.txt").write_text("kept\n")
         with pytest.warns(RuntimeWarning, match="overflow"):
             code = main(["trajectory", "--hbar", "0.25", "--mass", "4", "--k", "3",
                          "--start", "0,1.3407807929942596e154", "--out", str(out)])
@@ -300,6 +310,10 @@ class TestSubcommands:
         assert code == 4 and captured.out == ""
         assert "not finite" in captured.err
         assert not (out / "trajectory.csv").exists()
+        if existed:
+            assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+        else:
+            assert list(tmp_path.iterdir()) == []
 
     def test_trajectory_past_the_sample_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(dynamics, "SAMPLES_MAX", 100)
@@ -430,6 +444,20 @@ class TestSubcommands:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "seed" in captured.err and "-1" in captured.err
+
+    @pytest.mark.parametrize("flags, line", [
+        (["--seed", "18446744073709551616"], None),
+        ([], "seed = 18446744073709551616"),
+    ])
+    def test_seed_past_uint64_is_usage_error(self, capsys, tmp_path, flags, line):
+        if line is not None:
+            cfg = tmp_path / "flow.cfg"
+            cfg.write_text(line + "\n")
+            flags = ["--config", str(cfg)]
+        code = main(["verify", *flags])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "seed" in captured.err and "18446744073709551616" in captured.err
 
     def test_verify_writes_report(self, capsys, tmp_path):
         out = tmp_path / "rep"
@@ -597,6 +625,37 @@ class TestArtifacts:
         code = main([*argv, "--out", str(target), "--format", "all"])
         assert code == 2
         assert str(target) in capsys.readouterr().err
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    # numpy imports numpy.random, with 19 modules, only on first use, and no
+    # command needs it; a fresh interpreter runs every command, since this
+    # session may have imported it already
+    commands = [
+        ["eval", "--at", "1,1"],
+        ["stagnation"],
+        ["portrait", "--grid", "60x45"],
+        ["separatrix"],
+        ["circulation"],
+        ["trajectory", "--start", "0,0.25", "--tmax", "1"],
+        ["verify"],
+        ["sweep", "--deltas", "0.5,0.4"],
+    ]
+    assert {argv[0] for argv in commands} == cli._ALL
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from abflow.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main([*argv, '--out', f'{sys.argv[1]}/{i}', '--format', 'all'])\n"
+        "             for i, argv in enumerate(json.loads(sys.argv[2]))]\n"
+        "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), json.dumps(commands)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert json.loads(proc.stdout) == [[0] * len(commands), False]
 
 
 class TestDeterminism:

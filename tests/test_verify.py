@@ -14,7 +14,7 @@ from abflow import (
     run_suite,
     suite_passed,
 )
-from abflow.verify import ORDER_BAND
+from abflow.verify import ORDER_BAND, _sample_points
 
 EXPECTED_CHECKS = [
     "canonical_scaling",
@@ -212,6 +212,46 @@ def test_report_keeps_verdicts_and_orders(kwargs, seed):
 def test_negative_seed_is_rejected():
     with pytest.raises(InvalidParamsError, match="-1"):
         run_suite(FlowParams(), seed=-1)
+
+
+@pytest.mark.parametrize("seed", [2**64, 2**64 + 42, 10**30])
+def test_seed_past_uint64_is_rejected(seed):
+    # folding it mod 2**64 would give two seeds the same points
+    with pytest.raises(InvalidParamsError, match=str(seed)):
+        run_suite(FlowParams(), seed=seed)
+
+
+def splitmix64(seed, n):
+    """n SplitMix64 outputs on the counter seed + i*gamma, i = 1..n, in
+    Python ints."""
+    mask, out = 2**64 - 1, []
+    for i in range(1, n + 1):
+        z = (seed + i * 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def test_splitmix64_oracle_gives_the_reference_outputs():
+    # the first outputs of the reference generator from states 0 and 1234567
+    assert splitmix64(0, 2) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4]
+    assert splitmix64(1234567, 3) == [6457827717110365317, 3203168211198807973,
+                                      9817491932198370423]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 42, 2**63, 2**64 - 1])
+def test_sample_points_are_splitmix64(seed):
+    n = 200
+    u = [(z >> 11) * 2.0**-53 for z in splitmix64(seed, 2 * n)]
+    r = np.array([0.1 + 4.9 * ui for ui in u[:n]])
+    th = np.array([-math.pi + 2.0 * math.pi * ui for ui in u[n:]])
+    x, y = _sample_points(seed, n)
+    assert x.tobytes() == (r * np.cos(th)).tobytes()
+    assert y.tobytes() == (r * np.sin(th)).tobytes()
+    # the points lie at the radii r, up to the roundoff of cos and sin
+    assert 0.1 <= r.min() and r.max() < 5.0
+    assert np.allclose(np.hypot(x, y), r, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("k, delta", [(0.3, 0.0), (3.0, 1e-9)])
