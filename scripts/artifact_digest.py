@@ -7,7 +7,8 @@ name and bytes of every artifact.  The calls cover every command at natural
 units and in two scaled unit systems, plus portraits that reach every
 branch of the level-curve pass, point tables that mirror only in part
 about the y axis or not at all, the largest grid whose automatic levels
-sample every node, and a closed orbit next to the saddle.  One line per
+sample every node, a closed orbit next to the saddle, and verify on a
+rotation, a line flow, the zero flow and a second seed.  One line per
 call, then one overall digest.  Two checkouts whose lines match wrote the
 same bytes, so a change that should not move any output can be checked by
 running this on both:
@@ -63,6 +64,15 @@ PORTRAITS = {
     "grid-128x96": ["--grid", "128x96"],
 }
 
+# verify on every canonical flow class: the regular flows above, then a
+# rotation, a line flow, the zero flow and one more seed
+VERIFY = {
+    "rotation": ["--k", "0"],
+    "line-flow": ["--delta", "0"],
+    "zero-flow": ["--k", "0", "--delta", "0"],
+    "seed-7": ["--seed", "7"],
+}
+
 CALLS = [
     (f"{command}/{units}", [*argv, *flags])
     for units, flags in UNITS.items()
@@ -70,7 +80,7 @@ CALLS = [
 ] + [(f"portrait/{name}", ["portrait", *flags]) for name, flags in PORTRAITS.items()] + [
     ("separatrix/delta-1e-9", ["separatrix", "--delta", "1e-9"]),
     ("trajectory/near-saddle", ["trajectory", "--start", "0,0.499995", "--detect-closure"]),
-]
+] + [(f"verify/{name}", ["verify", *flags]) for name, flags in VERIFY.items()]
 
 
 def digest(argv: list[str], out: Path) -> tuple[int, str]:

@@ -297,8 +297,18 @@ def _auto_levels(params: FlowParams, spec: PortraitSpec) -> list[float]:
     vals = psi[np.isfinite(psi) & (np.hypot(xg, yg) >= 2.0 * spec.cell_diag)]
     if vals.size == 0:
         return []
-    qs = np.arange(1, spec.n_levels + 1) / (spec.n_levels + 1)
-    return [float(q) for q in np.unique(np.quantile(vals, qs, overwrite_input=True))]
+    # np.quantile's default (linear) method and np.unique, bit for bit,
+    # without the numpy.ma that both import: the partition, on np.quantile's
+    # own indices, puts each quantile's neighbours in their sorted places;
+    # of equal levels (0.0 and -0.0), the first once sorted is kept
+    at = (vals.size - 1) * (np.arange(1, spec.n_levels + 1) / (spec.n_levels + 1))
+    lo = np.floor(at)
+    gamma, lo = at - lo, lo.astype(np.intp)
+    hi = np.minimum(lo + 1, vals.size - 1)
+    vals.partition(sorted({0, vals.size - 1, *lo.tolist(), *hi.tolist()}))
+    a, b = vals[lo], vals[hi]
+    q = np.sort(np.where(gamma >= 0.5, b - (b - a) * (1.0 - gamma), a + (b - a) * gamma)).tolist()
+    return [v for v, prev in zip(q, [math.nan, *q]) if v != prev]
 
 
 def portrait(params: FlowParams, spec: PortraitSpec) -> list[Polyline]:

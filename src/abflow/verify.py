@@ -11,8 +11,10 @@ output with its closed form (the velocity at the stagnation point, the
 circulation around circles of radius l*R), `saddle_eigenvalues` checks the
 canonical Jacobian at the saddle (0, 1) against +-1, and
 `canonical_scaling` ties the physical kernels at l*(X, U) to the canonical
-ones at (X, U).  Every check evaluates the kernels on whole arrays of
-sample points, never point by point.  Finite-difference checks report two
+ones at (X, U).  The suite calls each canonical kernel (velocity, psi,
+phi) once on one stencil table, the four neighbours of every sample point
+at every step, and once at the points; each finite-difference check reads
+its rows, never point by point.  Finite-difference checks report two
 numbers:
 
 * the residual compared against the tolerance is Richardson-extrapolated
@@ -27,7 +29,6 @@ numbers:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -70,7 +71,8 @@ def _verdict(residual: float, tolerance: float, order: float | None) -> str:
 
 
 def _rms(v: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(v))))
+    # np.mean's bits (one pairwise sum, then / n) without its wrappers
+    return math.sqrt(np.square(v).sum() / v.size)
 
 
 def _sample_points(seed: int, n_points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,14 +106,16 @@ def run_suite(
     """Run every identity check at seeded pseudorandom regular points.
 
     The points lie at radii 0.1 to 5 in units of l, drawn from a SplitMix64
-    counter on the seed (`_sample_points`).  Finite-difference
-    stencils and per-point identities evaluate the canonical flow's kernels
-    on whole arrays of points; an order is fitted exactly when the flow has
-    a vortex.  ``tamper(X, U) -> (du, dv)`` is a test-only hook that
-    perturbs the canonical velocity field, used to confirm the suite
-    detects a broken field.  Failures are reported, never raised; a seed
-    outside 0 to 2**64 - 1 is an InvalidParamsError.
+    counter on the seed (`_sample_points`).  Each canonical kernel runs once
+    on the stencil table and once at the points; an order is fitted exactly
+    when the flow has a vortex.  ``tamper(X, U) -> (du, dv)`` is a test-only
+    hook that perturbs the canonical velocity field, used to confirm the
+    suite detects a broken field; it must be elementwise on arrays of any
+    shape.  Failures are reported, never raised; a seed outside 0 to
+    2**64 - 1 or fewer than one point is an InvalidParamsError.
     """
+    if n_points < 1:
+        raise InvalidParamsError(f"n_points must be at least 1, got {n_points!r}")
     x, y = _sample_points(seed, n_points)
     scale = np.maximum(1.0, np.hypot(x, y))
     # no stencil reaches farther than the ladder's largest step; keep the
@@ -124,8 +128,7 @@ def run_suite(
     l, _, ca, cb = _frame(params)
     canon = FlowParams(k=ca, delta=cb, allow_any_delta=True)
 
-    def uv(xa, ya):
-        u, v = velocity(canon, xa, ya)
+    def with_tamper(xa, ya, u, v):
         if np.ndim(u) == 0:  # a line flow's constant field
             u, v = np.full(np.shape(xa), u), np.full(np.shape(xa), v)
         if tamper is not None:
@@ -133,15 +136,16 @@ def run_suite(
             u, v = u + du, v + dv
         return u, v
 
-    phi_at = functools.partial(potential_values, canon)
-    psi_at = functools.partial(stream_values, canon)  # also the Hamiltonian
+    def uv(xa, ya):
+        return with_tamper(xa, ya, *velocity(canon, xa, ya))
 
     def fitted_order(errors):
         # mean log2 ratio of successive ladder errors; without a vortex the
         # stencils hold roundoff alone, and there is no order to fit
         if cb == 0.0:
             return None
-        return float(np.mean([math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]))
+        logs = [math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]
+        return sum(logs) / len(logs)
 
     def report(name, residual, tol, order=None, applicable=True):
         if not applicable:
@@ -149,58 +153,67 @@ def run_suite(
         residual = float(residual)
         return CheckReport(name, pstr, residual, tol, order, _verdict(residual, tol, order))
 
-    def div_curl_values(h):
-        ue, ve = uv(x + h, y)
-        uw, vw = uv(x - h, y)
-        un, vn = uv(x, y + h)
-        us, vs = uv(x, y - h)
-        return (ue - uw + vn - vs) / (2.0 * h), (ve - vw - un + us) / (2.0 * h)
+    # the stencil table: row s holds the neighbours (x + h, y), (x - h, y),
+    # (x, y + h) and (x, y - h) of every point at the step h = steps[s]: the
+    # first-derivative step and its half, the Laplacian step and its half,
+    # the order ladder and the Jacobian's fixed step
+    h1, hl = H_FIRST * scale, H_LAPLACE * scale
+    steps = np.array([h1, 0.5 * h1, hl, 0.5 * hl, *(h0 * scale for h0 in ORDER_LADDER),
+                      np.full_like(x, 1e-5)])
+    first, laplace, ladder, jac = 0, 2, slice(4, 7), 7
+    xc, yc = np.broadcast_to(x, steps.shape), np.broadcast_to(y, steps.shape)
+    xt = np.stack([x + steps, x - steps, xc, xc], axis=1)
+    yt = np.stack([yc, yc, y + steps, y - steps], axis=1)
+    ut, vt = uv(xt, yt)
+    psit = stream_values(canon, xt, yt)  # psi is also the Hamiltonian
+    phit = potential_values(canon, xt, yt)
+    uc, vc = velocity(canon, x, y)  # untampered, for canonical_scaling
+    u0, v0 = with_tamper(x, y, uc, vc)
+    psi, phi = stream_values(canon, x, y), potential_values(canon, x, y)
+    two_h = 2.0 * steps
 
-    h1 = H_FIRST * scale
-    d1, c1 = div_curl_values(h1)
-    d2, c2 = div_curl_values(0.5 * h1)
-    div_x, curl_x = (4.0 * d2 - d1) / 3.0, (4.0 * c2 - c1) / 3.0
-    div_curl_ladder = [div_curl_values(h0 * scale) for h0 in ORDER_LADDER]
+    def grad(t, rows):
+        # central differences in x and in y of a table at the steps of rows
+        return (t[rows, 0] - t[rows, 1]) / two_h[rows], (t[rows, 2] - t[rows, 3]) / two_h[rows]
+
+    div = (ut[:, 0] - ut[:, 1] + vt[:, 2] - vt[:, 3]) / two_h
+    curl = (vt[:, 0] - vt[:, 1] - ut[:, 2] + ut[:, 3]) / two_h
+    div_x = (4.0 * div[first + 1] - div[first]) / 3.0
+    curl_x = (4.0 * curl[first + 1] - curl[first]) / 3.0
 
     def check_divergence():
-        errs = [_rms(d) for d, _ in div_curl_ladder]
+        errs = [_rms(d) for d in div[ladder]]
         return report("divergence_free", np.max(np.abs(div_x)), NORM_TOL, fitted_order(errs))
 
     def check_curl():
-        errs = [_rms(c) for _, c in div_curl_ladder]
+        errs = [_rms(c) for c in curl[ladder]]
         return report("curl_free", np.max(np.abs(curl_x)), NORM_TOL, fitted_order(errs))
 
     def check_cauchy_riemann():
         # the two equations for u - i v are the divergence and curl identities
         resid = max(np.max(np.abs(div_x)), np.max(np.abs(curl_x)))
-        errs = [_rms(np.hypot(d, c)) for d, c in div_curl_ladder]
+        errs = [_rms(np.hypot(d, c)) for d, c in zip(div[ladder], curl[ladder])]
         return report("cauchy_riemann", resid, NORM_TOL, fitted_order(errs))
 
-    def check_harmonic(name, f, mask):
-        xs, ys, scale_m = x[mask], y[mask], scale[mask]
-
-        def lap(h):
-            return (f(xs + h, ys) + f(xs - h, ys) + f(xs, ys + h) + f(xs, ys - h)
-                    - 4.0 * f(xs, ys)) / h**2
-
-        h1 = H_LAPLACE * scale_m
-        extrap = (4.0 * lap(0.5 * h1) - lap(h1)) / 3.0
-        errs = [_rms(lap(h0 * scale_m)) for h0 in ORDER_LADDER]
+    def check_harmonic(name, table, centre, mask):
+        if not mask.any():  # every point within a stencil of the cut of phi
+            return report(name, 0.0, 0.0, applicable=False)
+        lap = (table[:, 0] + table[:, 1] + table[:, 2] + table[:, 3] - 4.0 * centre) / steps**2
+        extrap = ((4.0 * lap[laplace + 1] - lap[laplace]) / 3.0)[mask]
+        errs = [_rms(row[mask]) for row in lap[ladder]]
         return report(name, np.max(np.abs(extrap)), NORM_TOL, fitted_order(errs))
 
     def check_potential_harmonic():
-        return check_harmonic("velocity_potential_harmonic", phi_at, off_cut)
+        return check_harmonic("velocity_potential_harmonic", phit, phi, off_cut)
 
     def check_stream_harmonic():
-        return check_harmonic("stream_function_harmonic", psi_at, np.ones_like(x, bool))
+        return check_harmonic("stream_function_harmonic", psit, psi, np.ones_like(x, bool))
 
     z = x + 1j * y
-    psi = psi_at(x, y)
 
     def check_velocity_identity():
-        u, v = uv(x, y)
         fp = _dF(ca, cb, z)
-        resid = np.hypot(fp.real - u, fp.imag + v) / np.maximum(np.abs(fp), TINY)
+        resid = np.hypot(fp.real - u0, fp.imag + v0) / np.maximum(np.abs(fp), TINY)
         return report("derivative_velocity_identity", np.max(resid), 1e-13)
 
     def check_superposition():
@@ -208,12 +221,12 @@ def run_suite(
         # log(r^2) kernels do not share the complex log; relative to the
         # size of the terms, since F itself may cancel
         f1, f2 = _F_parts(ca, cb, z)
-        resid = np.abs(f1 + f2 - (phi_at(x, y) + 1j * psi))
+        resid = np.abs(f1 + f2 - (phi + 1j * psi))
         size = ca * np.abs(z) + cb * (np.abs(np.log(np.abs(z))) + np.pi)
         return report("potential_superposition", np.max(resid / np.maximum(size, TINY)), 1e-14)
 
     def check_mirror():
-        return report("mirror_symmetry", np.max(np.abs(psi - psi_at(-x, y))), 0.0)
+        return report("mirror_symmetry", np.max(np.abs(psi - stream_values(canon, -x, y))), 0.0)
 
     def check_far_field():
         # the law |v + (a, 0)|*r = b far out, on the velocity kernel itself;
@@ -224,26 +237,14 @@ def run_suite(
         return report("far_field_decay", np.max(np.abs(np.hypot(u + ca, v) * r - cb)), 1e-12)
 
     def check_hamiltonian_gradient():
-        u, v = uv(x, y)
-        errs = []
-        for h0 in ORDER_LADDER:
-            h = h0 * scale
-            dhdy = (psi_at(x, y + h) - psi_at(x, y - h)) / (2.0 * h)
-            dhdx = (psi_at(x + h, y) - psi_at(x - h, y)) / (2.0 * h)
-            errs.append(_rms(np.hypot(dhdy - u, -dhdx - v)))
-        rel = errs[-1] / max(_rms(np.hypot(u, v)), TINY)
+        errs = [_rms(np.hypot(dhdy - u0, -dhdx - v0)) for dhdx, dhdy in zip(*grad(psit, ladder))]
+        rel = errs[-1] / max(_rms(np.hypot(u0, v0)), TINY)
         return report("hamiltonian_gradient_consistency", rel, 1e-3, fitted_order(errs))
 
     def check_jacobian_fd():
-        h = 1e-5
-        xs, ys = x[:100], y[:100]
-        alpha, beta = critical.jacobian_entries(canon, xs, ys)
-        ue, ve = uv(xs + h, ys)
-        uw, vw = uv(xs - h, ys)
-        un, vn = uv(xs, ys + h)
-        us, vs = uv(xs, ys - h)
-        fd = [(ue - uw) / (2 * h), (un - us) / (2 * h), (ve - vw) / (2 * h), (vn - vs) / (2 * h)]
-        resid = max(float(np.max(np.abs(j - d))) for j, d in zip((alpha, beta, beta, -alpha), fd))
+        alpha, beta = critical.jacobian_entries(canon, x[:100], y[:100])
+        fd = [*grad(ut, jac), *grad(vt, jac)]
+        resid = max(float(np.max(np.abs(j - d[:100]))) for j, d in zip((alpha, beta, beta, -alpha), fd))
         return report("jacobian_finite_difference", resid, 1e-5)
 
     def check_stagnation():
@@ -284,35 +285,25 @@ def run_suite(
         a, b = params.a, params.b
         vel, pot = (a if ca else b / l), (b if cb else a * l)
         u, v = velocity(params, lx, ly)
-        uc, vc = velocity(canon, x, y)
         shift = b * math.log(l)
         resids = [
             np.hypot(u - vel * uc, v - vel * vc) / np.maximum(vel * (ca + cb / r), TINY),
             np.abs(stream_values(params, lx, ly) - (pot * psi + shift))
             / np.maximum(pot * (ca * np.abs(y) + cb * np.abs(np.log(r))) + abs(shift) + b, TINY),
-            np.abs(potential_values(params, lx, ly) - pot * phi_at(x, y))
+            np.abs(potential_values(params, lx, ly) - pot * phi)
             / np.maximum(pot * (ca * np.abs(x) + cb * np.pi), TINY),
         ]
         return report("canonical_scaling", max(np.max(rd) for rd in resids), 1e-14)
 
     def check_orthogonality():
-        u0, v0 = uv(x, y)
         mask = off_cut & (np.hypot(u0, v0) >= 1e-3)
         if not mask.any():  # a zero field has no direction to be orthogonal to
             return report("gradient_orthogonality", 0.0, 0.0, applicable=False)
-        xs, ys = x[mask], y[mask]
-
-        def cosines(h0):
-            h = (h0 * scale)[mask]
-            gpx = (phi_at(xs + h, ys) - phi_at(xs - h, ys)) / (2 * h)
-            gpy = (phi_at(xs, ys + h) - phi_at(xs, ys - h)) / (2 * h)
-            gsx = (psi_at(xs + h, ys) - psi_at(xs - h, ys)) / (2 * h)
-            gsy = (psi_at(xs, ys + h) - psi_at(xs, ys - h)) / (2 * h)
-            return (gpx * gsx + gpy * gsy) / (np.hypot(gpx, gpy) * np.hypot(gsx, gsy))
-
-        errs = [_rms(cosines(h0)) for h0 in ORDER_LADDER]
-        residual = np.max(np.abs(cosines(H_FIRST)))
-        return report("gradient_orthogonality", residual, 1e-4, fitted_order(errs))
+        rows = [first, *range(7)[ladder]]
+        gpx, gpy, gsx, gsy = (g[:, mask] for g in (*grad(phit, rows), *grad(psit, rows)))
+        cosines = (gpx * gsx + gpy * gsy) / (np.hypot(gpx, gpy) * np.hypot(gsx, gsy))
+        errs = [_rms(c) for c in cosines[1:]]
+        return report("gradient_orthogonality", np.max(np.abs(cosines[0])), 1e-4, fitted_order(errs))
 
     checks = [
         check_divergence,

@@ -628,9 +628,9 @@ class TestArtifacts:
 
 
 def test_no_command_loads_numpy_random(tmp_path):
-    # numpy imports numpy.random, with 19 modules, only on first use, and no
-    # command needs it; a fresh interpreter runs every command, since this
-    # session may have imported it already
+    # numpy imports numpy.random (19 modules) and numpy.ma (3) only on first
+    # use, and no command needs them; a fresh interpreter runs every
+    # command, since this session may have imported them already
     commands = [
         ["eval", "--at", "1,1"],
         ["stagnation"],
@@ -648,14 +648,14 @@ def test_no_command_loads_numpy_random(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main([*argv, '--out', f'{sys.argv[1]}/{i}', '--format', 'all'])\n"
         "             for i, argv in enumerate(json.loads(sys.argv[2]))]\n"
-        "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n"
+        "print(json.dumps([codes, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules]))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path), json.dumps(commands)],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert json.loads(proc.stdout) == [[0] * len(commands), False]
+    assert json.loads(proc.stdout) == [[0] * len(commands), False, False]
 
 
 class TestDeterminism:

@@ -14,7 +14,7 @@ from abflow import (
     run_suite,
     suite_passed,
 )
-from abflow.verify import ORDER_BAND, _sample_points
+from abflow.verify import ORDER_BAND, ORDER_LADDER, _sample_points
 
 EXPECTED_CHECKS = [
     "canonical_scaling",
@@ -378,3 +378,45 @@ def test_tampered_jacobian_fails_saddle_eigenvalues(monkeypatch):
     monkeypatch.setattr(critical_mod, "jacobian_entries", scaled)
     reports = {rep.name: rep for rep in run_suite(FlowParams(), seed=42)}
     assert reports["saddle_eigenvalues"].verdict == "fail"
+
+
+@pytest.mark.parametrize("n_points", [0, -1])
+def test_fewer_than_one_point_is_rejected(n_points):
+    with pytest.raises(InvalidParamsError, match="n_points"):
+        run_suite(FlowParams(), n_points=n_points)
+
+
+def test_no_point_off_the_cut_is_reported_not_raised():
+    # seed 185's one point, (-1.067, -0.0017), lies within a stencil of the
+    # cut of phi: no point is left for the Laplacian of phi
+    (x,), (y,) = _sample_points(185, 1)
+    assert x < 0.0 and abs(y) < max(ORDER_LADDER)
+    reports = {rep.name: rep for rep in run_suite(FlowParams(), seed=185, n_points=1)}
+    assert sorted(reports) == EXPECTED_CHECKS
+    assert reports["velocity_potential_harmonic"].verdict == "not_applicable"
+    assert reports["gradient_orthogonality"].verdict == "not_applicable"
+    assert suite_passed(reports.values()), format_report(list(reports.values()))
+
+
+@pytest.mark.parametrize("params", [FlowParams(), FlowParams(k=0.0)], ids=["regular", "rotation"])
+def test_each_kernel_is_called_a_few_times_per_suite(monkeypatch, params):
+    # the stencils of every check share one table: each kernel runs on it,
+    # at the points and for the few checks of their own
+    import abflow.verify as verify_mod
+
+    calls = {"velocity": 0, "stream_values": 0, "potential_values": 0}
+
+    def counted(name):
+        kernel = getattr(verify_mod, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify_mod, name, counted(name))
+    assert suite_passed(run_suite(params, seed=42))
+    assert calls["velocity"] <= 5
+    assert calls["stream_values"] <= 4
+    assert calls["potential_values"] <= 3
