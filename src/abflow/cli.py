@@ -5,17 +5,18 @@ verify, sweep.  A summary document is printed to stdout as JSON (the verify
 report is a fixed-width text document); CSV/SVG artifacts go to --out.
 
 Every setting is one row of ``_SETTINGS``: its value parser, its default
-and the commands that read it.  The rows generate each subcommand's flags
-(booleans also take a ``--no-`` form; no flag may be abbreviated) and the
-keys a ``--config`` file may set for that command; a key that names no
-setting, or a setting the command does not read, is a usage error.
-Precedence: flags > key=value config file > defaults.  Exit codes: 0 ok,
-1 verification failure, 2 usage, 3 singular input, 4 numerical failure.
+and the commands that read it.  One loop (``_settings``) reads argv
+against the rows: they give each command's flags (booleans also take a
+``--no-`` form; no flag may be abbreviated) and the keys a ``--config``
+file may set for it.  A flag or key that names no setting, or a setting
+the command does not read, is a usage error, printed as ``error: ...`` on
+stderr like every other; -h or --help prints the usage.  Precedence:
+flags > key=value config file > defaults.  Exit codes: 0 ok, 1
+verification failure, 2 usage, 3 singular input, 4 numerical failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import functools
 import itertools
@@ -24,6 +25,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,21 +56,21 @@ from .svg import render_portrait
 def _point(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected x,y got {text!r}")
+        raise ValueError(f"expected x,y got {text!r}")
     return float(parts[0]), float(parts[1])
 
 
 def _bbox(text: str) -> tuple[float, float, float, float]:
     parts = [float(v) for v in text.split(",")]
     if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"expected xmin,xmax,ymin,ymax got {text!r}")
+        raise ValueError(f"expected xmin,xmax,ymin,ymax got {text!r}")
     return tuple(parts)
 
 
 def _grid(text: str) -> tuple[int, int]:
     parts = text.lower().split("x")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected NxM got {text!r}")
+        raise ValueError(f"expected NxM got {text!r}")
     return int(parts[0]), int(parts[1])
 
 
@@ -79,13 +81,13 @@ def _floats(text: str) -> tuple[float, ...]:
 def _bool(text: str) -> bool:
     word = text.lower()
     if word not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
-        raise argparse.ArgumentTypeError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
+        raise ValueError(f"expected 1/true/yes/on or 0/false/no/off, got {text!r}")
     return word in ("1", "true", "yes", "on")
 
 
 def _format(text: str) -> str:
     if text not in ("csv", "json", "svg", "all"):
-        raise argparse.ArgumentTypeError(f"expected csv, json, svg or all, got {text!r}")
+        raise ValueError(f"expected csv, json, svg or all, got {text!r}")
     return text
 
 
@@ -126,10 +128,6 @@ _SETTINGS = {
 }
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
 def _load_config(path: str | None, command: str) -> dict:
     if path is None:
         return {}
@@ -153,21 +151,58 @@ def _load_config(path: str | None, command: str) -> dict:
             raise InvalidParamsError(f"{command} does not read config key {key!r} in {raw!r}")
         try:
             cfg[key] = parse(value)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
+        except ValueError as exc:
             raise InvalidParamsError(f"bad config value {raw!r}: {exc}") from exc
     return cfg
 
 
-def _settings(args: argparse.Namespace) -> argparse.Namespace:
-    """The command's name and settings only: flags > config file > defaults."""
-    given = dict(vars(args))
-    command = given["command"]
+def _settings(argv: list[str]) -> SimpleNamespace | None:
+    """The command argv[0] names and its settings: flags > config file >
+    defaults.  A flag is --name VALUE or --name=VALUE (a value may start
+    with a minus sign), a boolean's --name or --no-name; the last of a
+    repeated flag wins.  -h or --help prints the usage and gives None;
+    any other argument is an InvalidParamsError naming it."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        print("usage: abflow COMMAND [--FLAG VALUE ...]\ncommands:")
+        print("\n".join(f"  {name:12} {help_text}" for name, (_, help_text) in _COMMANDS.items()))
+        return None
+    if command not in _COMMANDS:
+        raise InvalidParamsError(f"expected a command ({', '.join(_COMMANDS)}), got {command!r}")
+    # flag: (setting, value parser, the value text a boolean's flag implies)
+    flags, defaults = {"--config": ("config", str, None)}, {}
+    for name, (parse, default, commands) in _SETTINGS.items():
+        if command in commands:
+            defaults[name] = default
+            flag = "--" + name.replace("_", "-")
+            flags[flag] = (name, parse, "1" if parse is _bool else None)
+            if parse is _bool:
+                flags["--no-" + flag[2:]] = (name, parse, "0")
+    given, args = {}, iter(argv[1:])
+    for token in args:
+        if token in ("-h", "--help"):
+            print(" ".join(["usage: abflow", command, *(
+                f"[{flag}]" if implied else f"[{flag} VALUE]"
+                for flag, (_, _, implied) in flags.items())]))
+            return None
+        flag, eq, text = token.partition("=")
+        name, parse, implied = flags.get(flag, (None, None, None))
+        if parse is None or implied and eq:
+            shown = " ".join([token, *itertools.islice(args, 1)])
+            raise InvalidParamsError(f"unrecognized arguments: {shown}")
+        if not eq:
+            text = implied or next(args, None)
+            if text is None:
+                raise InvalidParamsError(f"{flag} expects a value")
+        try:
+            given[name] = parse(text)
+        except ValueError as exc:
+            raise InvalidParamsError(f"bad {flag} value {text!r}: {exc}") from exc
     config = _load_config(given.pop("config", None), command)
-    defaults = {name: row[1] for name, row in _SETTINGS.items() if command in row[2]}
-    return argparse.Namespace(**{**defaults, **config, **given})
+    return SimpleNamespace(**{**defaults, **config, **given}, command=command)
 
 
-def _flow_params(s: argparse.Namespace, delta: float | None = None) -> FlowParams:
+def _flow_params(s: SimpleNamespace, delta: float | None = None) -> FlowParams:
     if delta is None:
         delta = s.delta
         if s.flux is not None:
@@ -187,7 +222,7 @@ class _Emitter:
     kind is wanted, the directory made on the first write, and the summary
     lists every file written."""
 
-    def __init__(self, s: argparse.Namespace):
+    def __init__(self, s: SimpleNamespace):
         self.fmt = s.format
         self.out = Path(s.out) if s.out else None
         self.files: list[str] = []
@@ -302,7 +337,7 @@ def _on_one_flow(handler):
     the flow's summary head with those keys and the files written."""
 
     @functools.wraps(handler)
-    def run(s: argparse.Namespace) -> int:
+    def run(s: SimpleNamespace) -> int:
         params = _flow_params(s)
         em = _Emitter(s)
         keys, code = handler(s, params, em)
@@ -323,7 +358,7 @@ def _markers(params: FlowParams) -> tuple:
 
 
 @_on_one_flow
-def _cmd_eval(s: argparse.Namespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
+def _cmd_eval(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
     if s.at is None:
         raise InvalidParamsError("eval requires --at x,y")
     p = s.at
@@ -344,7 +379,7 @@ def _cmd_eval(s: argparse.Namespace, params: FlowParams, em: _Emitter) -> tuple[
 
 
 @_on_one_flow
-def _cmd_stagnation(s: argparse.Namespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
+def _cmd_stagnation(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
     sp = critical.stagnation_point(params)
     if sp is None:
         return {"stagnation_point": None}, 0
@@ -357,7 +392,7 @@ def _cmd_stagnation(s: argparse.Namespace, params: FlowParams, em: _Emitter) -> 
 
 
 @_on_one_flow
-def _cmd_portrait(s: argparse.Namespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
+def _cmd_portrait(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
     spec = PortraitSpec(
         bbox=s.bbox,
         grid=s.grid,
@@ -386,7 +421,7 @@ def _cmd_portrait(s: argparse.Namespace, params: FlowParams, em: _Emitter) -> tu
 
 
 @_on_one_flow
-def _cmd_separatrix(s: argparse.Namespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
+def _cmd_separatrix(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
     result = dynamics.trace_separatrix(params)
     em.write_points([("separatrix_loop.csv", result.loop.points)] + [
         (f"separatrix_branch_{i}.csv", branch.points)
@@ -414,7 +449,7 @@ def _bbox_of(curves) -> tuple[float, float, float, float]:
 
 
 @_on_one_flow
-def _cmd_circulation(s: argparse.Namespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
+def _cmd_circulation(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
     result = circulation(params, s.center, s.radius, s.samples)
     closed_form = -2.0 * math.pi * params.b
     return {
@@ -427,7 +462,7 @@ def _cmd_circulation(s: argparse.Namespace, params: FlowParams, em: _Emitter) ->
 
 
 @_on_one_flow
-def _cmd_trajectory(s: argparse.Namespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
+def _cmd_trajectory(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
     if s.start is None:
         raise InvalidParamsError("trajectory requires --start x,y")
     cfg = dynamics.IntegratorConfig(
@@ -456,7 +491,7 @@ def _cmd_trajectory(s: argparse.Namespace, params: FlowParams, em: _Emitter) -> 
     return keys, 4 if traj.status is dynamics.TrajectoryStatus.STEP_FAILURE else 0
 
 
-def _cmd_verify(s: argparse.Namespace) -> int:
+def _cmd_verify(s: SimpleNamespace) -> int:
     params = _flow_params(s)
     reports = verify_mod.run_suite(params, seed=s.seed)
     text = verify_mod.format_report(reports)
@@ -473,7 +508,7 @@ def _cmd_verify(s: argparse.Namespace) -> int:
     return 0 if verify_mod.suite_passed(reports) else 1
 
 
-def _cmd_sweep(s: argparse.Namespace) -> int:
+def _cmd_sweep(s: SimpleNamespace) -> int:
     if s.deltas is None:
         raise InvalidParamsError("sweep requires --deltas d1,d2,...")
     rows = []
@@ -517,51 +552,10 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="abflow",
-        description="Flow of the probability current around a magnetic string.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text) in _COMMANDS.items():
-        # no abbreviations, or argparse would read --delta as --deltas; an
-        # absent flag leaves no attribute, so config and defaults show through
-        p = sub.add_parser(command, help=help_text, allow_abbrev=False,
-                           argument_default=argparse.SUPPRESS)
-        p.add_argument("--config")
-        for name, (parse, _, commands) in _SETTINGS.items():
-            if command not in commands:
-                continue
-            if parse is _bool:
-                p.add_argument(_flag(name), action=argparse.BooleanOptionalAction)
-            else:
-                p.add_argument(_flag(name), type=parse)
-    return parser
-
-
-def _fold_signed_values(argv: list[str]) -> list[str]:
-    # a value may start with a minus sign (--bbox -4,4,-3,3); fold it into
-    # --flag=value so argparse does not mistake the value for an option
-    valued = {_flag(name) for name, row in _SETTINGS.items() if row[0] is not _bool}
-    out = []
-    for arg in argv:
-        if out and out[-1] in valued and arg.startswith("-"):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
-
-
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     try:
-        args = _build_parser().parse_args(_fold_signed_values(list(argv)))
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command][0](_settings(args))
+        s = _settings(sys.argv[1:] if argv is None else list(argv))
+        return 0 if s is None else _COMMANDS[s.command][0](s)
     except (SingularPointError, InvalidStartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -83,7 +83,7 @@ class IntegratorConfig:
     so the samples, scaled by l and tau, do not depend on the unit system.
     ``rel_tol`` and ``abs_tol`` bound the local error in units of l; each
     step is projected onto the start's level, so psi drifts by roundoff.
-    ``core_radius`` defaults (None) to 1e-4*l.  The domain is the box of
+    The core exclusion radius is 1e-4*l.  The domain is the box of
     half-width 10*l, widened to twice the start point.  The first step is
     1e-3*tau and no step is longer than 0.1*tau.  An orbit whose level set
     closes is closed if, integrated for its period, it ends within 1e-6*l
@@ -93,7 +93,6 @@ class IntegratorConfig:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    core_radius: float | None = None
     max_time: float = 100.0
 
     def __post_init__(self):
@@ -103,9 +102,6 @@ class IntegratorConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise InvalidParamsError(f"{name} must be positive, got {v!r}")
-        v = self.core_radius
-        if v is not None and not (math.isfinite(v) and v > 0):
-            raise InvalidParamsError(f"core_radius must be positive, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -195,7 +191,7 @@ def integrate(
             f"cannot integrate from {p0!r} for max_time {cfg.max_time!r} "
             f"in the canonical units l={l!r}, tau={tau!r}"
         )
-    core = _CORE_RADIUS if cfg.core_radius is None else cfg.core_radius / l
+    core = _CORE_RADIUS
     x, y = start[0] / l, start[1] / l
     half = max(_HALF_WIDTH, 2.0 * max(abs(x), abs(y)))
     if math.hypot(x, y) <= core:

@@ -167,7 +167,7 @@ def run_suite(
     ut, vt = uv(xt, yt)
     psit = stream_values(canon, xt, yt)  # psi is also the Hamiltonian
     phit = potential_values(canon, xt, yt)
-    uc, vc = velocity(canon, x, y)  # untampered, for canonical_scaling
+    uc, vc = velocity(canon, x, y)  # untampered: canonical_scaling, orthogonality
     u0, v0 = with_tamper(x, y, uc, vc)
     psi, phi = stream_values(canon, x, y), potential_values(canon, x, y)
     two_h = 2.0 * steps
@@ -296,7 +296,8 @@ def run_suite(
         return report("canonical_scaling", max(np.max(rd) for rd in resids), 1e-14)
 
     def check_orthogonality():
-        mask = off_cut & (np.hypot(u0, v0) >= 1e-3)
+        # by the untampered speed, as psi and phi are untampered
+        mask = off_cut & (np.hypot(uc, vc) >= 1e-3)
         if not mask.any():  # a zero field has no direction to be orthogonal to
             return report("gradient_orthogonality", 0.0, 0.0, applicable=False)
         rows = [first, *range(7)[ladder]]

@@ -1,4 +1,3 @@
-import argparse
 import dataclasses
 import json
 import math
@@ -8,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -87,6 +87,38 @@ class TestEval:
     def test_bad_flag_is_usage_error(self, capsys):
         assert main(["eval", "--at", "banana"]) == 2
         assert main(["nonsense"]) == 2
+
+    @pytest.mark.parametrize("argv, token", [
+        ([], "command"),
+        (["nonsense"], "nonsense"),
+        (["eval", "--at", "1,1", "extra"], "extra"),
+        (["eval", "--at"], "--at"),
+        (["eval", "--at", "1,1", "--del", "0.3"], "--del"),  # no abbreviations
+        (["eval", "--at", "1,1", "--no-hbar"], "--no-hbar"),  # --no- is for booleans
+        (["portrait", "--separatrix=1"], "--separatrix"),  # a boolean takes no value
+    ], ids=["no-command", "unknown-command", "positional", "missing-value", "abbreviation",
+            "negated-value-flag", "valued-boolean"])
+    def test_usage_errors_name_the_token(self, capsys, argv, token):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert token in captured.err
+
+    def test_flag_forms(self, capsys):
+        assert run_json(capsys, "eval", "--at=-1,-2")["point"] == [-1.0, -2.0]
+        doc = run_json(capsys, "portrait", "--bbox=-4,4,-3,3", "--grid", "40x30")
+        assert doc["bbox"] == [-4.0, 4.0, -3.0, 3.0]
+        doc = run_json(capsys, "eval", "--delta", "0.1", "--at", "1,1", "--delta", "0.3")
+        assert doc["params"]["delta"] == 0.3  # the last of a repeated flag wins
+
+    def test_help_prints_usage(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(command in out for command in cli._ALL)
+        assert main(["portrait", "--help"]) == 0
+        out = capsys.readouterr().out
+        for name, (_, _, commands) in cli._SETTINGS.items():
+            assert ("--" + name.replace("_", "-") in out) == ("portrait" in commands), name
 
     def test_flux_sets_delta(self, capsys):
         doc = run_json(capsys, "eval", "--flux", str(math.pi), "--at", "1,1")
@@ -397,6 +429,9 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv", [
         ["portrait", "--grid", "60x45"],
         ["eval", "--at", "1,1"],
+        ["stagnation"],
+        ["separatrix"],
+        ["circulation"],
         ["trajectory", "--start", "0,0.25"],
         ["sweep", "--deltas", "0.5"],
     ])
@@ -572,7 +607,7 @@ class TestArtifacts:
         cells = [-0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, -1e300, 123456.789]
         rows = [[cells[(i + j) % len(cells)] for j in range(columns)] for i in range(len(cells))]
         header = ",".join(f"c{j}" for j in range(columns))
-        em = cli._Emitter(argparse.Namespace(format="csv", out=str(tmp_path)))
+        em = cli._Emitter(SimpleNamespace(format="csv", out=str(tmp_path)))
         em.write_csv("t.csv", header, rows)
         expected = "\n".join([header, *(",".join(map(repr, r)) for r in rows)]) + "\n"
         assert (tmp_path / "t.csv").read_text() == expected
@@ -580,7 +615,7 @@ class TestArtifacts:
     @given(tables=point_tables())
     @settings(max_examples=100, deadline=None)
     def test_point_tables_match_per_table_format(self, tables):
-        em = cli._Emitter(argparse.Namespace(format="csv", out="unused"))
+        em = cli._Emitter(SimpleNamespace(format="csv", out="unused"))
         written = []
         em.write = lambda name, text, kind: written.append((name, text, kind))
         em.write_points([(f"t{i}.csv", t) for i, t in enumerate(tables)])
@@ -629,8 +664,8 @@ class TestArtifacts:
 
 def test_no_command_loads_numpy_random(tmp_path):
     # numpy imports numpy.random (19 modules) and numpy.ma (3) only on first
-    # use, and no command needs them; a fresh interpreter runs every
-    # command, since this session may have imported them already
+    # use, and no command needs them, nor argparse; a fresh interpreter runs
+    # every command, since this session may have imported them already
     commands = [
         ["eval", "--at", "1,1"],
         ["stagnation"],
@@ -648,14 +683,15 @@ def test_no_command_loads_numpy_random(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main([*argv, '--out', f'{sys.argv[1]}/{i}', '--format', 'all'])\n"
         "             for i, argv in enumerate(json.loads(sys.argv[2]))]\n"
-        "print(json.dumps([codes, 'numpy.random' in sys.modules, 'numpy.ma' in sys.modules]))\n"
+        "loaded = [m in sys.modules for m in ('numpy.random', 'numpy.ma', 'argparse')]\n"
+        "print(json.dumps([codes, *loaded]))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path), json.dumps(commands)],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert json.loads(proc.stdout) == [[0] * len(commands), False, False]
+    assert json.loads(proc.stdout) == [[0] * len(commands), False, False, False]
 
 
 class TestDeterminism:

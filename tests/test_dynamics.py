@@ -181,9 +181,10 @@ class TestIntegrate:
         assert traj.status is TrajectoryStatus.COMPLETED
         assert np.isfinite(traj.h_values).all()
 
-    def test_no_sample_inside_core(self):
-        cfg = IntegratorConfig(core_radius=0.3, max_time=50.0)
-        traj = integrate(P, (0.0, 0.35), cfg)
+    def test_no_sample_inside_core(self, monkeypatch):
+        # a core of radius 0.3, in units of l = delta/k
+        monkeypatch.setattr(dynamics, "_CORE_RADIUS", 0.3 / (P.delta / P.k))
+        traj = integrate(P, (0.0, 0.35), IntegratorConfig(max_time=50.0))
         assert traj.status is TrajectoryStatus.ENTERED_CORE_RADIUS
         assert np.all(np.hypot(traj.points[:, 0], traj.points[:, 1]) > 0.3)
 
@@ -487,7 +488,7 @@ def test_loop_agrees_with_integrated_orbit(delta):
 class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
         dict(rel_tol=1e-15), dict(abs_tol=0.0),
-        dict(max_time=0.0), dict(core_radius=0.0),
+        dict(max_time=0.0),
     ])
     def test_invalid(self, bad):
         with pytest.raises(InvalidParamsError):

@@ -279,6 +279,14 @@ def test_zero_field_has_no_gradient_orthogonality():
     assert suite_passed(reports.values())
 
 
+def test_tampered_zero_field_has_no_gradient_orthogonality():
+    # psi and phi come from the untampered kernels, so a speed the tamper
+    # adds to the zero field gives them no gradient to compare
+    tamper = lambda x, y: (0.01 + 0.0 * x, 0.0)
+    reports = {r.name: r for r in run_suite(FlowParams(k=0.0, delta=0.0), tamper=tamper)}
+    assert reports["gradient_orthogonality"].verdict == "not_applicable"
+
+
 def test_superposition_detects_a_wrong_vortex_term(monkeypatch):
     import abflow.verify as verify_mod
 
