@@ -2,9 +2,9 @@
 
 The field is a uniform stream superposed with a point vortex at the origin;
 the package evaluates it and its complex potential in closed form, locates
-and classifies the critical points, integrates trajectories held on their
-level of the Hamiltonian, extracts level curves and circulation, and checks
-every analytic identity numerically.
+and classifies the critical points, samples trajectories on their level set
+of the Hamiltonian and times them by quadrature, extracts level curves and
+circulation, and checks every analytic identity numerically.
 """
 
 from .contour import (

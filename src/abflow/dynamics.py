@@ -1,20 +1,20 @@
-"""Trajectory integration, closed orbits, and the separatrix.
+"""Trajectories, closed orbits, and the separatrix, from the level sets of psi.
 
-The integrator is an embedded Dormand-Prince 5(4) pair with per-step error
-control.  The Hamiltonian psi is a first integral of the flow, so each
-accepted step is projected back onto the start's level set along grad psi
-(Hairer, Lubich & Wanner, "Geometric Numerical Integration", 2nd ed.,
-2006, section IV.4): the drift |H(t) - H(0)| stays at roundoff, and a
-closed orbit next to the saddle does not slide onto a nearby level.
+psi is a first integral of the flow, so an orbit runs along its level set,
+whose path is known in closed form (see contour); only the time along it
+needs numerics.  Trajectories run in one canonical frame, x = l*X and
+t = tau*T, in which the field is the same for every unit system and every
+guard is a constant of that one problem.  There a regular flow moves with
+dU/dT = -X/R^2: down the side X > 0 of a level piece and up its side X < 0.
+One sampler serves every side of every piece: its vertices lie at
+w = w_lo + span*(1 - cos t)/2 for equal steps of t, and each step is timed
+by four 8-point Gauss-Legendre panels, in which
+dT/dt = |u0|*exp(2w)/canonical_x(w, u0)*dw/dt is smooth at the axis
+crossings.  A closed level's period is twice the time along one side.  A
+rotation's circle and a line flow's line are closed forms in T.
 
-Trajectories are integrated in one canonical frame, x = l*X and t = tau*T,
-in which the field is the same for every unit system; every guard is a
-constant of that one problem.
-
-Orbits are level sets of psi, so closure needs no search: whether a level
-closes, and its period, follow from its y-axis crossings, and a closed orbit
-is integrated for one period.  In canonical coordinates (x, y) = l*(X, U)
-with l = delta/k the separatrix is the curve X^2 = exp(2(U-1)) - U^2.
+In canonical coordinates (x, y) = l*(X, U) with l = delta/k the separatrix
+is the curve X^2 = exp(2(U-1)) - U^2.
 """
 
 from __future__ import annotations
@@ -28,39 +28,31 @@ import numpy as np
 from . import critical
 from .contour import Polyline, _pieces, canonical_x
 from .errors import InvalidParamsError, InvalidStartError
-from .field import FlowParams, _frame, _psi, _velocity, stream_values
+from .field import FlowParams, _frame, stream_values
 
-__all__ = [
-    "IntegratorConfig",
-    "Trajectory",
-    "TrajectoryStatus",
-    "OrbitResult",
-    "SeparatrixResult",
-    "integrate",
-    "detect_closed_orbit",
-    "trace_separatrix",
-]
+__all__ = ["IntegratorConfig", "Trajectory", "TrajectoryStatus", "OrbitResult",
+           "SeparatrixResult", "integrate", "detect_closed_orbit", "trace_separatrix"]
 
 # guards of the canonical problem: lengths in l, times in tau
 _CORE_RADIUS = 1e-4
 _HALF_WIDTH = 10.0  # of the domain box, or twice the start point
-_FIRST_STEP = 1e-3
-_MAX_STEP = 0.1
-_MIN_STEP_FRACTION = 1e-13
+_FAR = 1e150  # past it the vortex moves a point by under 1e-150 of the stream: a line
+_SIDE_STEPS = 64  # equal steps of t along one side of a level piece
+_STEP_PANELS = 4  # Gauss-Legendre panels timing each step
 SAMPLES_MAX = 1 << 18  # most samples of one trajectory, a bound on memory and time
-# a closed orbit ends within this distance of its start after one period
-_CLOSURE_POS_TOL = 1e-6
-# the tanh-sinh nodes of the period quadrature, step 1/16 (Takahasi & Mori,
-# "Double exponential formulas for numerical integration", 1974)
-_TS_NODES = np.arange(-72, 73) / 16.0
+# _STEP_PANELS 8-point Gauss-Legendre panels on [0, 2*_STEP_PANELS], from the
+# rule's positive nodes on [-1, 1] and their weights
+_GL = np.array([
+    [0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362],
+    [0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706]])
+_GL = np.hstack([_GL[:, ::-1] * [[-1.0], [1.0]], _GL])
+_GL_NODES = (np.arange(1.0, 2.0 * _STEP_PANELS, 2.0)[:, None] + _GL[0]).ravel()
+_GL_WEIGHTS = np.tile(_GL[1], _STEP_PANELS)
 
 # W(1/e): the loop meets the negative y axis at U = -W(1/e) (Corless et al.,
 # "On the Lambert W function", 1996); its area is 2*int X dU over the loop
 _W_INV_E = 0.2784645427610738
 _LOOP_AREA = 0.731444628777403
-# vertices per side of the loop and per unbounded arm
-_LOOP_SIDE_SAMPLES = 700
-_ARM_SAMPLES = 580
 
 
 class TrajectoryStatus(enum.Enum):
@@ -68,45 +60,31 @@ class TrajectoryStatus(enum.Enum):
     CLOSED_ORBIT_DETECTED = "closed_orbit_detected"
     ENTERED_CORE_RADIUS = "entered_core_radius"
     LEFT_DOMAIN = "left_domain"
-    STEP_FAILURE = "step_failure"
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and guards for trajectory integration.
+    """How long a trajectory may run: ``max_time``, in the flow's own time
+    unit; needing more than SAMPLES_MAX samples is an InvalidParamsError.
 
-    A trajectory is integrated in canonical coordinates x = l*X, t = tau*T:
+    The guards are constants of the canonical problem x = l*X, t = tau*T:
     l = delta/k and tau = l/a for a regular flow; a line flow or a rotation
     has no length of its own, so l is the start's distance to the origin
     (1 at the origin) and tau = l/a or l*l/b (a = hbar*k/mass,
-    b = hbar*delta/mass).  Every guard is a constant of that one problem,
-    so the samples, scaled by l and tau, do not depend on the unit system.
-    ``rel_tol`` and ``abs_tol`` bound the local error in units of l; each
-    step is projected onto the start's level, so psi drifts by roundoff.
-    The core exclusion radius is 1e-4*l.  The domain is the box of
-    half-width 10*l, widened to twice the start point.  The first step is
-    1e-3*tau and no step is longer than 0.1*tau.  An orbit whose level set
-    closes is closed if, integrated for its period, it ends within 1e-6*l
-    of its start.  ``max_time`` is in the flow's own time unit; needing
-    more than SAMPLES_MAX samples to reach it is an InvalidParamsError.
+    b = hbar*delta/mass).  The core exclusion radius is 1e-4*l, and the
+    domain is the box of half-width 10*l, widened to twice the start point.
     """
 
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
     max_time: float = 100.0
 
     def __post_init__(self):
-        if self.rel_tol < 1e-14 or self.abs_tol < 1e-14:
-            raise InvalidParamsError("tolerances must be at least 1e-14")
-        for name in ("rel_tol", "abs_tol", "max_time"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise InvalidParamsError(f"{name} must be positive, got {v!r}")
+        if not (math.isfinite(self.max_time) and self.max_time > 0):
+            raise InvalidParamsError(f"max_time must be positive, got {self.max_time!r}")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Integration samples with Hamiltonian-drift statistics.
+    """Samples of one orbit with Hamiltonian-drift statistics.
 
     ``times`` are strictly increasing elapsed times; ``h_values`` is the
     Hamiltonian at each sample.  No sample lies inside the core exclusion
@@ -139,27 +117,100 @@ class SeparatrixResult:
     lower_axis_crossing: float
 
 
-def _canonical_period(ca: float, cb: float, X: float, U: float) -> float | None:
-    """The period, in units of tau, of the orbit through the canonical point
-    (X, U), or None if it does not close.  A rotation turns in 2*pi*R^2; a
-    regular flow's level log R - U = C closes exactly when C < -1 and U < 1,
-    in T = 2*int R^2/|X| dU between its y-axis crossings: a tanh-sinh sum
-    whose nodes lie at w = +-d from the nearer crossing u0, where
-    R^2/|X| = |u0|*exp(2w)/canonical_x(w, u0) keeps its digits."""
-    if cb == 0.0:
-        return None
-    if ca == 0.0:
-        return 2.0 * math.pi * (X * X + U * U)
-    c = math.log(math.hypot(X, U)) - U
-    if not (c < -1.0 and U < 1.0):
-        return None
-    top, w_lo = _pieces(c, 0.0)[0][:2]  # the loop spans top + w_lo <= U <= top
-    s = 0.5 * math.pi * np.sinh(_TS_NODES)
-    d = -w_lo / (1.0 + np.exp(2.0 * np.abs(s)))
-    lower = _TS_NODES < 0.0
-    u0, w = np.where(lower, top + w_lo, top), np.where(lower, d, -d)
-    weights = -w_lo * (math.pi / 32.0) * np.cosh(_TS_NODES) / np.cosh(s) ** 2
-    return float(np.sum(weights * np.abs(u0) * np.exp(2.0 * w) / canonical_x(w, u0)))
+def _curve(u0: float, w_lo: float, w_hi: float, s):
+    """w and X/|u0| at the parameters s of the level piece through (0, u0),
+    w_lo <= w <= w_hi, run as the flow runs it: its side X > 0 from w_hi down
+    to w_lo for s in [0, pi], then its side X < 0 back up.  On each side
+    w = w_lo + span*(1 - cos t)/2, t = |pi - s|, written from the nearer
+    end so that it keeps its digits at both."""
+    t, span = np.abs(np.pi - s), w_hi - w_lo
+    w = np.where(t < 0.5 * np.pi, w_lo + span * np.sin(0.5 * t) ** 2,
+                 w_hi - span * np.cos(0.5 * t) ** 2)
+    return w, canonical_x(w, u0)
+
+
+def _rate(u0: float, w_lo: float, w_hi: float, s):
+    """dT/ds = R^2/|X|*|dw/ds|, smooth where X vanishes like the square root
+    of the distance to a crossing."""
+    w, x = _curve(u0, w_lo, w_hi, s)
+    return np.exp(2.0 * w) * (np.abs(np.sin(s)) / x) * (0.5 * abs(u0) * (w_hi - w_lo))
+
+
+def _time(u0: float, w_lo: float, w_hi: float, a, b):
+    """The time along the curve from each parameter a to b, by _STEP_PANELS
+    8-point Gauss-Legendre panels."""
+    a, h = np.asarray(a), np.asarray((b - a) / (2.0 * _STEP_PANELS))
+    return h * (_rate(u0, w_lo, w_hi, a[..., None] + h[..., None] * _GL_NODES) @ _GL_WEIGHTS)
+
+
+def _still(x: float, y: float):
+    """The curve of a start that does not move, in the form of _level_curve."""
+    return np.array([0.0, math.inf]), np.full(2, x), np.full(2, y), 0, None, lambda k, dt: (x, y)
+
+
+def _level_curve(x: float, y: float, half: float):
+    """The curve of the start's level piece, sampled at _SIDE_STEPS steps of
+    t a side and at the start: its times C, vertices X and U, the start's
+    index, the period or None, and the point dt after vertex k."""
+    c = math.log(math.hypot(x, y)) - y
+    pieces = _pieces(c, 0.0)
+    u0, lo, hi = pieces[0 if len(pieces) == 1 or y < 1.0 else 1][:3]
+    loop, saddle = hi == 0.0, c == -1.0  # the separatrix reaches the saddle as T -> inf
+    on_axis = x == 0.0 and not saddle  # the start is a crossing: its piece's end, or anchor
+    if on_axis and loop and y < 0.0:
+        lo = y - u0
+    elif on_axis:
+        u0, lo = y, (u0 + lo) - y if loop else 0.0
+    if not loop:  # to R = 2*half, past the box
+        hi = math.log(2.0 * half / abs(u0))
+    w_s = min(max(math.log(math.hypot(x, y) / abs(u0)), lo), hi)  # R = |u0|*exp(w)
+    if saddle and w_s == (hi if loop else lo):  # the saddle, to rounding
+        return _still(x, y)
+    span = hi - lo
+    t_s = (2.0 * math.asin(math.sqrt((w_s - lo) / span)) if w_s - lo < hi - w_s
+           else math.pi - 2.0 * math.asin(math.sqrt((hi - w_s) / span)))
+    s_s = math.pi - t_s if x > 0.0 or x == 0.0 < y and loop else math.pi + t_s
+    s = math.pi * np.linspace(0.0, 2.0, 2 * _SIDE_STEPS + 1)
+    q = _time(u0, lo, hi, s[_SIDE_STEPS:-1], s[_SIDE_STEPS + 1:])  # a side, and its mirror
+    C = np.concatenate([[0.0], np.cumsum(np.concatenate([q[::-1], q]))])
+    i_s, c_s = int(np.searchsorted(s, s_s)), None
+    if (x / u0) ** 2 < 1e-8 and not saddle:
+        # next to a crossing, where X is the root of a rounding of w, the start
+        # is timed from the crossing by x/(dX/dT) there, dX/dT = 1/U - 1
+        j = _SIDE_STEPS if t_s < 0.5 * math.pi else 0 if s_s < math.pi else 2 * _SIDE_STEPS
+        c_s = C[j] + x / (1.0 / (u0 + (lo if j == _SIDE_STEPS else hi)) - 1.0)
+        i_s, s_s, c_s = j + (c_s > C[j]), s[j], None if c_s == C[j] else c_s
+    elif s[i_s] != s_s:  # the start's time, from the end of its panel away from a crossing
+        c_s = (C[i_s] - _time(u0, lo, hi, s_s, s[i_s]) if s_s % math.pi < 0.5 * math.pi
+               else C[i_s - 1] + _time(u0, lo, hi, s[i_s - 1], s_s))
+    if c_s is not None:
+        c_s = min(max(c_s, C[i_s - 1]), C[i_s])  # monotone, where it rounds onto a neighbour
+        s, C = np.insert(s, i_s, s_s), np.insert(C, i_s, c_s)
+    w, X = _curve(u0, lo, hi, s)
+    X, U = np.copysign(abs(u0) * X, np.pi - s), u0 + w
+    X[(s == np.pi) | loop & (s % (2.0 * np.pi) == 0.0)] = 0.0  # the crossings
+    X[i_s], U[i_s] = x, y
+    if saddle:
+        C[-1 if loop else np.flatnonzero(s == np.pi)[0]] = math.inf
+
+    def at(k: int, dt: float) -> tuple[float, float]:
+        # Newton's method on the time from vertex k, bisecting where a step
+        # leaves the panel to vertex k + 1, as it does next to the saddle
+        a, lo_s, hi_s = s[k], s[k], s[k + 1]
+        p = a + (hi_s - a) * (dt / (C[k + 1] - C[k]) or 0.5)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(60):
+                f = float(_time(u0, lo, hi, a, p)) - dt
+                lo_s, hi_s = (p, hi_s) if f < 0.0 else (lo_s, p)
+                p, prev = p - f / float(_rate(u0, lo, hi, p)), p
+                if not lo_s < p < hi_s:
+                    p = 0.5 * (lo_s + hi_s)
+                if p == prev:
+                    break
+        wp, xp = _curve(u0, lo, hi, p)
+        return math.copysign(abs(u0) * float(xp), math.pi - p), u0 + float(wp)
+
+    return C, X, U, i_s, C[-1] if loop and not saddle else None, at
 
 
 def integrate(
@@ -169,14 +220,18 @@ def integrate(
     *,
     detect_closure: bool = False,
 ) -> Trajectory:
-    """Integrate the current field from p0 under adaptive step control.
+    """The orbit from p0, sampled on its level set and timed by quadrature.
 
-    Halts on core entry, domain exit, or max_time; a zero field gives p0 at 0
-    and at max_time.  With ``detect_closure`` a closed level ends after one
-    period, closed if it returns within 1e-6*l of p0.  Steps run in the
-    canonical frame of `IntegratorConfig`, mapped back; the first is p0 itself.
-    A start that is not finite, lies in the core, has no canonical units, or
-    where psi's x*x + y*y overflows is an InvalidStartError.
+    A regular flow's orbit runs along the start's level piece in the
+    direction of motion; a rotation's is its circle and a line flow's its
+    line.  It halts at exactly max_time, on core entry, or on leaving the
+    domain; with ``detect_closure`` a level that closes within max_time
+    ends after one period, on p0.  The saddle and a zero field give p0 at 0
+    and at max_time.  Samples are formed in the canonical frame of
+    `IntegratorConfig` and mapped back as p0 + l*(P - P0), so the first is
+    p0 itself.  A start that is not finite, lies in the core, has no
+    canonical units, or where psi's x*x + y*y overflows is an
+    InvalidStartError.
     """
     if cfg is None:
         cfg = IntegratorConfig()
@@ -191,127 +246,71 @@ def integrate(
             f"cannot integrate from {p0!r} for max_time {cfg.max_time!r} "
             f"in the canonical units l={l!r}, tau={tau!r}"
         )
-    core = _CORE_RADIUS
     x, y = start[0] / l, start[1] / l
     half = max(_HALF_WIDTH, 2.0 * max(abs(x), abs(y)))
-    if math.hypot(x, y) <= core:
+    if math.hypot(x, y) <= _CORE_RADIUS:
         raise InvalidStartError(
-            f"start point {p0!r} lies within the core exclusion radius {core * l!r}"
+            f"start point {p0!r} lies within the core exclusion radius {_CORE_RADIUS * l!r}"
         )
 
-    h0 = float(_psi(ca, cb, x, y))
-    times = [0.0]
-    pts = [(x, y)]
+    # the curve the start moves on: times C along it, its vertices, the
+    # start's index, its period if it closes, and the point dt after vertex k
+    if ca == cb == 0.0:  # no field
+        C, X, U, i_s, period, at = _still(x, y)
+    elif cb == 0.0 or math.hypot(x, y) > _FAR:  # a line: X = x - T, to the edge of the box
+        C, X, U = np.array([0.0, x + half]), np.array([x, -half]), np.full(2, y)
+        i_s, period, at = 0, None, lambda k, dt: (x - dt, y)
+    elif ca == 0.0:  # a rotation: clockwise round the unit circle in 2*pi
+        r, theta = math.hypot(x, y), math.atan2(y, x)
+        C = np.linspace(0.0, 2.0 * math.pi, 2 * _SIDE_STEPS + 1)
+        X, U, i_s, period = r * np.cos(theta - C), r * np.sin(theta - C), 0, C[-1]
+        at = lambda k, dt: (r * math.cos(theta - C[k] - dt), r * math.sin(theta - C[k] - dt))
+    else:
+        C, X, U, i_s, period, at = _level_curve(x, y, half)
+    t_end = cfg.max_time / tau
+    closing = detect_closure and period is not None and period <= t_end
+    if closing:
+        t_end = period
+    if period is None:
+        k = np.arange(i_s, len(C))
+        T = C[k] - C[i_s]
+    else:  # laps of the closed curve, whose last vertex is its first
+        m = len(C) - 1
+        laps = math.ceil(min(t_end / period, SAMPLES_MAX // m + 1))
+        lap, k = np.divmod(np.arange(i_s, i_s + laps * m + 1), m)
+        T = (C[k] - C[i_s]) + lap * period
+    # a start within rounding of a vertex can share its time: the start stands for both
+    tie = np.diff(T) == 0.0
+    keep = ~(np.append(tie, False) | np.insert(tie, 0, False)) | (k == i_s)
+    T, k = T[keep], k[keep]
+    X, U = X[k], U[k]
 
-    fx, fy = _velocity(ca, cb, x, y)
-    x0, y0 = x, y
-
-    t = 0.0
-    h = _FIRST_STEP
-    status = None
-    rejections = 0
-    period = _canonical_period(ca, cb, x, y) if detect_closure else None
-    t_end = min(cfg.max_time / tau, period or math.inf)
-    if ca == cb == 0.0:  # no field: nothing moves
-        t, times, pts = t_end, [0.0, t_end], [(x, y)] * 2
-
-    while t_end - t > 1e-12 * t_end:
-        if h < _MIN_STEP_FRACTION * max(1.0, t):
-            status = TrajectoryStatus.STEP_FAILURE
-            break
-        ht = min(h, t_end - t)
-
-        # one Dormand-Prince 5(4) attempt (Dormand & Prince 1980) with the
-        # stages written out; no stage times, the field is autonomous.  A
-        # weight is applied as the rounded ratio c / d times k (k / 5 would
-        # round differently from 1 / 5 * k), and zero weights are left out.
-        k1x, k1y = fx, fy
-        try:
-            k2x, k2y = _velocity(ca, cb, x + ht * (1 / 5 * k1x), y + ht * (1 / 5 * k1y))
-            k3x, k3y = _velocity(
-                ca, cb,
-                x + ht * (3 / 40 * k1x + 9 / 40 * k2x),
-                y + ht * (3 / 40 * k1y + 9 / 40 * k2y),
-            )
-            k4x, k4y = _velocity(
-                ca, cb,
-                x + ht * (44 / 45 * k1x - 56 / 15 * k2x + 32 / 9 * k3x),
-                y + ht * (44 / 45 * k1y - 56 / 15 * k2y + 32 / 9 * k3y),
-            )
-            k5x, k5y = _velocity(
-                ca, cb,
-                x + ht * (19372 / 6561 * k1x - 25360 / 2187 * k2x
-                          + 64448 / 6561 * k3x - 212 / 729 * k4x),
-                y + ht * (19372 / 6561 * k1y - 25360 / 2187 * k2y
-                          + 64448 / 6561 * k3y - 212 / 729 * k4y),
-            )
-            k6x, k6y = _velocity(
-                ca, cb,
-                x + ht * (9017 / 3168 * k1x - 355 / 33 * k2x + 46732 / 5247 * k3x
-                          + 49 / 176 * k4x - 5103 / 18656 * k5x),
-                y + ht * (9017 / 3168 * k1y - 355 / 33 * k2y + 46732 / 5247 * k3y
-                          + 49 / 176 * k4y - 5103 / 18656 * k5y),
-            )
-            # the 5th-order solution; stage 7 is evaluated there (FSAL)
-            xn = x + ht * (35 / 384 * k1x + 500 / 1113 * k3x + 125 / 192 * k4x
-                           - 2187 / 6784 * k5x + 11 / 84 * k6x)
-            yn = y + ht * (35 / 384 * k1y + 500 / 1113 * k3y + 125 / 192 * k4y
-                           - 2187 / 6784 * k5y + 11 / 84 * k6y)
-            k7x, k7y = _velocity(ca, cb, xn, yn)
-        except ZeroDivisionError:
-            status = TrajectoryStatus.STEP_FAILURE
-            break
-        # embedded error estimate: 5th-order minus 4th-order weights
-        ex = ht * (71 / 57600 * k1x - 71 / 16695 * k3x + 71 / 1920 * k4x
-                   - 17253 / 339200 * k5x + 22 / 525 * k6x - 1 / 40 * k7x)
-        ey = ht * (71 / 57600 * k1y - 71 / 16695 * k3y + 71 / 1920 * k4y
-                   - 17253 / 339200 * k5y + 22 / 525 * k6y - 1 / 40 * k7y)
-        sx = cfg.abs_tol + cfg.rel_tol * max(abs(x), abs(xn))
-        sy = cfg.abs_tol + cfg.rel_tol * max(abs(y), abs(yn))
-        err = math.sqrt(0.5 * ((ex / sx) ** 2 + (ey / sy) ** 2))
-
-        if err > 1.0:
-            h = ht * max(0.2, 0.9 * err ** -0.2)
-            rejections += 1
-            if rejections > 200:
-                status = TrajectoryStatus.STEP_FAILURE
-                break
-            continue
-        if math.hypot(xn, yn) <= core:
-            status = TrajectoryStatus.ENTERED_CORE_RADIUS
-            break
-        rejections = 0
-        if len(times) == SAMPLES_MAX:
-            raise InvalidParamsError(f"trajectory reached SAMPLES_MAX = {SAMPLES_MAX} samples "
-                                     f"at time {tau * t!r} of max_time {cfg.max_time!r}")
-        # one Newton step onto the level h0 along grad psi = (-v, u); k7 anew (FSAL)
-        g, s = float(_psi(ca, cb, xn, yn)) - h0, k7x * k7x + k7y * k7y
-        if 0.0 < abs(g) < math.inf and s > 0.0:
-            xn, yn = xn + g / s * k7y, yn - g / s * k7x
-            k7x, k7y = _velocity(ca, cb, xn, yn)
-
-        t = t + ht
-        times.append(t)
-        pts.append((xn, yn))
-        x, y = xn, yn
-        fx, fy = k7x, k7y  # FSAL
-
-        if abs(x) > half or abs(y) > half:
-            status = TrajectoryStatus.LEFT_DOMAIN
-            break
-
-        grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
-        h = min(_MAX_STEP, ht * grow)
-
-    if status is None:
-        closed = t_end == period and math.hypot(x - x0, y - y0) <= _CLOSURE_POS_TOL
-        status = TrajectoryStatus.CLOSED_ORBIT_DETECTED if closed else TrajectoryStatus.COMPLETED
-
-    points = l * np.array(pts)
-    points[0 if ca or cb else slice(None)] = start  # p0 itself, twice on a zero field
+    # the first of: a vertex outside the box or an open curve's last (kept),
+    # one inside the core (dropped), and max_time (reached exactly)
+    out = np.maximum(np.abs(X), np.abs(U)) >= half
+    out[-1] |= period is None
+    hits = [(int(np.argmax(v)) + kept, rank, status) for rank, (v, kept, status) in enumerate([
+        (out, 1, TrajectoryStatus.LEFT_DOMAIN),
+        (np.hypot(X, U) <= _CORE_RADIUS, 0, TrajectoryStatus.ENTERED_CORE_RADIUS),
+        (T >= t_end, 0, None)]) if v.any()]
+    end, _, status = min(hits) if hits else (SAMPLES_MAX + 1, 0, None)
+    tail = []  # the point at max_time, between two vertices
+    if status is None and end <= SAMPLES_MAX:
+        status = (TrajectoryStatus.CLOSED_ORBIT_DETECTED if closing
+                  else TrajectoryStatus.COMPLETED)
+        if T[end] == t_end:
+            end += 1
+        else:
+            tail = [at(k[end - 1], t_end - T[end - 1])]
+    if end + len(tail) > SAMPLES_MAX or status is None:
+        raise InvalidParamsError(f"trajectory reached SAMPLES_MAX = {SAMPLES_MAX} samples at time "
+                                 f"{float(tau * T[SAMPLES_MAX - 1])!r} of max_time {cfg.max_time!r}")
+    times = np.append(T[:end], [t_end] * len(tail))
+    pts = np.vstack([np.column_stack([X[:end], U[:end]]), *tail])
+    points = np.array(start) + l * (pts - pts[0])
     hs = stream_values(params, points[:, 0], points[:, 1])
     return Trajectory(
-        times=tau * np.array(times),
+        times=tau * times,
         points=points,
         h_values=hs,
         max_h_drift=float(np.max(np.abs(hs - hs[0]))),
@@ -323,12 +322,21 @@ def detect_closed_orbit(
     params: FlowParams, p0, cfg: IntegratorConfig | None = None
 ) -> OrbitResult:
     """Integrate from p0 with ``detect_closure``: an orbit whose level set
-    closes, run for its period within max_time, is closed if it ends within
-    1e-6*l of p0, and its period is that time."""
+    closes within max_time is closed, ends on p0, and its period is that
+    time."""
     traj = integrate(params, p0, cfg, detect_closure=True)
     closed = traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED
     return OrbitResult(closed=closed, period=float(traj.times[-1]) if closed else None,
                        return_distance=float(np.hypot(*(traj.points[-1] - traj.points[0]))))
+
+
+def _loop_metrics(params: FlowParams) -> tuple[float, float, float]:
+    """The separatrix loop's area, largest radius and crossing of the
+    negative y axis: closed forms times l = delta/k."""
+    if params.delta == 0.0 or params.k == 0.0:
+        raise InvalidParamsError("separatrix tracing requires delta > 0 and k > 0")
+    l = params.saddle_height
+    return _LOOP_AREA * l * l, l, -_W_INV_E * l
 
 
 def trace_separatrix(params: FlowParams) -> SeparatrixResult:
@@ -336,44 +344,32 @@ def trace_separatrix(params: FlowParams) -> SeparatrixResult:
 
     In canonical coordinates (x, y) = l*(X, U), l = delta/k, the separatrix
     is X = +-sqrt(exp(2(U-1)) - U^2): the homoclinic loop for
-    -W(1/e) <= U <= 1 and the two unbounded arms for U >= 1.  The loop is
-    closed through the saddle and runs as the flow does, down the right side
-    (the unstable direction) and back up the left.  The arms, left then
-    right, run from the saddle to their first vertex outside the default
-    integration domain.
+    -W(1/e) <= U <= 1 and the two unbounded arms for U >= 1, each sampled
+    as trajectories are.  The loop is closed through the saddle and runs as
+    the flow does, down the right side (the unstable direction) and back up
+    the left.  The arms, left then right, run from the saddle to their
+    first vertex outside the default integration domain.
     """
-    if params.delta == 0.0 or params.k == 0.0:
-        raise InvalidParamsError("separatrix tracing requires delta > 0 and k > 0")
-    l = params.saddle_height
+    area, l, crossing = _loop_metrics(params)
     level = critical.separatrix_level(params)
+    n = 4 * _SIDE_STEPS  # four times a trajectory's: the loop ends within 1e-4*l of the saddle
+    s = math.pi * np.linspace(0.0, 2.0, 2 * n + 1)
+    w, x = _curve(1.0, -1.0 - _W_INV_E, 0.0, s)
+    x[[0, n, -1]] = 0.0  # X^2 vanishes at the saddle and the crossing only to roundoff
+    loop = l * np.column_stack([np.copysign(x, np.pi - s) + 0.0, 1.0 + w])  # -0.0 + 0.0 is +0.0
 
-    # one side of the loop from the axis crossing up to the saddle (excluded):
-    # U = -W(1/e) + t^2 makes X smooth in t at the crossing, and the cosine
-    # spacing of t clusters the vertices toward the saddle
-    t_max = math.sqrt(1.0 + _W_INV_E)
-    s = np.linspace(0.0, 1.0, _LOOP_SIDE_SAMPLES + 1)[:-1]
-    u = (t_max * np.sin(0.5 * np.pi * s)) ** 2 - _W_INV_E
-    x = canonical_x(u - 1.0)
-    x[0] = 0.0  # X^2 vanishes there only to roundoff
-    loop_pts = l * np.column_stack([
-        np.concatenate(([0.0], x[::-1], -x[1:], [0.0])),
-        np.concatenate(([1.0], u[::-1], u[1:], [1.0])),
-    ])
-
-    # the right arm, w = U - 1 spaced quadratically toward the saddle; X
-    # passes the domain half-width H before w reaches log(H) + 1
-    u = 1.0 + (math.log(_HALF_WIDTH) + 1.0) * np.linspace(0.0, 1.0, _ARM_SAMPLES) ** 2
-    x = canonical_x(u - 1.0)
-    n = int(np.argmax(np.maximum(x, u) > _HALF_WIDTH)) + 1
-    right = l * np.column_stack([x[:n], u[:n]])
+    # the right arm, up to its first vertex outside the box
+    w, x = _curve(1.0, 0.0, math.log(2.0 * _HALF_WIDTH), s[n::-1])
+    n = int(np.argmax(np.maximum(x, 1.0 + w) > _HALF_WIDTH)) + 1
+    right = l * np.column_stack([x[:n], 1.0 + w[:n]])
     left = right.copy()
     left[1:, 0] *= -1.0  # the saddle keeps x = +0.0
 
     return SeparatrixResult(
-        loop=Polyline(points=loop_pts, level=level, closed=True),
+        loop=Polyline(points=loop, level=level, closed=True),
         unbounded_branches=[Polyline(points=left, level=level),
                             Polyline(points=right, level=level)],
-        loop_area=_LOOP_AREA * l * l,
+        loop_area=area,
         loop_max_radius=l,
-        lower_axis_crossing=-_W_INV_E * l,
+        lower_axis_crossing=crossing,
     )

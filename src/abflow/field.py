@@ -152,7 +152,7 @@ def _check_regular(params: FlowParams, x: float, y: float) -> None:
 
 
 def _velocity(a: float, b: float, x, y):
-    # shared kernel for velocity / current / the trajectory integrator; it
+    # shared kernel for velocity / current / the circulation quadrature; it
     # divides by r^2 first, since b*y underflows where b and y are both small
     if b == 0.0:
         return -a, 0.0

@@ -67,3 +67,31 @@ def position_at(params: FlowParams, traj: Trajectory, t: float) -> np.ndarray:
     s2, s3 = s * s, s * s * s
     return ((2 * s3 - 3 * s2 + 1) * p + (s3 - 2 * s2 + s) * dt * fp
             + (-2 * s3 + 3 * s2) * q + (s3 - s2) * dt * fq)
+
+
+def ode_times(params: FlowParams, traj: Trajectory, substeps: int = 512) -> np.ndarray:
+    """An independent oracle for a trajectory's times: the classical
+    fourth-order Runge-Kutta method, in substeps equal steps, carries each
+    sample along the field for the time to the next sample.  Where it lands
+    ahead of that sample along the flow, by d at speed v, the field takes
+    d/v less time between the two.  Returns each sample's time summed from
+    those field times."""
+    a, b = params.a, params.b
+
+    def field(x, y):
+        r2 = x * x + y * y
+        return -a + b * (y / r2), -b * (x / r2)
+
+    dt = np.diff(traj.times)
+    x, y = traj.points[:-1].T
+    h = dt / substeps
+    for _ in range(substeps):
+        k1 = field(x, y)
+        k2 = field(x + 0.5 * h * k1[0], y + 0.5 * h * k1[1])
+        k3 = field(x + 0.5 * h * k2[0], y + 0.5 * h * k2[1])
+        k4 = field(x + h * k3[0], y + h * k3[1])
+        x = x + h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        y = y + h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+    u, v = field(*traj.points[1:].T)
+    ahead = ((x - traj.points[1:, 0]) * u + (y - traj.points[1:, 1]) * v) / (u * u + v * v)
+    return np.concatenate([[0.0], np.cumsum(dt - ahead)])

@@ -300,44 +300,58 @@ class TestSubcommands:
         assert doc["max_h_drift"] <= 1e-15  # roundoff: the orbit is held on its level
         rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
         assert rows.shape[1] == 4
-        # the distance from the last sample back to the start
+        # the distance from the last sample back to the start: a closed
+        # level's last vertex is its start
         assert doc["return_distance"] == np.hypot(*(rows[-1, 1:3] - rows[0, 1:3]))
-        assert 0.0 < doc["return_distance"] <= 1e-6 * 0.5
+        assert doc["return_distance"] == 0.0
 
-    def test_trajectory_step_failure_prints_its_summary_and_exits_4(
-            self, capsys, tmp_path, monkeypatch):
-        # no CLI input is known to reach a step failure: stand one in
-        integrate = dynamics.integrate
-
-        def failing(*args, **kwargs):
-            traj = integrate(*args, **kwargs)
-            return dataclasses.replace(traj, status=dynamics.TrajectoryStatus.STEP_FAILURE)
-
-        monkeypatch.setattr(dynamics, "integrate", failing)
+    def test_trajectory_prints_and_writes_its_summary(self, capsys, tmp_path):
         out = tmp_path / "traj"
         code, stdout = run_cli(capsys, "trajectory", "--start", "0,0.25", "--hbar", "2",
                                "--out", str(out), "--format", "all")
-        assert code == 4
+        assert code == 0
         doc = json.loads(stdout)
-        assert doc["command"] == "trajectory" and doc["status"] == "step_failure"
+        assert doc["command"] == "trajectory" and doc["status"] == "completed"
         assert doc["params"]["hbar"] == 2.0 and doc["units"]["hbar"] == 2.0
         assert doc["files"] == ["trajectory.csv"]
         assert json.loads((out / "summary.json").read_text()) == doc
 
+    def test_largest_start_with_a_finite_square_runs(self, capsys, tmp_path):
+        # l = delta/k = 1/6 is no power of two, so l*(y/l) would round one
+        # ulp past the start, where x*x + y*y overflows; the samples are
+        # mapped back relative to the start, which is the first of them
+        out = tmp_path / "traj"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["trajectory", "--hbar", "0.25", "--mass", "4", "--k", "3",
+                         "--start", "0,1.3407807929942596e154", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        doc = json.loads(captured.out)
+        assert doc["status"] == "completed" and math.isfinite(doc["max_h_drift"])
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        assert np.isfinite(rows).all()
+        assert rows[0, 1:3].tolist() == [0.0, 1.3407807929942596e154]
+
     @pytest.mark.parametrize("existed", [False, True])
-    def test_nonfinite_trajectory_leaves_no_artifacts(self, capsys, tmp_path, existed):
-        # l = delta/k is no power of two, so the largest start with a finite
-        # square maps back one ulp past it and psi overflows there: the
-        # summary is not finite, and the CSV written before it is removed,
-        # with the --out directories the command made; one that was there
-        # before stays, with what it held
+    def test_nonfinite_trajectory_leaves_no_artifacts(self, capsys, tmp_path, monkeypatch,
+                                                      existed):
+        # no CLI input is known to give a trajectory that is not finite:
+        # stand one in.  The summary is not finite, and the CSV written
+        # before it is removed, with the --out directories the command
+        # made; one that was there before stays, with what it held
+        integrate = dynamics.integrate
+
+        def overflowing(*args, **kwargs):
+            traj = integrate(*args, **kwargs)
+            return dataclasses.replace(traj, max_h_drift=math.inf)
+
+        monkeypatch.setattr(dynamics, "integrate", overflowing)
         out = tmp_path / "runs" / "traj"
         if existed:
             out.mkdir(parents=True)
             (out / "notes.txt").write_text("kept\n")
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = main(["trajectory", "--hbar", "0.25", "--mass", "4", "--k", "3",
-                         "--start", "0,1.3407807929942596e154", "--out", str(out)])
+        code = main(["trajectory", "--start", "0,0.25", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
         assert "not finite" in captured.err
@@ -420,6 +434,14 @@ class TestSubcommands:
             code, stdout = run_cli(capsys, "trajectory", "--start", "0,1e160", "--out", str(out))
             assert code == 3 and stdout == "" and not out.exists()
             assert run_json(capsys, "trajectory", "--start", "1e150,0")["status"] == "completed"
+
+    def test_trajectory_takes_no_tolerance_flags(self, capsys):
+        # trajectories have no error control left to set
+        for flag, value in (("--rtol", "1e-8"), ("--atol", "1e-12")):
+            code = main(["trajectory", "--start", "0,0.25", flag, value])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert f"unrecognized arguments: {flag} {value}" in captured.err
 
     def test_separatrix_takes_no_tolerance_flags(self, capsys):
         for flag in ("--rtol", "--atol", "--tmax"):
@@ -692,6 +714,31 @@ def test_no_command_loads_numpy_random(tmp_path):
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert json.loads(proc.stdout) == [[0] * len(commands), False, False, False]
+
+
+@pytest.mark.parametrize("argv, artifact", [
+    (["portrait", "--grid", "20x20"], "summary.json"),
+    (["verify"], "verify_report.txt"),
+])
+def test_closed_stdout_exits_quietly(tmp_path, argv, artifact):
+    # a reader that has gone away, as in `abflow portrait | head -c 10`:
+    # the read end of stdout is closed before the command prints, which
+    # prints nothing on stderr, still writes its artifacts, and exits with
+    # its own code
+    read, write = os.pipe()
+    os.close(read)
+    out = tmp_path / "out"
+    src = Path(__file__).resolve().parent.parent / "src"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "abflow", *argv, "--out", str(out), "--format", "all"],
+            stdout=write, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == 0
+    assert (out / artifact).is_file()
 
 
 class TestDeterminism:

@@ -23,7 +23,7 @@ from abflow import (
     trace_separatrix,
 )
 from abflow.contour import polygon_area
-from helpers import UNITS, flow, position_at, winding_number
+from helpers import UNITS, flow, ode_times, position_at, winding_number
 
 P = FlowParams()
 EPS = sys.float_info.epsilon
@@ -231,8 +231,8 @@ class TestClosedOrbit:
         FlowParams(hbar=1e3, mass=4e-3, k=2.0, delta=0.5),
     ])
     def test_period_matches_quadrature(self, params):
-        # the period is the level set's; the orbit integrated for it must
-        # come back, which a wrong Dormand-Prince coefficient prevents
+        # the period is twice the time along one side of the level set, and
+        # the orbit run for it comes back to its start
         l = params.saddle_height
         tau = params.delta * params.mass / (params.hbar * params.k ** 2)
         result = detect_closed_orbit(params, (0.0, 0.5 * l))
@@ -279,13 +279,6 @@ class TestClosedOrbit:
             verdicts.append(inside)
         assert 10 <= sum(verdicts) <= len(verdicts) - 10
 
-    def test_period_stable_under_tolerance_halving(self):
-        base = IntegratorConfig()
-        tight = IntegratorConfig(rel_tol=base.rel_tol / 2, abs_tol=base.abs_tol / 2)
-        t1 = detect_closed_orbit(P, (0.0, 0.25), base).period
-        t2 = detect_closed_orbit(P, (0.0, 0.25), tight).period
-        assert t1 == pytest.approx(t2, abs=1e-8)
-
     def test_orientation_clockwise(self):
         traj = integrate(P, (0.0, 0.25), detect_closure=True)
         assert traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED
@@ -303,7 +296,7 @@ class TestClosedOrbit:
 
     @pytest.mark.parametrize("delta", [0.5, 0.01])
     def test_closed_orbit_at_large_vortex_strength(self, delta):
-        # b = hbar*delta/mass = 1e6*delta: H ~ b, and the projection holds
+        # b = hbar*delta/mass = 1e6*delta: H ~ b, and the closed form holds
         # it to roundoff in b's units
         params = FlowParams(hbar=1e3, mass=1e-3, k=math.sqrt(delta * 1e-6), delta=delta)
         l = params.saddle_height
@@ -312,13 +305,10 @@ class TestClosedOrbit:
         assert traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED
         assert traj.max_h_drift <= 4.0 * psi_terms(params, traj)
 
-    @pytest.mark.parametrize("f", [1.0, 0.5, 0.25, 200.0])
-    def test_drift_is_roundoff_at_any_tolerance(self, f):
-        # each step is projected back onto the start's level, so the drift
-        # is roundoff in psi's terms however loose the error control; at
-        # rel_tol = 1e-6 (f = 200) the steps alone drift by far more
-        cfg = IntegratorConfig(rel_tol=5e-9 * f, abs_tol=5e-11 * f, max_time=2.0)
-        traj = integrate(P, (0.0, 0.25), cfg)
+    def test_drift_is_roundoff(self):
+        # every sample is a vertex of the start's level set, so the drift is
+        # roundoff in psi's terms
+        traj = integrate(P, (0.0, 0.25), IntegratorConfig(max_time=2.0))
         assert traj.max_h_drift <= 4.0 * psi_terms(P, traj)
 
     @given(u0=st.sampled_from([0.99999, 1.0 - 1e-6, 1.0 - 1e-7]), **UNITS)
@@ -343,8 +333,8 @@ def scaled_units(l: float, tau: float) -> FlowParams:
 
 
 class TestUnitInvariance:
-    # the steps run in canonical units x = l*X, t = tau*T, so one canonical
-    # start takes the same steps in every unit system
+    # the samples are formed in canonical units x = l*X, t = tau*T, so one
+    # canonical start gives the same samples in every unit system
 
     @staticmethod
     def orbit(l, tau):
@@ -487,9 +477,107 @@ def test_loop_agrees_with_integrated_orbit(delta):
 
 class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
-        dict(rel_tol=1e-15), dict(abs_tol=0.0),
-        dict(max_time=0.0),
+        dict(max_time=0.0), dict(max_time=-1.0), dict(max_time=math.inf), dict(max_time=math.nan),
     ])
     def test_invalid(self, bad):
         with pytest.raises(InvalidParamsError):
             IntegratorConfig(**bad)
+
+
+# starts of the benchmark's band, in units of l: closed ones on the y axis
+# below and above the vortex, open ones below and above the loop
+AXIS_STARTS = {"closed below": (-0.22, -0.10), "closed above": (0.15, 0.80),
+               "open below": (-1.0, -0.35), "open above": (1.15, 2.0)}
+
+
+class TestTimesAgainstTheODE:
+    """Every sample's time against an independent ODE oracle: fixed-step
+    RK4 from each sample for the time to the next (helpers.ode_times)."""
+
+    @given(band=st.sampled_from(sorted(AXIS_STARTS)), s=st.floats(0.0, 1.0),
+           max_time=st.floats(20.0, 40.0), closure=st.booleans(), **UNITS)
+    @settings(max_examples=40, deadline=None)
+    def test_axis_starts(self, band, s, max_time, closure, log_l, log_tau, log_delta):
+        tau = 10.0**log_tau
+        params = flow(10.0**log_l, tau, 10.0**log_delta)
+        lo, hi = AXIS_STARTS[band]
+        start = (0.0, (lo + (hi - lo) * s) * params.saddle_height)
+        traj = integrate(params, start, IntegratorConfig(max_time=max_time * tau),
+                         detect_closure=closure)
+        assert (traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED) == (
+            closure and band.startswith("closed"))
+        assert np.max(np.abs(ode_times(params, traj) - traj.times)) <= 1e-10 * tau
+
+    @given(x=st.floats(-1.5, 1.5), u=st.floats(-1.0, 2.0), max_time=st.floats(20.0, 40.0),
+           closure=st.booleans(), **UNITS)
+    @settings(max_examples=40, deadline=None)
+    def test_off_axis_starts(self, x, u, max_time, closure, log_l, log_tau, log_delta):
+        # clear of the separatrix, as in the closure test, and of the vortex,
+        # round which 40 tau take more than SAMPLES_MAX samples
+        if math.hypot(x, u) < 0.1 or abs(math.log(math.hypot(x, u)) - u + 1.0) < 1e-3:
+            return
+        tau = 10.0**log_tau
+        params = flow(10.0**log_l, tau, 10.0**log_delta)
+        l = params.saddle_height
+        traj = integrate(params, (x * l, u * l), IntegratorConfig(max_time=max_time * tau),
+                         detect_closure=closure)
+        assert np.max(np.abs(ode_times(params, traj) - traj.times)) <= 1e-10 * tau
+
+    @pytest.mark.parametrize("params", [
+        FlowParams(delta=0.0), FlowParams(hbar=3e-4, k=7e5, delta=0.0),
+        FlowParams(k=0.0), FlowParams(hbar=2e3, mass=3e-2, k=0.0),
+    ])
+    @pytest.mark.parametrize("start", [(0.3, 0.2), (-2.0, 5.0), (1e-3, -4e-3)])
+    def test_lines_and_rotations(self, params, start):
+        l = math.hypot(*start)
+        tau = l / params.a if params.b == 0.0 else l * l / params.b
+        traj = integrate(params, start, IntegratorConfig(max_time=30.0 * tau))
+        assert np.max(np.abs(ode_times(params, traj) - traj.times)) <= 1e-10 * tau
+
+
+class TestEdgeCases:
+    def test_start_at_the_saddle_stays_put(self):
+        for params in [P, *SCALED]:
+            saddle = (0.0, params.saddle_height)
+            traj = integrate(params, saddle, IntegratorConfig(max_time=7.0), detect_closure=True)
+            assert traj.status is TrajectoryStatus.COMPLETED
+            assert traj.times[0] == 0.0 and traj.times[1] == pytest.approx(7.0, rel=1e-15)
+            assert traj.points.tolist() == [list(saddle)] * 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_level_rounded_onto_the_separatrix_never_reaches_the_saddle(self, k):
+        # 1 - U0 = k*2^-53: log(U0) - U0 rounds to -1, the separatrix's level,
+        # whose time to the saddle diverges like -log|1 - U|
+        u0 = 1.0 - k * 2.0**-53
+        assert math.log(u0) - u0 == -1.0
+        traj = integrate(P, (0.0, 0.5 * u0), IntegratorConfig(max_time=1e3), detect_closure=True)
+        assert traj.status is TrajectoryStatus.COMPLETED
+        assert traj.times[-1] == 1e3 and np.all(np.diff(traj.times) > 0)
+        # the samples lie on the separatrix, to its vertices' roundoff
+        assert traj.max_h_drift <= 1e-13 * P.b * (abs(math.log(0.5)) + 1.0)
+
+    def test_closed_level_goes_round_until_max_time(self):
+        # without detect_closure the orbit laps its level, back on its start
+        # at whole periods
+        period = detect_closed_orbit(P, (0.0, 0.25)).period
+        traj = integrate(P, (0.0, 0.25), IntegratorConfig(max_time=3.5 * period))
+        assert traj.status is TrajectoryStatus.COMPLETED
+        assert traj.times[-1] == pytest.approx(3.5 * period, rel=1e-15)
+        back = np.flatnonzero(np.all(traj.points == [0.0, 0.25], axis=1))
+        assert len(back) == 4
+        assert traj.times[back] == pytest.approx(np.arange(4) * period, rel=1e-15, abs=0.0)
+
+    def test_restart_from_any_sample(self):
+        # a start on, or an ulp off, a vertex of its own level: its time can
+        # round onto the vertex's, and the samples stay strictly timed, the
+        # first and, on a closed level, the last of them the start itself
+        for first in [(0.0, 0.25), (0.0, -0.3), (0.0, 0.8)]:
+            orbit = integrate(P, first, detect_closure=True)
+            for px, py in orbit.points[1:-1:17].tolist():
+                for x in (px, math.nextafter(px, math.inf), math.nextafter(px, -math.inf)):
+                    traj = integrate(P, (x, py), IntegratorConfig(max_time=3.0),
+                                     detect_closure=True)
+                    assert np.all(np.diff(traj.times) > 0.0)
+                    assert traj.points[0].tolist() == [x, py]
+                    if traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED:
+                        assert traj.points[-1].tolist() == [x, py]
