@@ -409,12 +409,9 @@ def _cmd_portrait(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple
         include_separatrix=s.separatrix,
     )
     polylines = portrait(params, spec)
-    counters: dict[float, int] = {}
-    tables = []
-    for poly in polylines:
-        idx = counters.get(poly.level, 0)
-        counters[poly.level] = idx + 1
-        tables.append((f"level_{float(poly.level)!r}_{idx}.csv", poly.points))
+    tables = [(f"level_{float(poly.level)!r}_{i}.csv", poly.points)  # levels ascending
+              for _, run in itertools.groupby(polylines, key=lambda p: p.level)
+              for i, poly in enumerate(run)]
     em.write_points(tables)
     markers = _markers(params)
     em.write_svg("portrait.svg", polylines, spec.bbox, markers)
@@ -543,7 +540,7 @@ _COMMANDS = {
     "stagnation": (_cmd_stagnation, "report the stagnation point"),
     "separatrix": (_cmd_separatrix, "sample the separatrix"),
     "circulation": (_cmd_circulation, "circle quadrature of the circulation"),
-    "trajectory": (_cmd_trajectory, "integrate one trajectory"),
+    "trajectory": (_cmd_trajectory, "sample one trajectory"),
     "verify": (_cmd_verify, "run the identity verification suite"),
     "sweep": (_cmd_sweep, "separatrix metrics over a delta list"),
 }

@@ -4,10 +4,12 @@ Level curves come from their closed form: in canonical coordinates
 (x, y) = l*(X, U), l = delta/k, the level psi = b*(C + log l) is the curve
 X^2 + U^2 = exp(2(C + U)), which meets the y axis at Lambert-W values of e^C.
 Each piece is sampled from such a crossing at U = u0, where X^2 =
-u0^2*exp(2w) - (u0 + w)^2 at U = u0 + w, all pieces of a portrait in one
-table; with delta = 0 the levels are lines, with k = 0 circles.  Every vertex
-lies on its level to roundoff and at most one cell diagonal from the next.
-Curves are clipped to the bbox into open runs; loops within a cell are dropped.
+u0^2*exp(2w) - (u0 + w)^2 at U = u0 + w, by _curve, which trajectories and
+the separatrix share, all pieces of a portrait in one table; with delta = 0
+the levels are lines, with k = 0 circles.  Curves run as the flow does: down
+the side x > 0, up the side x < 0, lines toward -x, circles clockwise.  Every
+vertex lies on its level to roundoff, in the bbox, and at most one cell
+diagonal from the next; loops within a cell are dropped.
 """
 
 from __future__ import annotations
@@ -65,10 +67,10 @@ class Polyline:
 @dataclass(frozen=True)
 class PortraitSpec:
     """Grid, bounding box, and level selection for portraits.  ``grid``, 8 to
-    GRID_MAX per side, sets the vertex spacing; the automatic levels are
-    quantiles of psi over at most 128x96 of its nodes (every node of a grid
-    within that, every ceil(nx/128)-th and ceil(ny/96)-th of a larger one).
-    The bbox's bounds are finite and so is x*x + y*y on it."""
+    GRID_MAX per side, sets the vertex spacing; the 0 to GRID_MAX automatic
+    levels are quantiles of psi over at most 128x96 of its nodes (every node
+    of a grid within that, every ceil(nx/128)-th and ceil(ny/96)-th of a
+    larger one).  The bbox's bounds are finite and so is x*x + y*y on it."""
 
     bbox: tuple[float, float, float, float] = (-4.0, 4.0, -3.0, 3.0)
     grid: tuple[int, int] = (400, 300)
@@ -87,6 +89,8 @@ class PortraitSpec:
         nx, ny = self.grid
         if not (8 <= nx <= GRID_MAX and 8 <= ny <= GRID_MAX):
             raise InvalidParamsError(f"grid must be 8 to {GRID_MAX} per side, got {self.grid!r}")
+        if not 0 <= self.n_levels <= GRID_MAX:
+            raise InvalidParamsError(f"n_levels must be 0 to {GRID_MAX}, got {self.n_levels!r}")
 
     @property
     def cell_diag(self) -> float:
@@ -160,47 +164,51 @@ def _pieces(c: float, log_l: float) -> list[tuple[float, float, float, bool, boo
             (_log_root(f, math.log(-2.0 * cc)), 0.0, math.inf, True, False)]
 
 
-def _clip(pts: np.ndarray, closed: bool, spec: PortraitSpec) -> list[tuple[np.ndarray, bool]]:
-    """The runs of a path inside the bbox, each from its smaller end.  A closed
-    path inside entirely stays closed, from its smallest vertex toward the
-    smaller neighbour, unless it fits in one grid cell."""
-    pts = pts[np.append(True, (pts[1:] != pts[:-1]).any(axis=1))]
+def _curve(u0, w_lo, w_hi, s):
+    """w and X/|u0| at the parameters s of the level piece through (0, u0),
+    w_lo <= w <= w_hi, run as the flow runs it: its side X > 0 from w_hi down
+    to w_lo for s in [0, pi], then its side X < 0 back up.  On each side
+    w = w_lo + span*(1 - cos t)/2, t = |pi - s|, written from the nearer
+    end so that it keeps its digits at both."""
+    t, span = np.abs(np.pi - s), w_hi - w_lo
+    w = np.where(t < 0.5 * np.pi, w_lo + span * np.sin(0.5 * t) ** 2,
+                 w_hi - span * np.cos(0.5 * t) ** 2)
+    return w, canonical_x(w, u0)
+
+
+def _clip(cycle: np.ndarray, level: float, spec: PortraitSpec) -> list[Polyline]:
+    """The polylines in the bbox of a closed path, whose last vertex is its
+    first: the path, closed, if it lies inside and not within one grid cell,
+    else its runs between vertices outside or NaN, in the path's direction."""
+    pts = cycle[np.append(True, (cycle[1:] != cycle[:-1]).any(axis=1))]
     xmin, xmax, ymin, ymax = spec.bbox
     x, y = pts[:, 0], pts[:, 1]
     inside = (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
-    if closed and inside.all():
+    if inside.all():
         nx, ny = spec.grid
-        if np.ptp(x) * (nx - 1) < xmax - xmin and np.ptp(y) * (ny - 1) < ymax - ymin:
-            return []
-        body = np.roll(pts[:-1], -int(np.lexsort((y[:-1], x[:-1]))[0]), axis=0)
-        if len(body) > 2 and tuple(body[-1]) < tuple(body[1]):
-            body = np.roll(body[::-1], 1, axis=0)
-        return [(np.vstack([body, body[:1]]), True)]
-    if closed:  # start the body outside, so that no run wraps around
-        k = int(np.argmin(inside))
-        pts, inside = np.roll(pts[:-1], -k, axis=0), np.roll(inside[:-1], -k)
+        fits = np.ptp(x) * (nx - 1) < xmax - xmin and np.ptp(y) * (ny - 1) < ymax - ymin
+        return [] if fits else [Polyline(pts, level, closed=True)]
+    k = int(np.argmin(inside))  # start outside, so that no run wraps around
+    pts, inside = np.concatenate([pts[k:-1], pts[:k]]), np.concatenate([inside[k:-1], inside[:k]])
     ends = np.flatnonzero(np.diff(np.concatenate(([0], inside.astype(np.int8), [0]))))
-    runs = [pts[i:j] for i, j in zip(ends[::2], ends[1::2]) if j - i >= 2]
-    return [(r[::-1] if tuple(r[-1]) < tuple(r[0]) else r, False) for r in runs]
+    return [Polyline(pts[i:j], level) for i, j in zip(ends[::2], ends[1::2]) if j - i >= 2]
 
 
-def _trace(rows: list, rotation: bool, spec: PortraitSpec) -> list[Polyline]:
-    """The polylines of the pieces in ``rows``, each (level, u0, y0, l, lo,
-    hi, meet at lo, meet at hi), sampled in one table: each side x >= 0 at
-    y = y0 + l*w is cosine-spaced in t, so that x is smooth in t at
-    square-root ends, resampled by arc length and bisected until vertices
-    are at most one cell diagonal apart; then mirrored and clipped."""
+def _trace(rows: list, spec: PortraitSpec) -> list[Polyline]:
+    """The polylines of the pieces in ``rows``, each (level, u0, y0, l, lo, hi,
+    meet at lo, meet at hi), in one table: each side x >= 0 at y = y0 + l*w is
+    _curve's, resampled by arc length and bisected until vertices are at most
+    a cell diagonal apart, then mirrored, joined as the flow runs and clipped."""
     level, u0, y0, l, lo, hi, meet_lo, meet_hi = (np.array(col) for col in zip(*rows))
-    piece = np.column_stack([lo, hi - lo, u0, np.abs(y0), l])
+    piece = np.column_stack([u0, lo, hi, np.abs(y0), l])
 
-    def side(t, n):  # x and y - y0 at t, n vertices a piece
-        lo, span, u0, abs_y0, l = np.repeat(piece, n, axis=0).T
-        last = np.cumsum(n) - 1
-        w = lo + span * (0.5 - 0.5 * np.cos(t))
-        w[last] = hi
-        x = abs_y0 * (np.sqrt(w * (2.0 - w)) if rotation else canonical_x(w, u0))
-        x[(last - n + 1)[meet_lo]] = 0.0
-        x[last[meet_hi]] = 0.0
+    def side(s, n):  # x and y - y0 at s, n vertices a piece
+        u0, lo, hi, abs_y0, l = np.repeat(piece, n, axis=0).T
+        first = np.cumsum(n) - n
+        w, x = _curve(u0, lo, hi, s)
+        x *= abs_y0
+        x[first[meet_hi]] = 0.0
+        x[(first + n - 1)[meet_lo]] = 0.0
         return x, l * w
 
     x, y = (v.reshape(-1, 65) for v in side(np.tile(_T65, len(lo)), np.full(len(lo), 65)))
@@ -208,32 +216,50 @@ def _trace(rows: list, rotation: bool, spec: PortraitSpec) -> list[Polyline]:
     keep = arc[:, -1] > 1e-9 * spec.cell_diag  # longer than a point at the grid's resolution
     if not keep.any():
         return []
-    piece, level, y0, hi, meet_lo, meet_hi, arc = (
-        v[keep] for v in (piece, level, y0, hi, meet_lo, meet_hi, arc))
+    piece, level, y0, meet_lo, meet_hi, arc = (
+        v[keep] for v in (piece, level, y0, meet_lo, meet_hi, arc))
     n = 3 + (arc[:, -1] / (0.9 * spec.cell_diag)).astype(int)
-    t = np.concatenate([np.interp(np.linspace(0.0, s[-1], k), s, _T65) for s, k in zip(arc, n)])
+    s = np.concatenate([np.interp(np.linspace(0.0, a[-1], k), a, _T65) for a, k in zip(arc, n)])
     for _ in range(60):
-        x, y = side(t, n)
+        x, y = side(s, n)
         long = np.hypot(np.diff(x), np.diff(y)) > spec.cell_diag
         long[np.cumsum(n)[:-1] - 1] = False  # from one piece to the next
         if not long.any():
             break
         i = np.flatnonzero(long)
         n += np.bincount(np.searchsorted(np.cumsum(n), i, side="right"), minlength=len(n))
-        t = np.insert(t, i + 1, 0.5 * (t[i] + t[i + 1]))
+        s = np.insert(s, i + 1, 0.5 * (s[i] + s[i + 1]))
     y += np.repeat(y0, n)
     right, mirror = np.column_stack([x, y]), np.column_stack([0.0 - x, y])  # 0.0 - 0.0 is +0.0
-    polylines = []
-    for s, k, lv, m_lo, m_hi in zip(np.cumsum(n) - n, n, level, meet_lo, meet_hi):
-        pts, left = right[s:s + k], mirror[s:s + k]
-        # a loop, a curve run through the end where its sides meet, or two sides
-        paths = ([(np.vstack([pts, left[-2::-1]]), True)] if m_lo and m_hi
-                 else [(np.vstack([left[:0:-1], pts]), False)] if m_lo
-                 else [(np.vstack([left[:-1], pts[::-1]]), False)] if m_hi
-                 else [(left, False), (pts, False)])
-        polylines += [Polyline(points=run, level=float(lv), closed=closed_run)
-                      for path, closed in paths for run, closed_run in _clip(path, closed, spec)]
+    polylines, gap = [], np.full((1, 2), np.nan)
+    for i, k, lv, m_lo, m_hi in zip(np.cumsum(n) - n, n, level.tolist(), meet_lo.tolist(),
+                                    meet_hi.tolist()):
+        down, up = right[i:i + k], mirror[i:i + k][::-1]
+        # down the side x > 0, up the side x < 0 and back to the start, broken
+        # by a NaN row at each end where the sides do not meet (gap[True:] is empty)
+        polylines += _clip(np.vstack([down, gap[m_lo:], up, gap[m_hi:], down[:1]]), lv, spec)
     return polylines
+
+
+def _circle(r: float, level: float, spec: PortraitSpec) -> list[Polyline]:
+    """The polylines of the circle of radius r about the vortex, clockwise
+    from its top in closed form: its side x >= 0, cut where it or its mirror
+    image meets a side of the bbox, has 2 vertices an arc, or at least 3 and
+    at most 0.9 cells apart where either lies inside; then it is mirrored."""
+    xmin, xmax, ymin, ymax = spec.bbox
+    at_x = [math.asin(min(abs(v) / r, 1.0)) for v in (xmin, xmax)]
+    at_y = [math.acos(min(max(v / r, -1.0), 1.0)) for v in (ymin, ymax)]
+    cuts = sorted({0.0, math.pi, *at_x, *(math.pi - t for t in at_x), *at_y})
+    phi = [np.zeros(1)]
+    for p, q in zip(cuts, cuts[1:]):
+        x, y = r * math.sin(0.5 * (p + q)), r * math.cos(0.5 * (p + q))
+        inside = ymin <= y <= ymax and (xmin <= x <= xmax or xmin <= -x <= xmax)
+        k = 3 + int(r * (q - p) / (0.9 * spec.cell_diag)) if inside else 2  # after p
+        phi.append(p + (q - p) / k * np.arange(1, k + 1))
+    phi = np.concatenate(phi)
+    down = r * np.column_stack([np.sin(phi), np.cos(phi)])
+    down[[0, -1], 0] = 0.0  # the top and the bottom lie on the y axis
+    return _clip(np.vstack([down, down[-2::-1] * [-1.0, 1.0] + 0.0]), level, spec)  # not -0.0
 
 
 def _curves(params: FlowParams, levels, spec: PortraitSpec) -> list[Polyline]:
@@ -243,39 +269,34 @@ def _curves(params: FlowParams, levels, spec: PortraitSpec) -> list[Polyline]:
     xmin, xmax, ymin, ymax = spec.bbox
     r_near = math.hypot(max(xmin, -xmax, 0.0), max(ymin, -ymax, 0.0))
     r_far = math.hypot(max(-xmin, xmax), max(-ymin, ymax))
-    lines, rows = [], []
+    curves, rows = [], []
     for level in map(float, levels):
         if not math.isfinite(level):
             raise InvalidParamsError(f"level must be finite, got {level!r}")
         if b == 0.0 or math.isinf(level / b) or (a > 0.0 and b / a == 0.0):
-            # the line y = -level/a: b*log r is below roundoff
+            # the line y = -level/a, run toward -x: b*log r is below roundoff
             y = -level / a if a > 0.0 else math.nan
             if ymin <= y <= ymax:
-                x = np.linspace(xmin, xmax, 2 + int((xmax - xmin) / (0.9 * spec.cell_diag)))
-                lines.append(Polyline(np.column_stack([x, np.full_like(x, y)]), level))
+                x = np.linspace(xmax, xmin, 2 + int((xmax - xmin) / (0.9 * spec.cell_diag)))
+                curves.append(Polyline(np.column_stack([x, np.full_like(x, y)]), level))
             continue
-        if a == 0.0:  # pure rotation: the circle X^2 + U^2 = 1 in units of its radius
-            l = math.exp(min(level / b, 709.0))
-            if not (r_near <= l <= r_far and l > 0.0):
-                continue
-            pieces = [(-1.0, 0.0, 2.0, True, True)]
-        else:
-            l, c, log_l = params.saddle_height, level / b, math.log(params.saddle_height)
-            if abs(c - log_l + 1.0) <= 8.0 * sys.float_info.epsilon * (1.0 + abs(log_l)):
-                c, log_l = -1.0, 0.0  # off the separatrix by rounding only: snap to it
-            pieces = _pieces(c, log_l)
-        for anchor, w_lo, w_hi, meet_lo, meet_hi in pieces:
+        if a == 0.0:  # a rotation: the circle r = exp(level/b), kept a positive double
+            curves += _circle(math.exp(min(max(level / b, -745.0), 709.0)), level, spec)
+            continue
+        l, c, log_l = params.saddle_height, level / b, math.log(params.saddle_height)
+        if abs(c - log_l + 1.0) <= 8.0 * sys.float_info.epsilon * (1.0 + abs(log_l)):
+            c, log_l = -1.0, 0.0  # off the separatrix by rounding only: snap to it
+        for anchor, w_lo, w_hi, meet_lo, meet_hi in _pieces(c, log_l):
             y0 = l * anchor
             if y0 == 0.0:  # the piece is below the float resolution of the vortex
                 continue
-            lo, hi = max(w_lo, (ymin - y0) / l), min(w_hi, (ymax - y0) / l)
-            if a > 0.0:  # r = |y0|*exp(w) grows along the curve: the bbox's annulus bounds w
-                lo = max(lo, math.log(r_near / abs(y0)) if r_near > 0.0 else -math.inf)
-                hi = min(hi, math.log(r_far / abs(y0)), 350.0)  # expm1(2w) overflows past 354
+            # r = |y0|*exp(w): the bbox's annulus bounds w (expm1(2w) overflows past 354)
+            lo = max(w_lo, (ymin - y0) / l, math.log(r_near / abs(y0)) if r_near else -math.inf)
+            hi = min(w_hi, (ymax - y0) / l, math.log(r_far / abs(y0)), 350.0)
             if lo < hi:
                 rows.append((level, anchor, y0, l, lo, hi, meet_lo and lo == w_lo,
                              meet_hi and hi == w_hi))
-    curves = lines + (_trace(rows, a == 0.0, spec) if rows else [])
+    curves += _trace(rows, spec) if rows else []
     return sorted(curves, key=lambda p: (p.level, p.points[0, 0], p.points[0, 1], len(p)))
 
 

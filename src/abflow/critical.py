@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError, NumericalError, SingularPointError
+from .errors import InvalidParamsError, NumericalError
 from .field import FlowParams, _check_regular, _point
 
 __all__ = [
@@ -96,8 +96,6 @@ def jacobian(params: FlowParams, p) -> np.ndarray:
     _check_regular(params, x, y)
     if params.b == 0.0:
         return np.zeros((2, 2))
-    if x == 0.0 and y == 0.0:
-        raise SingularPointError("jacobian is singular at the origin")
     alpha, beta = jacobian_entries(params, x, y)
     return np.array([[alpha, beta], [beta, -alpha]])
 

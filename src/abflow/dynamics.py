@@ -6,12 +6,12 @@ needs numerics.  Trajectories run in one canonical frame, x = l*X and
 t = tau*T, in which the field is the same for every unit system and every
 guard is a constant of that one problem.  There a regular flow moves with
 dU/dT = -X/R^2: down the side X > 0 of a level piece and up its side X < 0.
-One sampler serves every side of every piece: its vertices lie at
-w = w_lo + span*(1 - cos t)/2 for equal steps of t, and each step is timed
-by four 8-point Gauss-Legendre panels, in which
-dT/dt = |u0|*exp(2w)/canonical_x(w, u0)*dw/dt is smooth at the axis
-crossings.  A closed level's period is twice the time along one side.  A
-rotation's circle and a line flow's line are closed forms in T.
+One sampler, contour's _curve, serves every side of every piece of an orbit
+or a portrait: its vertices lie at w = w_lo + span*(1 - cos t)/2 for equal
+steps of t, and each step is timed by four 8-point Gauss-Legendre panels,
+in which dT/dt = |u0|*exp(2w)/canonical_x(w, u0)*dw/dt is smooth at the
+axis crossings.  A closed level's period is twice the time along one side.
+A rotation's circle and a line flow's line are closed forms in T.
 
 In canonical coordinates (x, y) = l*(X, U) with l = delta/k the separatrix
 is the curve X^2 = exp(2(U-1)) - U^2.
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import critical
-from .contour import Polyline, _pieces, canonical_x
+from .contour import Polyline, _curve, _pieces
 from .errors import InvalidParamsError, InvalidStartError
 from .field import FlowParams, _frame, stream_values
 
@@ -115,18 +115,6 @@ class SeparatrixResult:
     loop_area: float
     loop_max_radius: float
     lower_axis_crossing: float
-
-
-def _curve(u0: float, w_lo: float, w_hi: float, s):
-    """w and X/|u0| at the parameters s of the level piece through (0, u0),
-    w_lo <= w <= w_hi, run as the flow runs it: its side X > 0 from w_hi down
-    to w_lo for s in [0, pi], then its side X < 0 back up.  On each side
-    w = w_lo + span*(1 - cos t)/2, t = |pi - s|, written from the nearer
-    end so that it keeps its digits at both."""
-    t, span = np.abs(np.pi - s), w_hi - w_lo
-    w = np.where(t < 0.5 * np.pi, w_lo + span * np.sin(0.5 * t) ** 2,
-                 w_hi - span * np.cos(0.5 * t) ** 2)
-    return w, canonical_x(w, u0)
 
 
 def _rate(u0: float, w_lo: float, w_hi: float, s):

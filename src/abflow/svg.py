@@ -20,6 +20,7 @@ _STYLE = (
     "line.saddle{stroke:#202020;stroke-width:1.6}"
     "circle.vortex{fill:#202020}"
 )
+_WIDTH = 800  # of the image, in pixels
 
 
 def render_portrait(
@@ -28,7 +29,6 @@ def render_portrait(
     separatrix_level: float | None = None,
     saddle=None,
     vortex=None,
-    width: int = 800,
 ) -> str:
     """Render polylines (objects with .points and .level) into an SVG string.
 
@@ -37,8 +37,8 @@ def render_portrait(
     xmin, xmax, ymin, ymax = (float(v) for v in bbox)
     # the height is 1 to 16 widths whatever the aspect ratio; a side too
     # small for a finite scale (below about 1e-305) takes the largest one
-    sx = min(width / (xmax - xmin), sys.float_info.max)
-    height = int(round(min(max((ymax - ymin) * sx, 1.0), 16.0 * width)))
+    sx = min(_WIDTH / (xmax - xmin), sys.float_info.max)
+    height = int(round(min(max((ymax - ymin) * sx, 1.0), 16.0 * _WIDTH)))
     sy = min(height / (ymax - ymin), sys.float_info.max)
 
     def to_px(x, y):
@@ -48,13 +48,13 @@ def render_portrait(
     def marker_px(point):
         # a marker out of view stays within one image size of it
         cx, cy = to_px(float(point[0]), float(point[1]))
-        return min(max(cx, -width), 2.0 * width), min(max(cy, -height), 2.0 * height)
+        return min(max(cx, -_WIDTH), 2.0 * _WIDTH), min(max(cy, -height), 2.0 * height)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
+        f'viewBox="0 0 {_WIDTH} {height}">',
         f"<style>{_STYLE}</style>",
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<rect width="{_WIDTH}" height="{height}" fill="white"/>',
     ]
     for poly in polylines:
         pts = np.asarray(poly.points, dtype=float)

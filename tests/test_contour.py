@@ -24,10 +24,11 @@ from abflow import (
     separatrix_level,
     stream_values,
     trace_separatrix,
+    velocity,
 )
 from abflow import contour
 from abflow.contour import GRID_MAX, SAMPLES_MAX, _auto_levels, polygon_area
-from helpers import hausdorff_distance, winding_number
+from helpers import UNITS, flow, hausdorff_distance, winding_number
 
 P = FlowParams()
 SPECS = [
@@ -175,6 +176,27 @@ class TestLevelCurves:
         # a circle of radius 1e-12 is shorter than 1e-9 cell diagonals
         rotation = FlowParams(k=0.0)
         assert level_curves(rotation, rotation.b * math.log(1e-12), PortraitSpec()) == []
+
+    @pytest.mark.parametrize("bbox", [
+        (-1.0, 1.0, 1e6, 1e6 + 1.0),  # far up the y axis
+        (1e9, 1e9 + 1.0, 1e9, 1e9 + 1.0),
+        (-10.0, 10.0, 1.0, 1.01),  # thinner than a cell diagonal
+        (1.0, 2.0, -1e3, 1e3),
+    ])
+    def test_rotation_samples_only_the_arcs_in_the_bbox(self, bbox):
+        # the arcs of a circle inside a convex bbox are no longer than its
+        # perimeter, so each level has at most that many 0.9 cell diagonals
+        # of vertices, and a few more at the ends of its arcs
+        params = FlowParams(k=0.0)
+        spec = PortraitSpec(bbox=bbox, grid=(160, 120))
+        polys = portrait(params, spec)
+        check_vertices(params, polys, spec)
+        levels = {p.level for p in polys}
+        assert len(levels) == spec.n_levels
+        perimeter = 2.0 * (bbox[1] - bbox[0] + bbox[3] - bbox[2])
+        for level in levels:
+            n = sum(len(p) for p in polys if p.level == level)
+            assert n <= perimeter / (0.9 * spec.cell_diag) + 20
 
     @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
     def test_nonfinite_level_rejected(self, level):
@@ -351,6 +373,35 @@ class TestPortrait:
             assert (got.level, got.closed) == (ref.level, ref.closed)
             assert np.array_equal(got.points, ref.points)
 
+    @given(kind=st.sampled_from(["regular", "rotation", "line"]),
+           bbox=st.sampled_from([(-4.0, 4.0, -3.0, 3.0), (-1.0, 3.0, 0.5, 2.5)]), **UNITS)
+    @settings(max_examples=60, deadline=None)
+    def test_polylines_run_the_way_the_flow_runs(self, kind, bbox, log_l, log_tau, log_delta):
+        # down the side x > 0, up the side x < 0, a line toward -x and a
+        # circle clockwise: every segment has a nonnegative dot product with
+        # the velocity at its midpoint; the second bbox leaves out the vortex
+        l, delta = 10.0**log_l, 10.0**log_delta
+        params = flow(l, 10.0**log_tau, delta)
+        if kind == "rotation":
+            params = FlowParams(hbar=params.hbar, k=0.0, delta=delta)
+        elif kind == "line":
+            params = FlowParams(hbar=params.hbar, k=params.k, delta=0.0)
+        polys = portrait(params, PortraitSpec(bbox=tuple(l * v for v in bbox), grid=(160, 120)))
+        assert polys
+        for p in polys:
+            mid = 0.5 * (p.points[1:] + p.points[:-1])
+            u, v = velocity(params, mid[:, 0], mid[:, 1])
+            dx, dy = np.diff(p.points, axis=0).T
+            assert np.all(dx * u + dy * v >= 0.0)
+
+    @pytest.mark.parametrize("params", [P, FlowParams(delta=0.1), FlowParams(k=0.0)])
+    def test_closed_polylines_end_on_their_first_vertex(self, params):
+        for spec in SPECS:
+            loops = [p for p in portrait(params, spec) if p.closed]
+            assert loops
+            for p in loops:
+                assert p.points[-1].tobytes() == p.points[0].tobytes()
+
     def test_bisection_keeps_vertices_a_cell_apart(self, monkeypatch):
         # on this grid the arc-length resampling leaves segments longer than
         # a cell diagonal, which the bisection splits
@@ -424,6 +475,14 @@ class TestPortrait:
             warnings.simplefilter("error")
             polys = portrait(P, spec)
         assert polys and all(np.isfinite(p.points).all() for p in polys)
+
+    @pytest.mark.parametrize("n_levels", [-1, GRID_MAX + 1])
+    def test_n_levels_bounds(self, n_levels):
+        # a bound on memory, like the grid's: only the constructor runs here
+        assert PortraitSpec(n_levels=0).n_levels == 0
+        assert PortraitSpec(n_levels=GRID_MAX).n_levels == GRID_MAX
+        with pytest.raises(InvalidParamsError):
+            PortraitSpec(n_levels=n_levels)
 
     @pytest.mark.parametrize("grid", [(GRID_MAX + 1, 100), (100, 10**12)])
     def test_grid_upper_bound(self, grid):
