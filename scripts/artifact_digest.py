@@ -7,10 +7,14 @@ name and bytes of every artifact.  The calls cover every command at natural
 units and in two scaled unit systems, plus portraits that reach every
 branch of the level-curve pass, point tables that mirror only in part
 about the y axis or not at all, the largest grid whose automatic levels
-sample every node, a closed orbit next to the saddle, and verify on a
-rotation, a line flow, the zero flow and a second seed.  One line per
-call, then one overall digest.  Two checkouts whose lines match wrote the
-same bytes, so a change that should not move any output can be checked by
+sample every node, a closed orbit next to the saddle, verify on a
+rotation, a line flow, the zero flow and a second seed, circulation at 16
+samples (where the Richardson estimate's rule is the rule itself) and at
+33 (where it has nodes of its own), and an eval whose summary is not
+finite (exit 4, nothing printed or kept).  One line per call, then one
+overall digest; the exit status is 1 if a call's exit code is not the one
+EXIT gives it (0 if none).  Two checkouts whose lines match wrote the same
+bytes, so a change that should not move any output can be checked by
 running this on both:
 
     PYTHONPATH=src python3 scripts/artifact_digest.py
@@ -80,7 +84,14 @@ CALLS = [
 ] + [(f"portrait/{name}", ["portrait", *flags]) for name, flags in PORTRAITS.items()] + [
     ("separatrix/delta-1e-9", ["separatrix", "--delta", "1e-9"]),
     ("trajectory/near-saddle", ["trajectory", "--start", "0,0.499995", "--detect-closure"]),
-] + [(f"verify/{name}", ["verify", *flags]) for name, flags in VERIFY.items()]
+] + [(f"verify/{name}", ["verify", *flags]) for name, flags in VERIFY.items()] + [
+    ("circulation/samples-16", [*COMMANDS["circulation"], "--samples", "16"]),
+    ("circulation/samples-33", [*COMMANDS["circulation"], "--samples", "33"]),
+    ("eval/nonfinite-summary", ["eval", "--hbar", "1e307", "--at", "0,100"]),
+]
+
+# the exit code of every call that should not exit 0
+EXIT = {"eval/nonfinite-summary": 4}
 
 
 def digest(argv: list[str], out: Path) -> tuple[int, str]:
@@ -110,4 +121,4 @@ if __name__ == "__main__":
         print(f"{sha}  exit {code}  {label}")
     overall = hashlib.sha256("".join(sha for _, _, sha in rows).encode()).hexdigest()
     print(f"{overall}  overall")
-    sys.exit(0 if all(code == 0 for _, code, _ in rows) else 1)
+    sys.exit(0 if all(code == EXIT.get(label, 0) for label, code, _ in rows) else 1)

@@ -2,7 +2,9 @@
 
 Subcommands: eval, portrait, stagnation, separatrix, circulation, trajectory,
 verify, sweep.  A summary document is printed to stdout as JSON (the verify
-report is a fixed-width text document); CSV/SVG artifacts go to --out.
+report is a fixed-width text document); CSV/SVG artifacts go to --out.  The
+JSON is the text of json.dumps(v, sort_keys=True, indent=2), written by
+``_json`` from C-level pieces.
 
 Every setting is one row of ``_SETTINGS``: its value parser, its default
 and the commands that read it.  One loop (``_settings``) reads argv
@@ -51,6 +53,35 @@ from .field import (
     velocity_potential,
 )
 from .svg import render_portrait
+
+_ascii = json.encoder.encode_basestring_ascii
+
+
+def _json(v, allow_nan: bool = False, pad: str = "\n") -> str:
+    """json.dumps(v, sort_keys=True, indent=2, allow_nan=allow_nan), the
+    same bytes, from C-level pieces (json takes its pure-Python encoder
+    whenever indent is set).  pad is the newline and indent of v's line.
+    A dict with str keys, list, tuple, str, int, finite float, bool or None
+    is written here; anything else, a NaN or an infinity too, is left to
+    json.dumps and re-indented to pad."""
+    kind = type(v)
+    if kind is float and v - v == 0.0 or kind is int:
+        return repr(v)
+    if kind is str:
+        return _ascii(v)
+    if kind is bool or v is None:
+        return "true" if v is True else "false" if v is False else "null"
+    inner = pad + "  "
+    if kind is list or kind is tuple:
+        items = [_json(x, allow_nan, inner) for x in v]
+    elif kind is dict and all(type(k) is str for k in v):
+        items = [f"{_ascii(k)}: {_json(x, allow_nan, inner)}" for k, x in sorted(v.items())]
+    else:
+        return json.dumps(v, sort_keys=True, indent=2, allow_nan=allow_nan).replace("\n", pad)
+    if not items:
+        return "{}" if kind is dict else "[]"
+    body = inner + ("," + inner).join(items) + pad
+    return "{" + body + "}" if kind is dict else "[" + body + "]"
 
 
 def _point(text: str) -> tuple[float, float]:
@@ -313,7 +344,7 @@ class _Emitter:
         made for them."""
         summary["files"] = sorted(self.files)
         try:
-            text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False)
+            text = _json(summary)
         except ValueError as exc:
             for name in self.files:
                 (self.out / name).unlink(missing_ok=True)
@@ -505,7 +536,7 @@ def _cmd_verify(s: SimpleNamespace) -> int:
              for k, v in dataclasses.asdict(rep).items()}
             for rep in reports
         ]
-        em.write("verify_report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n", "json")
+        em.write("verify_report.json", _json(payload, allow_nan=True) + "\n", "json")
     return 0 if verify_mod.suite_passed(reports) else 1
 
 

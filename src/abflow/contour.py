@@ -359,7 +359,11 @@ def circulation(
 
     Converges to -2*pi*hbar*delta/mass when the circle encloses the origin
     and to 0 otherwise.  Takes 16 to SAMPLES_MAX samples and a circle on
-    which x*x + y*y stays finite.
+    which x*x + y*y stays finite.  The Richardson error estimate is the
+    distance to the max(16, samples//2)-point rule, summed from every other
+    sample where its nodes are those (even samples from 32, and 16): the
+    field is evaluated once per sample, and a second time on the coarse
+    nodes only for odd samples and 17 to 31.
     """
     cx, cy = float(center[0]), float(center[1])
     radius = float(radius)
@@ -381,15 +385,23 @@ def circulation(
     # bits, scaled by 1/s, and the sum overflows only where s times it does
     s = math.ldexp(1.0, math.frexp(params.b)[1] - 1)
 
-    def quad(n: int) -> float:
+    def integrand(n: int) -> np.ndarray:
         theta = 2.0 * np.pi * np.arange(n) / n
         ct, st = np.cos(theta), np.sin(theta)
         u, v = _velocity(0.0, params.b / s, cx + radius * ct, cy + radius * st)
-        integrand = radius * (-st * u + ct * v)
-        return s * float(np.sum(integrand) * (2.0 * np.pi / n))
+        return radius * (-st * u + ct * v)
 
-    value = quad(samples)
-    estimate = abs(value - quad(max(16, samples // 2)))
+    def rule(terms: np.ndarray) -> float:
+        return s * float(np.sum(terms) * (2.0 * np.pi / len(terms)))
+
+    # the coarse rule's nodes 2*pi*k/half are the fine rule's 2*pi*(k*n/half)/n
+    # to the bit wherever half divides n: every even n from 32, and 16.  Its
+    # terms are copied out, so np.sum pairs them as it pairs a fresh array
+    terms = integrand(samples)
+    half = max(16, samples // 2)
+    coarse = terms[:: samples // half] if samples % half == 0 else integrand(half)
+    value = rule(terms)
+    estimate = abs(value - rule(np.ascontiguousarray(coarse)))
     return CirculationResult(
         value=value,
         contour={"center": (cx, cy), "radius": radius, "samples": samples},

@@ -49,6 +49,10 @@ H_FIRST = 1e-4
 H_LAPLACE = 1e-3
 NORM_TOL = 1e-6
 TINY = 1e-300
+# far_field_decay's 24 points: 8 angles on each of the radii 10, 100, 1000
+FAR_RADII = np.array([[10.0], [100.0], [1000.0]])
+_FAR_ANGLES = np.linspace(-3.0, 3.0, 8)
+FAR_X, FAR_Y = FAR_RADII * np.cos(_FAR_ANGLES), FAR_RADII * np.sin(_FAR_ANGLES)
 
 
 @dataclass(frozen=True)
@@ -231,10 +235,9 @@ def run_suite(
     def check_far_field():
         # the law |v + (a, 0)|*r = b far out, on the velocity kernel itself;
         # the canonical a and b are 0 or 1, so the residual is relative to b
-        ang = np.linspace(-3.0, 3.0, 8)
-        r = np.array([[10.0], [100.0], [1000.0]])
-        u, v = uv(r * np.cos(ang), r * np.sin(ang))
-        return report("far_field_decay", np.max(np.abs(np.hypot(u + ca, v) * r - cb)), 1e-12)
+        u, v = uv(FAR_X, FAR_Y)
+        resid = np.max(np.abs(np.hypot(u + ca, v) * FAR_RADII - cb))
+        return report("far_field_decay", resid, 1e-12)
 
     def check_hamiltonian_gradient():
         errs = [_rms(np.hypot(dhdy - u0, -dhdx - v0)) for dhdx, dhdy in zip(*grad(psit, ladder))]

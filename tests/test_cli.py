@@ -66,6 +66,28 @@ def point_tables(draw):
     return [np.array(rows[a:b]) for a, b in zip([0, *cuts], [*cuts, len(rows)])]
 
 
+# JSON values whose text is easy to get wrong: floats at the edges of repr
+# and of JSON, ints past 64 bits with bools among them, and text with
+# quotes, backslashes, control and non-ASCII characters, in nested dicts,
+# lists and tuples
+json_text = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\xe9\U0001f600'),
+                              st.characters()), max_size=8)
+json_leaf = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(2**64, 2**200).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    json_text,
+)
+json_value = st.recursive(json_leaf, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(json_text, inner, max_size=4),
+), max_leaves=24)
+
+
 class TestEval:
     def test_current_at_point(self, capsys):
         doc = run_json(capsys, "eval", "--k", "1", "--delta", "0.5", "--at", "1,1")
@@ -642,6 +664,20 @@ class TestArtifacts:
         em.write = lambda name, text, kind: written.append((name, text, kind))
         em.write_points([(f"t{i}.csv", t) for i, t in enumerate(tables)])
         assert written == [(f"t{i}.csv", xy_csv(t), "csv") for i, t in enumerate(tables)]
+
+    @given(value=json_value)
+    @settings(max_examples=200, deadline=None)
+    def test_summary_encoder_matches_json_dumps(self, value):
+        # the same text as json.dumps, or the same exception type (a NaN or
+        # an infinity is a ValueError unless allowed)
+        for allow_nan in (False, True):
+            try:
+                want = json.dumps(value, sort_keys=True, indent=2, allow_nan=allow_nan)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    cli._json(value, allow_nan)
+            else:
+                assert cli._json(value, allow_nan) == want
 
     def test_portrait_without_curves_writes_no_csv(self, capsys, tmp_path):
         doc = run_json(capsys, "portrait", "--levels", "50", "--no-separatrix",

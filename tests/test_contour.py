@@ -5,7 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from abflow import (
     FlowParams,
@@ -569,6 +569,50 @@ class TestCirculation:
         params = FlowParams(delta=delta)
         value = circulation(params, (0.0, 0.0), radius, 512).value
         assert value == pytest.approx(-2.0 * math.pi * params.b, rel=1e-10)
+
+
+    @given(x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0), r=st.floats(0.05, 6.0), **UNITS)
+    @settings(max_examples=40, deadline=None)
+    def test_one_node_set_matches_two_rules(self, x, y, r, log_l, log_tau, log_delta):
+        # value and estimate to the bit as two separate trapezoid rules, at n
+        # and at max(16, n//2) nodes, give them on circles of radius l*r
+        l = 10.0**log_l
+        params = flow(l, 10.0**log_tau, 10.0**log_delta)
+        center, radius = (l * x, l * y), l * r
+        assume(abs(math.hypot(*center) - radius) > 1e-9 * radius)
+        for n in (16, 17, 31, 32, 33, 511, 512, 1000):
+            res = circulation(params, center, radius, n)
+            assert (res.value, res.richardson_error_estimate) == two_rules(
+                params, center, radius, n)
+
+    def test_one_field_evaluation(self, monkeypatch):
+        # the coarse rule reads every other node of the 512-point rule
+        kernel, points = contour._velocity, []
+
+        def spy(a, b, x, y):
+            points.append(np.size(x))
+            return kernel(a, b, x, y)
+
+        monkeypatch.setattr(contour, "_velocity", spy)
+        circulation(P, (0.2, -0.1), 1.0, 512)
+        assert points == [512]
+
+
+def two_rules(params, center, radius, n):
+    """circulation()'s value and Richardson estimate from two trapezoid
+    rules, each on its own nodes: the n-point rule, and the estimate's
+    distance to the max(16, n//2)-point rule."""
+    cx, cy = center
+    s = math.ldexp(1.0, math.frexp(params.b)[1] - 1)
+
+    def quad(n):
+        theta = 2.0 * np.pi * np.arange(n) / n
+        ct, st = np.cos(theta), np.sin(theta)
+        u, v = contour._velocity(0.0, params.b / s, cx + radius * ct, cy + radius * st)
+        return s * float(np.sum(radius * (-st * u + ct * v)) * (2.0 * np.pi / n))
+
+    value = quad(n)
+    return value, abs(value - quad(max(16, n // 2)))
 
 
 class TestCirculationFromFlux:

@@ -23,7 +23,8 @@ def test_artifact_digest_is_repeatable():
     digest = load("artifact_digest")
     first, second = digest.run(), digest.run()
     assert len(first) == len(digest.CALLS) >= 20
-    assert [code for _, code, _ in first] == [0] * len(first)
+    assert [code for _, code, _ in first] == [digest.EXIT.get(label, 0) for label, _, _ in first]
+    assert set(digest.EXIT) <= {label for label, _ in digest.CALLS}
     assert first == second
     commands = {label.split("/")[0] for label, _, _ in first}
     assert commands == {"eval", "stagnation", "portrait", "separatrix", "circulation",
