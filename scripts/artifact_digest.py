@@ -10,8 +10,8 @@ about the y axis or not at all, the largest grid whose automatic levels
 sample every node, a closed orbit next to the saddle, verify on a
 rotation, a line flow, the zero flow and a second seed, circulation at 16
 samples (where the Richardson estimate's rule is the rule itself) and at
-33 (where it has nodes of its own), and an eval whose summary is not
-finite (exit 4, nothing printed or kept).  One line per call, then one
+33 (where it has nodes of its own), and an eval and a trajectory whose
+summary is not finite (exit 4, nothing printed or kept).  One line per call, then one
 overall digest; the exit status is 1 if a call's exit code is not the one
 EXIT gives it (0 if none).  Two checkouts whose lines match wrote the same
 bytes, so a change that should not move any output can be checked by
@@ -88,10 +88,12 @@ CALLS = [
     ("circulation/samples-16", [*COMMANDS["circulation"], "--samples", "16"]),
     ("circulation/samples-33", [*COMMANDS["circulation"], "--samples", "33"]),
     ("eval/nonfinite-summary", ["eval", "--hbar", "1e307", "--at", "0,100"]),
+    ("trajectory/nonfinite-summary", ["trajectory", *UNITS["hbar0.25-mass4-k3"],
+                                      "--start", "0,1.3407807929942596e154", "--tmax", "1e308"]),
 ]
 
 # the exit code of every call that should not exit 0
-EXIT = {"eval/nonfinite-summary": 4}
+EXIT = {"eval/nonfinite-summary": 4, "trajectory/nonfinite-summary": 4}
 
 
 def digest(argv: list[str], out: Path) -> tuple[int, str]:

@@ -7,14 +7,14 @@ JSON is the text of json.dumps(v, sort_keys=True, indent=2), written by
 ``_json`` from C-level pieces.
 
 Every setting is one row of ``_SETTINGS``: its value parser, its default
-and the commands that read it.  One loop (``_settings``) reads argv
-against the rows: they give each command's flags (booleans also take a
-``--no-`` form; no flag may be abbreviated) and the keys a ``--config``
-file may set for it.  A flag or key that names no setting, or a setting
-the command does not read, is a usage error, printed as ``error: ...`` on
-stderr like every other; -h or --help prints the usage.  Precedence:
-flags > key=value config file > defaults.  Exit codes: 0 ok, 1
-verification failure, 2 usage, 3 singular input, 4 numerical failure.
+(... if required) and the commands that read it.  The rows give each
+command's flags (booleans also take a ``--no-`` form; no flag may be
+abbreviated), and ``_settings`` reads argv, then each ``name = value`` line
+of a ``--config`` file, through them: name is a flag's in ``_`` or ``-``,
+not config nor a ``--no-`` form.  Anything else, a required setting left
+unset, or --delta with --flux is a usage error, printed as ``error: ...``
+on stderr like every other; -h or --help prints the usage.  Exit codes: 0
+ok, 1 verification failure, 2 usage, 3 singular input, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -84,18 +84,11 @@ def _json(v, allow_nan: bool = False, pad: str = "\n") -> str:
     return "{" + body + "}" if kind is dict else "[" + body + "]"
 
 
-def _point(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected x,y got {text!r}")
-    return float(parts[0]), float(parts[1])
-
-
-def _bbox(text: str) -> tuple[float, float, float, float]:
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError(f"expected xmin,xmax,ymin,ymax got {text!r}")
-    return tuple(parts)
+def _numbers(text: str, count: int | None = None) -> tuple[float, ...]:
+    values = tuple(map(float, text.split(",")))
+    if count is not None and len(values) != count:
+        raise ValueError(f"expected {count} comma-separated numbers, got {text!r}")
+    return values
 
 
 def _grid(text: str) -> tuple[int, int]:
@@ -103,10 +96,6 @@ def _grid(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise ValueError(f"expected NxM got {text!r}")
     return int(parts[0]), int(parts[1])
-
-
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
 
 
 def _bool(text: str) -> bool:
@@ -128,7 +117,8 @@ _ALL = frozenset(
 # sweep takes each flow's delta from --deltas
 _FLOWS = _ALL - {"sweep"}
 
-# name: (value parser for the flag and the config line, default, commands)
+# name: (value parser for the flag and the config line, default, or ... where
+# the command requires the setting, commands)
 _SETTINGS = {
     "hbar": (float, 1.0, _ALL),
     "mass": (float, 1.0, _ALL),
@@ -141,63 +131,24 @@ _SETTINGS = {
     "out": (str, None, _ALL),
     "format": (_format, "csv", _ALL),
     "seed": (int, 42, {"verify"}),
-    "at": (_point, None, {"eval"}),
-    "bbox": (_bbox, (-4.0, 4.0, -3.0, 3.0), {"portrait"}),
+    "at": (functools.partial(_numbers, count=2), ..., {"eval"}),
+    "bbox": (functools.partial(_numbers, count=4), (-4.0, 4.0, -3.0, 3.0), {"portrait"}),
     "grid": (_grid, (400, 300), {"portrait"}),
-    "levels": (_floats, None, {"portrait"}),
+    "levels": (_numbers, None, {"portrait"}),
     "n_levels": (int, 15, {"portrait"}),
     "separatrix": (_bool, True, {"portrait"}),
-    "center": (_point, (0.0, 0.0), {"circulation"}),
+    "center": (functools.partial(_numbers, count=2), (0.0, 0.0), {"circulation"}),
     "radius": (float, 1.0, {"circulation", "sweep"}),
     "samples": (int, 512, {"circulation", "sweep"}),
-    "start": (_point, None, {"trajectory"}),
+    "start": (functools.partial(_numbers, count=2), ..., {"trajectory"}),
     "tmax": (float, 100.0, {"trajectory"}),
     "detect_closure": (_bool, False, {"trajectory"}),
-    "deltas": (_floats, None, {"sweep"}),
+    "deltas": (_numbers, ..., {"sweep"}),
 }
 
 
-def _load_config(path: str | None, command: str) -> dict:
-    if path is None:
-        return {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidParamsError(f"cannot read config file {path!r}: {exc}") from exc
-    cfg = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidParamsError(f"bad config line {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in _SETTINGS:
-            raise InvalidParamsError(f"unknown config key {key!r} in {raw!r}")
-        parse, _, commands = _SETTINGS[key]
-        if command not in commands:
-            raise InvalidParamsError(f"{command} does not read config key {key!r} in {raw!r}")
-        try:
-            cfg[key] = parse(value)
-        except ValueError as exc:
-            raise InvalidParamsError(f"bad config value {raw!r}: {exc}") from exc
-    return cfg
-
-
-def _settings(argv: list[str]) -> SimpleNamespace | None:
-    """The command argv[0] names and its settings: flags > config file >
-    defaults.  A flag is --name VALUE or --name=VALUE (a value may start
-    with a minus sign), a boolean's --name or --no-name; the last of a
-    repeated flag wins.  -h or --help prints the usage and gives None;
-    any other argument is an InvalidParamsError naming it."""
-    command = argv[0] if argv else None
-    if command in ("-h", "--help"):
-        print("usage: abflow COMMAND [--FLAG VALUE ...]\ncommands:")
-        print("\n".join(f"  {name:12} {help_text}" for name, (_, help_text) in _COMMANDS.items()))
-        return None
-    if command not in _COMMANDS:
-        raise InvalidParamsError(f"expected a command ({', '.join(_COMMANDS)}), got {command!r}")
+@functools.cache
+def _flags(command: str) -> tuple[dict, dict]:
     # flag: (setting, value parser, the value text a boolean's flag implies)
     flags, defaults = {"--config": ("config", str, None)}, {}
     for name, (parse, default, commands) in _SETTINGS.items():
@@ -207,7 +158,30 @@ def _settings(argv: list[str]) -> SimpleNamespace | None:
             flags[flag] = (name, parse, "1" if parse is _bool else None)
             if parse is _bool:
                 flags["--no-" + flag[2:]] = (name, parse, "0")
-    given, args = {}, iter(argv[1:])
+    return flags, defaults
+
+
+def _settings(argv: list[str]) -> SimpleNamespace | None:
+    """The command argv[0] names and its settings: flags > config file >
+    defaults.  A flag is --name VALUE or --name=VALUE (a value may start
+    with a minus sign), a boolean's --name or --no-name; the last of a
+    repeated flag wins.  -h or --help prints the usage and gives None;
+    whatever else the module docstring refuses is an InvalidParamsError."""
+    command = argv[0] if argv else None
+    if command in ("-h", "--help"):
+        print("usage: abflow COMMAND [--FLAG VALUE ...]\ncommands:")
+        print("\n".join(f"  {name:12} {help_text}" for name, (_, help_text) in _COMMANDS.items()))
+        return None
+    if command not in _COMMANDS:
+        raise InvalidParamsError(f"expected a command ({', '.join(_COMMANDS)}), got {command!r}")
+    flags, defaults = _flags(command)
+
+    def take(into: dict, where: str, name: str, parse, text: str) -> None:
+        try:
+            into[name] = parse(text)
+        except ValueError as exc:
+            raise InvalidParamsError(f"bad {where} value {text!r}: {exc}") from exc
+    given, config, args = {}, {}, iter(argv[1:])
     for token in args:
         if token in ("-h", "--help"):
             print(" ".join(["usage: abflow", command, *(
@@ -223,12 +197,27 @@ def _settings(argv: list[str]) -> SimpleNamespace | None:
             text = implied or next(args, None)
             if text is None:
                 raise InvalidParamsError(f"{flag} expects a value")
+        take(given, flag, name, parse, text)
+    if "config" in given:
+        path = given.pop("config")
         try:
-            given[name] = parse(text)
-        except ValueError as exc:
-            raise InvalidParamsError(f"bad {flag} value {text!r}: {exc}") from exc
-    config = _load_config(given.pop("config", None), command)
-    return SimpleNamespace(**{**defaults, **config, **given}, command=command)
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidParamsError(f"cannot read config file {path!r}: {exc}") from exc
+        for raw in text.splitlines():
+            key, eq, value = raw.split("#", 1)[0].partition("=")
+            name, parse, implied = flags.get("--" + key.strip().replace("_", "-"), (None,) * 3)
+            if eq and name not in (None, "config") and implied != "0":
+                take(config, f"config line {raw!r}", name, parse, value.strip())
+            elif eq or key.strip():
+                raise InvalidParamsError(f"bad config line {raw!r}: expected SETTING = VALUE")
+    if {"delta", "flux"} <= given.keys() | config.keys():
+        raise InvalidParamsError(f"{command} takes --delta or --flux, not both")
+    values = {**defaults, **config, **given}
+    for name, value in values.items():
+        if value is ...:
+            raise InvalidParamsError(f"{command} requires --{name.replace('_', '-')}")
+    return SimpleNamespace(**values, command=command)
 
 
 def _flow_params(s: SimpleNamespace, delta: float | None = None) -> FlowParams:
@@ -398,8 +387,6 @@ def _markers(params: FlowParams) -> tuple:
 
 @_on_one_flow
 def _cmd_eval(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
-    if s.at is None:
-        raise InvalidParamsError("eval requires --at x,y")
     p = s.at
     z = complex(p[0], p[1])
     j = current(params, p)
@@ -499,8 +486,6 @@ def _cmd_circulation(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tu
 
 @_on_one_flow
 def _cmd_trajectory(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
-    if s.start is None:
-        raise InvalidParamsError("trajectory requires --start x,y")
     traj = dynamics.integrate(params, s.start, dynamics.IntegratorConfig(max_time=s.tmax),
                               detect_closure=s.detect_closure)
     em.write_csv(
@@ -541,8 +526,6 @@ def _cmd_verify(s: SimpleNamespace) -> int:
 
 
 def _cmd_sweep(s: SimpleNamespace) -> int:
-    if s.deltas is None:
-        raise InvalidParamsError("sweep requires --deltas d1,d2,...")
     rows = []
     for delta in s.deltas:
         params = _flow_params(s, delta)

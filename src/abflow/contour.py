@@ -273,7 +273,7 @@ def _curves(params: FlowParams, levels, spec: PortraitSpec) -> list[Polyline]:
     for level in map(float, levels):
         if not math.isfinite(level):
             raise InvalidParamsError(f"level must be finite, got {level!r}")
-        if b == 0.0 or math.isinf(level / b) or (a > 0.0 and b / a == 0.0):
+        if b == 0.0 or math.isinf(level / b):
             # the line y = -level/a, run toward -x: b*log r is below roundoff
             y = -level / a if a > 0.0 else math.nan
             if ymin <= y <= ymax:

@@ -297,11 +297,13 @@ def integrate(
     pts = np.vstack([np.column_stack([X[:end], U[:end]]), *tail])
     points = np.array(start) + l * (pts - pts[0])
     hs = stream_values(params, points[:, 0], points[:, 1])
+    with np.errstate(invalid="ignore"):  # inf - inf, where psi overflows
+        drift = float(np.max(np.abs(hs - hs[0])))
     return Trajectory(
         times=tau * times,
         points=points,
         h_values=hs,
-        max_h_drift=float(np.max(np.abs(hs - hs[0]))),
+        max_h_drift=drift,
         status=status,
     )
 
@@ -335,23 +337,23 @@ def trace_separatrix(params: FlowParams) -> SeparatrixResult:
     -W(1/e) <= U <= 1 and the two unbounded arms for U >= 1, each sampled
     as trajectories are.  The loop is closed through the saddle and runs as
     the flow does, down the right side (the unstable direction) and back up
-    the left.  The arms, left then right, run from the saddle to their
-    first vertex outside the default integration domain.
+    its mirror.  The arms, left (the right's mirror) then right, run from
+    the saddle to their first vertex outside the default integration domain.
     """
     area, l, crossing = _loop_metrics(params)
     level = critical.separatrix_level(params)
     n = 4 * _SIDE_STEPS  # four times a trajectory's: the loop ends within 1e-4*l of the saddle
-    s = math.pi * np.linspace(0.0, 2.0, 2 * n + 1)
-    w, x = _curve(1.0, -1.0 - _W_INV_E, 0.0, s)
-    x[[0, n, -1]] = 0.0  # X^2 vanishes at the saddle and the crossing only to roundoff
-    loop = l * np.column_stack([np.copysign(x, np.pi - s) + 0.0, 1.0 + w])  # -0.0 + 0.0 is +0.0
+    s = math.pi * np.linspace(0.0, 1.0, n + 1)
+    w, x = _curve(1.0, -1.0 - _W_INV_E, 0.0, s)  # the side x >= 0, down from the saddle
+    x[[0, n]] = 0.0  # X^2 vanishes at the saddle and the crossing only to roundoff
+    down = l * np.column_stack([x, 1.0 + w])
+    loop = np.vstack([down, down[-2::-1] * [-1.0, 1.0] + 0.0])  # up its mirror; not -0.0
 
-    # the right arm, up to its first vertex outside the box
-    w, x = _curve(1.0, 0.0, math.log(2.0 * _HALF_WIDTH), s[n::-1])
+    # the right arm, up to its first vertex outside the box, and its mirror
+    w, x = _curve(1.0, 0.0, math.log(2.0 * _HALF_WIDTH), s[::-1])
     n = int(np.argmax(np.maximum(x, 1.0 + w) > _HALF_WIDTH)) + 1
     right = l * np.column_stack([x[:n], 1.0 + w[:n]])
-    left = right.copy()
-    left[1:, 0] *= -1.0  # the saddle keeps x = +0.0
+    left = right * [-1.0, 1.0] + 0.0  # the saddle keeps x = +0.0
 
     return SeparatrixResult(
         loop=Polyline(points=loop, level=level, closed=True),

@@ -242,11 +242,11 @@ def hamiltonian(params: FlowParams, p) -> float:
 
 
 def stream_values(params: FlowParams, x, y) -> np.ndarray:
-    """Vectorized stream function on arrays; yields -inf at the origin instead
-    of raising (grid evaluation support)."""
+    """Vectorized stream function on arrays, quiet where psi is not finite:
+    -inf at the origin, +-inf or NaN where x*x + y*y or psi overflows."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.asarray(_psi(params.a, params.b, x, y))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -169,7 +170,100 @@ class TestEval:
         assert doc["params"]["delta"] == 0.8
 
 
+def value_texts(parse) -> tuple[str, str]:
+    """Two value texts that a setting's parser reads as different values."""
+    if isinstance(parse, functools.partial):  # a fixed count of numbers
+        count = parse.keywords["count"]
+        return ",".join(["0.25"] * count), ",".join(["-1.5"] * count)
+    return {float: ("0.25", "0.125"), int: ("7", "9"), str: ("here", "there"),
+            cli._bool: ("0", "1"), cli._format: ("svg", "json"), cli._grid: ("40x30", "20x10"),
+            cli._numbers: ("0.5,0.25", "0.125")}[parse]
+
+
+def as_flag(name: str, parse, text: str) -> list[str]:
+    """The flags that set name to what text reads as."""
+    flag = "--" + name.replace("_", "-")
+    if parse is cli._bool:
+        return [flag] if cli._bool(text) else ["--no-" + flag[2:]]
+    return [flag, text]
+
+
 class TestConfigPrecedence:
+    @pytest.mark.parametrize("command", sorted(cli._ALL))
+    def test_every_setting_reads_the_same_from_flag_and_config(self, tmp_path, command):
+        settings = {name: parse for name, (parse, _, commands) in cli._SETTINGS.items()
+                    if command in commands}
+        required = [name for name, (_, default, commands) in cli._SETTINGS.items()
+                    if command in commands and default is ...]
+        cfg = tmp_path / "flow.cfg"
+        for i, (name, parse) in enumerate(settings.items()):
+            base = [command, *(arg for other in required if other != name
+                               for arg in as_flag(other, settings[other],
+                                                  value_texts(settings[other])[0]))]
+            mine, theirs = value_texts(parse)
+            key = name if i % 2 else name.replace("_", "-")  # either spelling
+            by_flag = vars(cli._settings([*base, *as_flag(name, parse, mine)]))
+            cfg.write_text(f"{key} = {mine}\n")
+            assert vars(cli._settings([*base, "--config", str(cfg)])) == by_flag, name
+            assert by_flag[name] == parse(mine) != parse(theirs)
+            cfg.write_text(f"{key} = {theirs}\n")
+            both = cli._settings([*base, "--config", str(cfg), *as_flag(name, parse, mine)])
+            assert vars(both) == by_flag, name  # the flag wins
+
+    @pytest.mark.parametrize("argv, line", [
+        (["portrait"], "no_separatrix = 1"),
+        (["trajectory", "--start", "0,0.25"], "no-detect-closure = 1"),
+        (["eval", "--at", "1,1"], "config = other.cfg"),
+    ])
+    def test_negated_forms_and_config_are_not_config_keys(self, capsys, tmp_path, argv, line):
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text(line + "\n")
+        code = main([*argv, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert line in captured.err
+
+    def test_config_gives_a_required_setting(self, capsys, tmp_path):
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text("at = 1,1\n")
+        assert run_json(capsys, "eval", "--config", str(cfg))["point"] == [1.0, 1.0]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["eval"], "--at"), (["trajectory"], "--start"), (["sweep"], "--deltas"),
+    ])
+    def test_missing_required_setting_names_its_flag(self, capsys, tmp_path, argv, flag):
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text("hbar = 2\n")
+        for extra in ([], ["--config", str(cfg)]):
+            code = main([*argv, *extra])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == f"error: {argv[0]} requires {flag}\n"
+
+    @pytest.mark.parametrize("flags, lines", [
+        (["--delta", "0.3", "--flux", "3.141592653589793"], ""),
+        (["--flux", "3.141592653589793"], "delta = 0.3\n"),
+        (["--delta", "0.3"], "flux = 3.141592653589793\n"),
+        ([], "delta = 0.3\nflux = 3.141592653589793\n"),
+    ], ids=["flags", "delta-in-config", "flux-in-config", "config"])
+    def test_delta_with_flux_is_usage_error(self, capsys, tmp_path, flags, lines):
+        # flux would set delta; given both, neither is dropped silently
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text(lines)
+        code = main(["eval", "--at", "1,1", *flags, "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "--delta" in captured.err and "--flux" in captured.err
+
+    def test_flags_alone_read_no_file(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a file was read")
+
+        monkeypatch.setattr(cli.Path, "read_text", refuse)
+        s = cli._settings(["portrait", "--delta", "0.3", "--bbox", "-4,4,-3,3",
+                           "--grid", "120x90", "--n-levels", "12", "--out", "figs"])
+        assert (s.delta, s.bbox, s.grid, s.n_levels) == (0.3, (-4.0, 4.0, -3.0, 3.0), (120, 90), 12)
+
     def test_config_then_flag(self, capsys, tmp_path):
         cfg = tmp_path / "flow.cfg"
         cfg.write_text("delta = 0.25\nk = 2.0  # comment\n")
@@ -236,6 +330,14 @@ class TestConfigPrecedence:
 
 
 class TestPortrait:
+    def test_levels_where_psi_overflows_are_quiet(self, capsys):
+        # psi overflows on most of this bbox's nodes: the automatic levels
+        # come from the finite ones, without a warning
+        code = main(["portrait", "--hbar", "1e300", "--bbox", "-1e10,1e10,-1e10,1e10",
+                     "--grid", "20x20"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+
     def test_uniform_topology_and_files(self, capsys, tmp_path):
         out = tmp_path / "fig1"
         doc = run_json(
@@ -358,30 +460,39 @@ class TestSubcommands:
     @pytest.mark.parametrize("existed", [False, True])
     def test_nonfinite_trajectory_leaves_no_artifacts(self, capsys, tmp_path, monkeypatch,
                                                       existed):
-        # no CLI input is known to give a trajectory that is not finite:
-        # stand one in.  The summary is not finite, and the CSV written
-        # before it is removed, with the --out directories the command
-        # made; one that was there before stays, with what it held
+        # the summary is not finite, and the CSV written before it is
+        # removed, with the --out directories the command made; one that
+        # was there before stays, with what it held.  Two real inputs run
+        # to where x*x + y*y or psi overflows, which warns nowhere; a
+        # stand-in gives a third a drift that is not finite
         integrate = dynamics.integrate
 
         def overflowing(*args, **kwargs):
             traj = integrate(*args, **kwargs)
             return dataclasses.replace(traj, max_h_drift=math.inf)
 
-        monkeypatch.setattr(dynamics, "integrate", overflowing)
-        out = tmp_path / "runs" / "traj"
-        if existed:
-            out.mkdir(parents=True)
-            (out / "notes.txt").write_text("kept\n")
-        code = main(["trajectory", "--start", "0,0.25", "--out", str(out)])
-        captured = capsys.readouterr()
-        assert code == 4 and captured.out == ""
-        assert "not finite" in captured.err
-        assert not (out / "trajectory.csv").exists()
-        if existed:
-            assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
-        else:
-            assert list(tmp_path.iterdir()) == []
+        for i, (argv, integrator) in enumerate([
+            (["--hbar", "0.25", "--mass", "4", "--k", "3",
+              "--start", "0,1.3407807929942596e154", "--tmax", "1e308"], integrate),
+            (["--hbar", "1e300", "--start", "0,1e10"], integrate),
+            (["--start", "0,0.25"], overflowing),
+        ]):
+            monkeypatch.setattr(dynamics, "integrate", integrator)
+            root = tmp_path / str(i)
+            out = root / "runs" / "traj"
+            root.mkdir()
+            if existed:
+                out.mkdir(parents=True)
+                (out / "notes.txt").write_text("kept\n")
+            code = main(["trajectory", *argv, "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == 4 and captured.out == "", argv
+            assert captured.err == "error: a trajectory result is not finite in doubles\n"
+            assert not (out / "trajectory.csv").exists()
+            if existed:
+                assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+            else:
+                assert list(root.iterdir()) == []
 
     def test_trajectory_past_the_sample_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(dynamics, "SAMPLES_MAX", 100)

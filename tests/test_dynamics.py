@@ -455,6 +455,23 @@ class TestClosedFormSeparatrix:
         assert pts[1, 0] > 0 and pts[1, 1] < l  # leaves down the right side
 
 
+@pytest.mark.parametrize("params", [
+    FlowParams(), FlowParams(hbar=2.0, mass=0.5), FlowParams(hbar=0.25, mass=4.0, k=3.0),
+    FlowParams(delta=1e-9),
+], ids=["natural", "hbar2-mass0.5", "hbar0.25-mass4-k3", "delta-1e-9"])
+def test_loop_left_side_mirrors_the_right_bit_for_bit(params):
+    # the flow is even in x: down the right side from the saddle to the
+    # crossing, then back up the left, each vertex the mirror of one on the
+    # right, so that the CSV writer formats each row once
+    pts = trace_separatrix(params).loop.points
+    n = len(pts) // 2
+    assert len(pts) == 2 * n + 1 == 513
+    right, left = pts[:n + 1], pts[n:][::-1]
+    assert left.tobytes() == np.column_stack([0.0 - right[:, 0], right[:, 1]]).tobytes()
+    assert pts[[0, n, -1], 0].tobytes() == np.zeros(3).tobytes()  # +0.0 on the y axis
+    assert pts[n, 1] < 0.0 < pts[1, 0]
+
+
 @pytest.mark.parametrize("delta", [0.5, 0.1])
 def test_loop_agrees_with_integrated_orbit(delta):
     # integrate from the lower axis crossing for ten saddle time constants:

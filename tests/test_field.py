@@ -210,6 +210,12 @@ class TestStreamFunction:
     def test_vectorized_origin_is_minus_inf(self):
         assert stream_values(P, 0.0, 0.0) == -np.inf
 
+    def test_vectorized_past_the_double_range_is_quiet(self):
+        # x*x + y*y overflows to inf, and b*log(inf) - a*y is inf or inf - inf
+        big = FlowParams(hbar=1e300)
+        vals = stream_values(big, [0.0, 0.0, 1e200], [1e10, 1e160, 0.0])
+        assert vals[0] == -np.inf and np.isnan(vals[1]) and vals[2] == np.inf
+
 
 class TestVelocityPotential:
     def test_values(self):
