@@ -7,7 +7,8 @@ name and bytes of every artifact.  The calls cover every command at natural
 units and in two scaled unit systems, plus portraits that reach every
 branch of the level-curve pass, point tables that mirror only in part
 about the y axis or not at all, the largest grid whose automatic levels
-sample every node, a closed orbit next to the saddle, verify on a
+sample every node, a closed orbit next to the saddle, an orbit run for
+about ten laps without --detect-closure that stops mid-lap, verify on a
 rotation, a line flow, the zero flow and a second seed, circulation at 16
 samples (where the Richardson estimate's rule is the rule itself) and at
 33 (where it has nodes of its own), and an eval and a trajectory whose
@@ -84,6 +85,7 @@ CALLS = [
 ] + [(f"portrait/{name}", ["portrait", *flags]) for name, flags in PORTRAITS.items()] + [
     ("separatrix/delta-1e-9", ["separatrix", "--delta", "1e-9"]),
     ("trajectory/near-saddle", ["trajectory", "--start", "0,0.499995", "--detect-closure"]),
+    ("trajectory/laps", ["trajectory", "--start", "0,0.25", "--tmax", "5"]),
 ] + [(f"verify/{name}", ["verify", *flags]) for name, flags in VERIFY.items()] + [
     ("circulation/samples-16", [*COMMANDS["circulation"], "--samples", "16"]),
     ("circulation/samples-33", [*COMMANDS["circulation"], "--samples", "33"]),

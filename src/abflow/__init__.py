@@ -27,12 +27,9 @@ from .critical import (
     vortex_singularity,
 )
 from .dynamics import (
-    IntegratorConfig,
-    OrbitResult,
     SeparatrixResult,
     Trajectory,
     TrajectoryStatus,
-    detect_closed_orbit,
     integrate,
     trace_separatrix,
 )

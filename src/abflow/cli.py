@@ -185,8 +185,8 @@ def _settings(argv: list[str]) -> SimpleNamespace | None:
     for token in args:
         if token in ("-h", "--help"):
             print(" ".join(["usage: abflow", command, *(
-                f"[{flag}]" if implied else f"[{flag} VALUE]"
-                for flag, (_, _, implied) in flags.items())]))
+                f"{flag} VALUE" if defaults.get(name) is ... else f"[{flag}]" if implied
+                else f"[{flag} VALUE]" for flag, (name, _, implied) in flags.items())]))
             return None
         flag, eq, text = token.partition("=")
         name, parse, implied = flags.get(flag, (None, None, None))
@@ -486,8 +486,7 @@ def _cmd_circulation(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tu
 
 @_on_one_flow
 def _cmd_trajectory(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
-    traj = dynamics.integrate(params, s.start, dynamics.IntegratorConfig(max_time=s.tmax),
-                              detect_closure=s.detect_closure)
+    traj = dynamics.integrate(params, s.start, max_time=s.tmax, detect_closure=s.detect_closure)
     em.write_csv(
         "trajectory.csv",
         "t,x,y,h",
@@ -501,8 +500,6 @@ def _cmd_trajectory(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tup
         "final_point": traj.points[-1].tolist(),
         "max_h_drift": traj.max_h_drift,
     }
-    if s.detect_closure:
-        keys["return_distance"] = float(np.hypot(*(traj.points[-1] - traj.points[0])))
     if traj.status is dynamics.TrajectoryStatus.CLOSED_ORBIT_DETECTED:
         keys["period"] = float(traj.times[-1])
     return keys, 0

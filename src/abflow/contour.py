@@ -194,16 +194,16 @@ def _clip(cycle: np.ndarray, level: float, spec: PortraitSpec) -> list[Polyline]
     return [Polyline(pts[i:j], level) for i, j in zip(ends[::2], ends[1::2]) if j - i >= 2]
 
 
-def _trace(rows: list, spec: PortraitSpec) -> list[Polyline]:
-    """The polylines of the pieces in ``rows``, each (level, u0, y0, l, lo, hi,
+def _trace(rows: list, l: float, spec: PortraitSpec) -> list[Polyline]:
+    """The polylines of the pieces in ``rows``, each (level, u0, y0, lo, hi,
     meet at lo, meet at hi), in one table: each side x >= 0 at y = y0 + l*w is
     _curve's, resampled by arc length and bisected until vertices are at most
     a cell diagonal apart, then mirrored, joined as the flow runs and clipped."""
-    level, u0, y0, l, lo, hi, meet_lo, meet_hi = (np.array(col) for col in zip(*rows))
-    piece = np.column_stack([u0, lo, hi, np.abs(y0), l])
+    level, u0, y0, lo, hi, meet_lo, meet_hi = (np.array(col) for col in zip(*rows))
+    piece = np.column_stack([u0, lo, hi, np.abs(y0)])
 
     def side(s, n):  # x and y - y0 at s, n vertices a piece
-        u0, lo, hi, abs_y0, l = np.repeat(piece, n, axis=0).T
+        u0, lo, hi, abs_y0 = np.repeat(piece, n, axis=0).T
         first = np.cumsum(n) - n
         w, x = _curve(u0, lo, hi, s)
         x *= abs_y0
@@ -294,9 +294,9 @@ def _curves(params: FlowParams, levels, spec: PortraitSpec) -> list[Polyline]:
             lo = max(w_lo, (ymin - y0) / l, math.log(r_near / abs(y0)) if r_near else -math.inf)
             hi = min(w_hi, (ymax - y0) / l, math.log(r_far / abs(y0)), 350.0)
             if lo < hi:
-                rows.append((level, anchor, y0, l, lo, hi, meet_lo and lo == w_lo,
+                rows.append((level, anchor, y0, lo, hi, meet_lo and lo == w_lo,
                              meet_hi and hi == w_hi))
-    curves += _trace(rows, spec) if rows else []
+    curves += _trace(rows, params.saddle_height, spec) if rows else []
     return sorted(curves, key=lambda p: (p.level, p.points[0, 0], p.points[0, 1], len(p)))
 
 

@@ -30,8 +30,7 @@ from .contour import Polyline, _curve, _pieces
 from .errors import InvalidParamsError, InvalidStartError
 from .field import FlowParams, _frame, stream_values
 
-__all__ = ["IntegratorConfig", "Trajectory", "TrajectoryStatus", "OrbitResult",
-           "SeparatrixResult", "integrate", "detect_closed_orbit", "trace_separatrix"]
+__all__ = ["Trajectory", "TrajectoryStatus", "SeparatrixResult", "integrate", "trace_separatrix"]
 
 # guards of the canonical problem: lengths in l, times in tau
 _CORE_RADIUS = 1e-4
@@ -63,26 +62,6 @@ class TrajectoryStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
-class IntegratorConfig:
-    """How long a trajectory may run: ``max_time``, in the flow's own time
-    unit; needing more than SAMPLES_MAX samples is an InvalidParamsError.
-
-    The guards are constants of the canonical problem x = l*X, t = tau*T:
-    l = delta/k and tau = l/a for a regular flow; a line flow or a rotation
-    has no length of its own, so l is the start's distance to the origin
-    (1 at the origin) and tau = l/a or l*l/b (a = hbar*k/mass,
-    b = hbar*delta/mass).  The core exclusion radius is 1e-4*l, and the
-    domain is the box of half-width 10*l, widened to twice the start point.
-    """
-
-    max_time: float = 100.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.max_time) and self.max_time > 0):
-            raise InvalidParamsError(f"max_time must be positive, got {self.max_time!r}")
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Samples of one orbit with Hamiltonian-drift statistics.
 
@@ -99,13 +78,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
-
-
-@dataclass(frozen=True)
-class OrbitResult:
-    closed: bool
-    period: float | None
-    return_distance: float
 
 
 @dataclass(frozen=True)
@@ -201,39 +173,40 @@ def _level_curve(x: float, y: float, half: float):
     return C, X, U, i_s, C[-1] if loop and not saddle else None, at
 
 
-def integrate(
-    params: FlowParams,
-    p0,
-    cfg: IntegratorConfig | None = None,
-    *,
-    detect_closure: bool = False,
-) -> Trajectory:
-    """The orbit from p0, sampled on its level set and timed by quadrature.
+def integrate(params: FlowParams, p0, *, max_time: float = 100.0,
+              detect_closure: bool = False) -> Trajectory:
+    """The orbit from p0 for max_time, in the flow's own time unit,
+    sampled on its level set and timed by quadrature.
 
     A regular flow's orbit runs along the start's level piece in the
     direction of motion; a rotation's is its circle and a line flow's its
     line.  It halts at exactly max_time, on core entry, or on leaving the
     domain; with ``detect_closure`` a level that closes within max_time
-    ends after one period, on p0.  The saddle and a zero field give p0 at 0
-    and at max_time.  Samples are formed in the canonical frame of
-    `IntegratorConfig` and mapped back as p0 + l*(P - P0), so the first is
-    p0 itself.  A start that is not finite, lies in the core, has no
-    canonical units, or where psi's x*x + y*y overflows is an
-    InvalidStartError.
+    ends after one period, on p0, with status CLOSED_ORBIT_DETECTED.  The
+    saddle and a zero field give p0 at 0 and at max_time.  The guards are
+    constants of the canonical problem x = l*X, t = tau*T: l = delta/k and
+    tau = l/a for a regular flow; a line flow or a rotation has no length of
+    its own, so l is the start's distance to the origin (1 at the origin)
+    and tau = l/a or l*l/b (a = hbar*k/mass, b = hbar*delta/mass).  The core
+    exclusion radius is 1e-4*l, and the domain is the box of half-width
+    10*l, widened to twice the start point.  Samples are formed in that
+    frame and mapped back as p0 + l*(P - P0), so the first is p0 itself.
+    A max_time that is not finite and positive, or that needs more than
+    SAMPLES_MAX samples, is an InvalidParamsError; a start that is not
+    finite, lies in the core, has no canonical units, or where psi's
+    x*x + y*y overflows is an InvalidStartError.
     """
-    if cfg is None:
-        cfg = IntegratorConfig()
+    if not (math.isfinite(max_time) and max_time > 0):
+        raise InvalidParamsError(f"max_time must be positive, got {max_time!r}")
     start = float(p0[0]), float(p0[1])
     if not (math.isfinite(start[0]) and math.isfinite(start[1])):
         raise InvalidStartError(f"start point {p0!r} is not finite")
     if params.b > 0.0 and not math.isfinite(start[0] * start[0] + start[1] * start[1]):
         raise InvalidStartError(f"psi is not finite at {p0!r}: x*x + y*y overflows there")
     l, tau, ca, cb = _frame(params, *start)
-    if not (0.0 < l < math.inf and 0.0 < tau < math.inf and cfg.max_time / tau < math.inf):
-        raise InvalidStartError(
-            f"cannot integrate from {p0!r} for max_time {cfg.max_time!r} "
-            f"in the canonical units l={l!r}, tau={tau!r}"
-        )
+    if not (0.0 < l < math.inf and 0.0 < tau < math.inf and max_time / tau < math.inf):
+        raise InvalidStartError(f"no trajectory from {p0!r} for max_time {max_time!r} "
+                                f"in the canonical units l={l!r}, tau={tau!r}")
     x, y = start[0] / l, start[1] / l
     half = max(_HALF_WIDTH, 2.0 * max(abs(x), abs(y)))
     if math.hypot(x, y) <= _CORE_RADIUS:
@@ -255,7 +228,7 @@ def integrate(
         at = lambda k, dt: (r * math.cos(theta - C[k] - dt), r * math.sin(theta - C[k] - dt))
     else:
         C, X, U, i_s, period, at = _level_curve(x, y, half)
-    t_end = cfg.max_time / tau
+    t_end = max_time / tau
     closing = detect_closure and period is not None and period <= t_end
     if closing:
         t_end = period
@@ -292,7 +265,7 @@ def integrate(
             tail = [at(k[end - 1], t_end - T[end - 1])]
     if end + len(tail) > SAMPLES_MAX or status is None:
         raise InvalidParamsError(f"trajectory reached SAMPLES_MAX = {SAMPLES_MAX} samples at time "
-                                 f"{float(tau * T[SAMPLES_MAX - 1])!r} of max_time {cfg.max_time!r}")
+                                 f"{float(tau * T[SAMPLES_MAX - 1])!r} of max_time {max_time!r}")
     times = np.append(T[:end], [t_end] * len(tail))
     pts = np.vstack([np.column_stack([X[:end], U[:end]]), *tail])
     points = np.array(start) + l * (pts - pts[0])
@@ -306,18 +279,6 @@ def integrate(
         max_h_drift=drift,
         status=status,
     )
-
-
-def detect_closed_orbit(
-    params: FlowParams, p0, cfg: IntegratorConfig | None = None
-) -> OrbitResult:
-    """Integrate from p0 with ``detect_closure``: an orbit whose level set
-    closes within max_time is closed, ends on p0, and its period is that
-    time."""
-    traj = integrate(params, p0, cfg, detect_closure=True)
-    closed = traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED
-    return OrbitResult(closed=closed, period=float(traj.times[-1]) if closed else None,
-                       return_distance=float(np.hypot(*(traj.points[-1] - traj.points[0]))))
 
 
 def _loop_metrics(params: FlowParams) -> tuple[float, float, float]:
@@ -338,7 +299,8 @@ def trace_separatrix(params: FlowParams) -> SeparatrixResult:
     as trajectories are.  The loop is closed through the saddle and runs as
     the flow does, down the right side (the unstable direction) and back up
     its mirror.  The arms, left (the right's mirror) then right, run from
-    the saddle to their first vertex outside the default integration domain.
+    the saddle to their first vertex outside the box of half-width 10*l,
+    a trajectory's domain.
     """
     area, l, crossing = _loop_metrics(params)
     level = critical.separatrix_level(params)

@@ -13,14 +13,13 @@ import pytest
 
 from abflow import (
     FlowParams,
-    IntegratorConfig,
     PhysicalConstants,
     PortraitSpec,
+    TrajectoryStatus,
     circulation,
     circulation_from_flux,
     complex_derivative,
     current,
-    detect_closed_orbit,
     flux_to_delta,
     hamiltonian,
     integrate,
@@ -234,19 +233,19 @@ def test_criterion_6_homoclinic_loop():
 
 def test_criterion_7_interior_cycles():
     params = FlowParams()
-    orbit = detect_closed_orbit(params, (0.0, 0.25))
+    closed = TrajectoryStatus.CLOSED_ORBIT_DETECTED
     traj = integrate(params, (0.0, 0.25), detect_closure=True)
-    outside = detect_closed_orbit(
-        params, (0.0, 5.0), IntegratorConfig(max_time=200.0)
-    )
+    outside = integrate(params, (0.0, 5.0), max_time=200.0, detect_closure=True)
+    # a closed orbit ends on its start, bit for bit
+    returns = traj.points[-1].tobytes() == traj.points[0].tobytes()
     ok = (
-        orbit.closed
-        and orbit.return_distance <= 1e-6
+        traj.status is closed
+        and returns
         and traj.max_h_drift <= 1e-8
-        and not outside.closed
+        and outside.status is not closed
     )
     record(7, "orbit from (0, 0.25) closes with tiny H drift; (0, 5) stays open", ok,
-           f"return {orbit.return_distance:.2e}, drift {traj.max_h_drift:.2e}")
+           f"returns to its start {returns}, drift {traj.max_h_drift:.2e}")
 
 
 def test_criterion_8_loop_shrinkage():

@@ -143,6 +143,15 @@ class TestEval:
         for name, (_, _, commands) in cli._SETTINGS.items():
             assert ("--" + name.replace("_", "-") in out) == ("portrait" in commands), name
 
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--at"), ("trajectory", "--start"), ("sweep", "--deltas"),
+    ])
+    def test_help_shows_the_required_flag_without_brackets(self, capsys, command, flag):
+        assert main([command, "--help"]) == 0
+        out = capsys.readouterr().out
+        assert f" {flag} VALUE" in out and f"[{flag} " not in out
+        assert out.count("[") == len(cli._flags(command)[0]) - 1  # every other flag is optional
+
     def test_flux_sets_delta(self, capsys):
         doc = run_json(capsys, "eval", "--flux", str(math.pi), "--at", "1,1")
         assert doc["params"]["delta"] == pytest.approx(0.5, rel=1e-15)
@@ -424,10 +433,8 @@ class TestSubcommands:
         assert doc["max_h_drift"] <= 1e-15  # roundoff: the orbit is held on its level
         rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
         assert rows.shape[1] == 4
-        # the distance from the last sample back to the start: a closed
-        # level's last vertex is its start
-        assert doc["return_distance"] == np.hypot(*(rows[-1, 1:3] - rows[0, 1:3]))
-        assert doc["return_distance"] == 0.0
+        # a closed level's last vertex is its start
+        assert rows[-1, 1:3].tolist() == rows[0, 1:3].tolist() == doc["final_point"]
 
     def test_trajectory_prints_and_writes_its_summary(self, capsys, tmp_path):
         out = tmp_path / "traj"
@@ -503,13 +510,21 @@ class TestSubcommands:
         assert "SAMPLES_MAX = 100 samples" in captured.err
         assert not out.exists()
 
-    def test_trajectory_reports_return_distance_only_with_closure(self, capsys):
-        argv = ["trajectory", "--start", "0,3", "--tmax", "1"]
-        assert "return_distance" not in run_json(capsys, *argv)
-        doc = run_json(capsys, *argv, "--detect-closure")
-        assert doc["status"] == "completed" and "period" not in doc
-        end = np.subtract(doc["final_point"], doc["start"])
-        assert doc["return_distance"] == np.hypot(*end) > 0.5
+    @pytest.mark.parametrize("start", ["0,3", "0,0.25"])
+    def test_trajectory_reports_no_return_distance(self, capsys, start):
+        # final_point - start is the miss; a closed orbit's is 0 by construction
+        argv = ["trajectory", "--start", start, "--tmax", "1"]
+        for closure in ([], ["--detect-closure"]):
+            doc = run_json(capsys, *argv, *closure)
+            assert "return_distance" not in doc
+            assert ("period" in doc) == (doc["status"] == "closed_orbit_detected")
+
+    @pytest.mark.parametrize("tmax", ["0", "-1", "inf", "nan"])
+    def test_trajectory_tmax_not_finite_and_positive_is_usage_error(self, capsys, tmax):
+        code = main(["trajectory", "--start", "0,0.25", "--tmax", tmax])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "max_time must be positive" in captured.err
 
     def test_trajectory_on_zero_field(self, capsys):
         doc = run_json(capsys, "trajectory", "--k", "0", "--delta", "0", "--start", "0,1",

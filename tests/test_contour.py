@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from abflow import (
     FlowParams,
-    IntegratorConfig,
     InvalidContourError,
     InvalidParamsError,
     PhysicalConstants,
@@ -442,8 +441,7 @@ class TestPortrait:
         spec = PortraitSpec(bbox=(-1, 1, -1, 1), grid=(200, 200))
         curves = [c for c in level_curves(P, h0, spec) if c.closed]
         assert curves
-        traj = integrate(P, (0.0, 0.25), IntegratorConfig(max_time=10.0),
-                         detect_closure=True)
+        traj = integrate(P, (0.0, 0.25), max_time=10.0, detect_closure=True)
         d = hausdorff_distance(curves[0].points, traj.points)
         assert d <= spec.cell_diag
 

@@ -9,11 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from abflow import (
     FlowParams,
-    IntegratorConfig,
     InvalidParamsError,
     InvalidStartError,
     TrajectoryStatus,
-    detect_closed_orbit,
     dynamics,
     hamiltonian,
     integrate,
@@ -27,6 +25,14 @@ from helpers import UNITS, flow, ode_times, position_at, winding_number
 
 P = FlowParams()
 EPS = sys.float_info.epsilon
+CLOSED = TrajectoryStatus.CLOSED_ORBIT_DETECTED
+
+
+def assert_closed(traj):
+    """The orbit closed: its status says so and its last sample is its
+    first, bit for bit."""
+    assert traj.status is CLOSED
+    assert traj.points[-1].tobytes() == traj.points[0].tobytes()
 
 
 def _loop_constants():
@@ -101,14 +107,14 @@ def psi_terms(params: FlowParams, traj) -> float:
 class TestIntegrate:
     def test_uniform_flow_straight_line(self):
         p = FlowParams(delta=0.0)
-        traj = integrate(p, (0.0, 2.0), IntegratorConfig(max_time=5.0))
+        traj = integrate(p, (0.0, 2.0), max_time=5.0)
         assert traj.status is TrajectoryStatus.COMPLETED
         assert traj.points[-1] == pytest.approx([-5.0, 2.0], abs=1e-10)
         assert np.max(np.abs(traj.points[:, 1] - 2.0)) <= 1e-10
 
     def test_zero_field_gives_start_and_end(self):
         # nothing moves: the start at t = 0 and at max_time, not one sample per step
-        traj = integrate(FlowParams(k=0.0, delta=0.0), (0.3, 1.0), IntegratorConfig(max_time=1e3))
+        traj = integrate(FlowParams(k=0.0, delta=0.0), (0.3, 1.0), max_time=1e3)
         assert len(traj) == 2
         assert traj.status is TrajectoryStatus.COMPLETED
         assert traj.times.tolist() == [0.0, 1e3]
@@ -116,22 +122,22 @@ class TestIntegrate:
         assert traj.max_h_drift == 0.0
 
     def test_times_strictly_increasing(self):
-        traj = integrate(P, (0.0, 0.25), IntegratorConfig(max_time=2.0))
+        traj = integrate(P, (0.0, 0.25), max_time=2.0)
         assert np.all(np.diff(traj.times) > 0)
 
     def test_drift_statistics_consistent(self):
-        traj = integrate(P, (0.0, 0.25), IntegratorConfig(max_time=2.0))
+        traj = integrate(P, (0.0, 0.25), max_time=2.0)
         assert traj.max_h_drift == np.max(np.abs(traj.h_values - traj.h_values[0]))
         assert traj.max_h_drift <= 4.0 * psi_terms(P, traj)
 
     def test_level_set_confinement(self):
-        traj = integrate(P, (0.0, 0.25), IntegratorConfig(max_time=5.0))
+        traj = integrate(P, (0.0, 0.25), max_time=5.0)
         h0 = hamiltonian(P, (0.0, 0.25))
         levels = [hamiltonian(P, pt) for pt in traj.points]
         assert max(abs(v - h0) for v in levels) <= 1e-6
 
     def test_open_trajectory_exits_domain(self):
-        traj = integrate(P, (0.0, 3.0), IntegratorConfig(max_time=100.0))
+        traj = integrate(P, (0.0, 3.0), max_time=100.0)
         assert traj.status is TrajectoryStatus.LEFT_DOMAIN
         # stays on its own level set, never reaching the separatrix level
         lsep = separatrix_level(P)
@@ -156,7 +162,7 @@ class TestIntegrate:
     ])
     def test_unrepresentable_units_rejected(self, params, start, max_time):
         with pytest.raises(InvalidStartError):
-            integrate(params, start, IntegratorConfig(max_time=max_time))
+            integrate(params, start, max_time=max_time)
 
     @pytest.mark.parametrize("params", [P, FlowParams(hbar=2.0, mass=0.5), FlowParams(k=0.25),
                                         FlowParams(hbar=0.25, mass=4.0, k=3.0)])
@@ -184,19 +190,18 @@ class TestIntegrate:
     def test_no_sample_inside_core(self, monkeypatch):
         # a core of radius 0.3, in units of l = delta/k
         monkeypatch.setattr(dynamics, "_CORE_RADIUS", 0.3 / (P.delta / P.k))
-        traj = integrate(P, (0.0, 0.35), IntegratorConfig(max_time=50.0))
+        traj = integrate(P, (0.0, 0.35), max_time=50.0)
         assert traj.status is TrajectoryStatus.ENTERED_CORE_RADIUS
         assert np.all(np.hypot(traj.points[:, 0], traj.points[:, 1]) > 0.3)
 
     def test_samples_past_the_cap_rejected(self, monkeypatch):
         # a trajectory may take SAMPLES_MAX samples and not one more
-        cfg = IntegratorConfig(max_time=2.0)
-        n = len(integrate(P, (0.0, 0.25), cfg))
+        n = len(integrate(P, (0.0, 0.25), max_time=2.0))
         monkeypatch.setattr(dynamics, "SAMPLES_MAX", n)
-        assert len(integrate(P, (0.0, 0.25), cfg)) == n
+        assert len(integrate(P, (0.0, 0.25), max_time=2.0)) == n
         monkeypatch.setattr(dynamics, "SAMPLES_MAX", n - 1)
         with pytest.raises(InvalidParamsError, match=f"SAMPLES_MAX = {n - 1} samples at time"):
-            integrate(P, (0.0, 0.25), cfg)
+            integrate(P, (0.0, 0.25), max_time=2.0)
 
     def test_mirror_time_reversal_symmetry(self):
         # psi is even in x, so the mirror (x, y) -> (-x, y) of a trajectory
@@ -205,11 +210,10 @@ class TestIntegrate:
         # and reaches (x0, y0) at T
         start = (0.1, 0.3)
         tmax = 1.5
-        cfg = IntegratorConfig(max_time=tmax)
-        fwd = integrate(P, (-start[0], start[1]), cfg)
+        fwd = integrate(P, (-start[0], start[1]), max_time=tmax)
         assert fwd.status is TrajectoryStatus.COMPLETED
         end = fwd.points[-1]
-        back = integrate(P, (-end[0], end[1]), cfg)
+        back = integrate(P, (-end[0], end[1]), max_time=tmax)
         assert back.status is TrajectoryStatus.COMPLETED
         assert back.points[-1] == pytest.approx(start, abs=1e-6)
         for t, pt in zip(back.times[:: max(1, len(back) // 40)],
@@ -221,10 +225,9 @@ class TestIntegrate:
 
 class TestClosedOrbit:
     def test_interior_cycle(self):
-        result = detect_closed_orbit(P, (0.0, 0.25))
-        assert result.closed
-        assert result.period > 0
-        assert result.return_distance <= 1e-6
+        traj = integrate(P, (0.0, 0.25), detect_closure=True)
+        assert_closed(traj)
+        assert traj.times[-1] > 0
 
     @pytest.mark.parametrize("params", [
         P,
@@ -235,10 +238,9 @@ class TestClosedOrbit:
         # the orbit run for it comes back to its start
         l = params.saddle_height
         tau = params.delta * params.mass / (params.hbar * params.k ** 2)
-        result = detect_closed_orbit(params, (0.0, 0.5 * l))
-        assert result.closed
-        assert result.return_distance <= 1e-6 * l
-        assert result.period / tau == pytest.approx(canonical_period(0.5), rel=1e-12)
+        traj = integrate(params, (0.0, 0.5 * l), detect_closure=True)
+        assert_closed(traj)
+        assert traj.times[-1] / tau == pytest.approx(canonical_period(0.5), rel=1e-12)
 
     @pytest.mark.parametrize("u0, rel", [
         *[(u0, 1e-12) for u0 in (-0.278, -0.27, -0.2, 0.01, 0.25, 0.5, 0.9, 0.99)],
@@ -246,19 +248,18 @@ class TestClosedOrbit:
     ])
     def test_period_from_the_level_set(self, u0, rel):
         # -0.278 lies just inside the loop's lowest point -W(1/e)
-        result = detect_closed_orbit(P, (0.0, 0.5 * u0))
-        assert result.closed
-        assert result.return_distance <= 1e-6 * 0.5
-        assert result.period / 0.5 == pytest.approx(canonical_period(u0), rel=rel)
+        traj = integrate(P, (0.0, 0.5 * u0), detect_closure=True)
+        assert_closed(traj)
+        assert traj.times[-1] / 0.5 == pytest.approx(canonical_period(u0), rel=rel)
 
     @pytest.mark.parametrize("u", [-0.1, 0.2, 0.45])
     def test_off_axis_starts_share_their_level_period(self, u):
         # points (X, U) on the level through (0, 0.5): X^2 = R^2 - U^2 with
         # R = exp(K + U), K = log 0.5 - 0.5
         x = math.sqrt(math.exp(2.0 * (math.log(0.5) - 0.5 + u)) - u * u)
-        result = detect_closed_orbit(P, (0.5 * x, 0.5 * u))
-        assert result.closed
-        assert result.period / 0.5 == pytest.approx(canonical_period(0.5), rel=1e-12)
+        traj = integrate(P, (0.5 * x, 0.5 * u), detect_closure=True)
+        assert_closed(traj)
+        assert traj.times[-1] / 0.5 == pytest.approx(canonical_period(0.5), rel=1e-12)
 
     def test_closure_is_the_start_inside_the_separatrix_loop(self):
         # a start closes exactly when it lies inside the homoclinic loop,
@@ -273,9 +274,8 @@ class TestClosedOrbit:
             if abs(math.log(math.hypot(x, u)) - u + 1.0) < 1e-3 or math.hypot(x, u) < 1e-3:
                 continue
             inside = winding_number(trace_separatrix(params).loop.points[:-1] / l, (x, u)) != 0
-            result = detect_closed_orbit(params, (x * l, u * l),
-                                         IntegratorConfig(max_time=100.0 * tau))
-            assert result.closed == inside, (l, tau, x, u)
+            traj = integrate(params, (x * l, u * l), max_time=100.0 * tau, detect_closure=True)
+            assert (traj.status is CLOSED) == inside, (l, tau, x, u)
             verdicts.append(inside)
         assert 10 <= sum(verdicts) <= len(verdicts) - 10
 
@@ -285,14 +285,12 @@ class TestClosedOrbit:
         assert polygon_area(traj.points[:-1]) < 0  # negative circulation
 
     def test_unbounded_level_does_not_close(self):
-        cfg = IntegratorConfig(max_time=200.0)
-        result = detect_closed_orbit(P, (0.0, 5.0), cfg)
-        assert not result.closed
-        assert result.period is None
+        traj = integrate(P, (0.0, 5.0), max_time=200.0, detect_closure=True)
+        assert traj.status is TrajectoryStatus.LEFT_DOMAIN
 
     def test_parallel_flow_never_closes(self):
-        result = detect_closed_orbit(FlowParams(delta=0.0), (0.0, 1.0))
-        assert not result.closed
+        traj = integrate(FlowParams(delta=0.0), (0.0, 1.0), detect_closure=True)
+        assert traj.status is TrajectoryStatus.LEFT_DOMAIN
 
     @pytest.mark.parametrize("delta", [0.5, 0.01])
     def test_closed_orbit_at_large_vortex_strength(self, delta):
@@ -300,15 +298,14 @@ class TestClosedOrbit:
         # it to roundoff in b's units
         params = FlowParams(hbar=1e3, mass=1e-3, k=math.sqrt(delta * 1e-6), delta=delta)
         l = params.saddle_height
-        traj = integrate(params, (0.0, 0.5 * l), IntegratorConfig(max_time=30.0),
-                         detect_closure=True)
+        traj = integrate(params, (0.0, 0.5 * l), max_time=30.0, detect_closure=True)
         assert traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED
         assert traj.max_h_drift <= 4.0 * psi_terms(params, traj)
 
     def test_drift_is_roundoff(self):
         # every sample is a vertex of the start's level set, so the drift is
         # roundoff in psi's terms
-        traj = integrate(P, (0.0, 0.25), IntegratorConfig(max_time=2.0))
+        traj = integrate(P, (0.0, 0.25), max_time=2.0)
         assert traj.max_h_drift <= 4.0 * psi_terms(P, traj)
 
     @given(u0=st.sampled_from([0.99999, 1.0 - 1e-6, 1.0 - 1e-7]), **UNITS)
@@ -319,10 +316,8 @@ class TestClosedOrbit:
         tau = 10.0**log_tau
         params = flow(10.0**log_l, tau, 10.0**log_delta)
         l = params.saddle_height
-        result = detect_closed_orbit(params, (0.0, u0 * l),
-                                     IntegratorConfig(max_time=100.0 * tau))
-        assert result.closed
-        assert result.return_distance <= 1e-6 * l
+        assert_closed(integrate(params, (0.0, u0 * l), max_time=100.0 * tau,
+                                detect_closure=True))
 
 
 def scaled_units(l: float, tau: float) -> FlowParams:
@@ -338,24 +333,22 @@ class TestUnitInvariance:
 
     @staticmethod
     def orbit(l, tau):
-        return integrate(scaled_units(l, tau), (0.0, 0.5 * l),
-                         IntegratorConfig(max_time=30.0 * tau), detect_closure=True)
+        return integrate(scaled_units(l, tau), (0.0, 0.5 * l), max_time=30.0 * tau,
+                         detect_closure=True)
 
     @pytest.mark.parametrize("tau", [1e-4, 1.0, 1e4])
     @pytest.mark.parametrize("l", [1e-6, 1e-4, 1.0, 1e6])
     def test_closed_orbit_is_unit_invariant(self, l, tau):
         traj = self.orbit(l, tau)
-        assert traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED
+        assert_closed(traj)
         assert len(traj) == len(self.orbit(1.0, 1.0))
         assert abs(traj.times[-1] / tau - canonical_period(0.5)) <= 1e-9
-        assert np.hypot(*(traj.points[-1] - traj.points[0])) <= 1e-6 * l
 
     @pytest.mark.parametrize("r", [1e-5, 1e-2, 1.0, 10.0])
     def test_rotation_period_at_any_radius(self, r):
         params = FlowParams(k=0.0)
         period = 2.0 * math.pi * r * r / params.b
-        traj = integrate(params, (0.0, r), IntegratorConfig(max_time=2.0 * period),
-                         detect_closure=True)
+        traj = integrate(params, (0.0, r), max_time=2.0 * period, detect_closure=True)
         assert traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED
         assert abs(traj.times[-1] / period - 1.0) <= 1e-9
 
@@ -368,7 +361,7 @@ class TestUnitInvariance:
             l = params.saddle_height
             for x, y in points.tolist():
                 missed += (l * (x / l), l * (y / l)) != (x, y)
-                traj = integrate(params, (x, y), IntegratorConfig(max_time=0.1))
+                traj = integrate(params, (x, y), max_time=0.1)
                 assert traj.points[0].tolist() == [x, y]
         assert missed > 0
 
@@ -480,7 +473,7 @@ def test_loop_agrees_with_integrated_orbit(delta):
     params = FlowParams(delta=delta)
     l = params.saddle_height
     tau = params.delta * params.mass / (params.hbar * params.k ** 2)
-    traj = integrate(params, (0.0, -W1E * l), IntegratorConfig(max_time=10.0 * tau))
+    traj = integrate(params, (0.0, -W1E * l), max_time=10.0 * tau)
     assert traj.status is TrajectoryStatus.COMPLETED
     loop = trace_separatrix(params).loop.points
     spacing = np.max(np.hypot(*np.diff(loop, axis=0).T))
@@ -493,12 +486,17 @@ def test_loop_agrees_with_integrated_orbit(delta):
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("bad", [
-        dict(max_time=0.0), dict(max_time=-1.0), dict(max_time=math.inf), dict(max_time=math.nan),
-    ])
-    def test_invalid(self, bad):
-        with pytest.raises(InvalidParamsError):
-            IntegratorConfig(**bad)
+    @pytest.mark.parametrize("start", [(0.0, 0.25), (math.nan, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("max_time", [0.0, -1.0, math.inf, math.nan])
+    def test_invalid(self, max_time, start):
+        # checked first: a start that is not finite or lies in the core is
+        # an InvalidStartError of its own
+        with pytest.raises(InvalidParamsError, match="max_time must be positive"):
+            integrate(P, start, max_time=max_time)
+
+    def test_settings_are_keywords_only(self):
+        with pytest.raises(TypeError):
+            integrate(P, (0.0, 0.25), 5.0)
 
 
 # starts of the benchmark's band, in units of l: closed ones on the y axis
@@ -519,8 +517,7 @@ class TestTimesAgainstTheODE:
         params = flow(10.0**log_l, tau, 10.0**log_delta)
         lo, hi = AXIS_STARTS[band]
         start = (0.0, (lo + (hi - lo) * s) * params.saddle_height)
-        traj = integrate(params, start, IntegratorConfig(max_time=max_time * tau),
-                         detect_closure=closure)
+        traj = integrate(params, start, max_time=max_time * tau, detect_closure=closure)
         assert (traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED) == (
             closure and band.startswith("closed"))
         assert np.max(np.abs(ode_times(params, traj) - traj.times)) <= 1e-10 * tau
@@ -536,8 +533,7 @@ class TestTimesAgainstTheODE:
         tau = 10.0**log_tau
         params = flow(10.0**log_l, tau, 10.0**log_delta)
         l = params.saddle_height
-        traj = integrate(params, (x * l, u * l), IntegratorConfig(max_time=max_time * tau),
-                         detect_closure=closure)
+        traj = integrate(params, (x * l, u * l), max_time=max_time * tau, detect_closure=closure)
         assert np.max(np.abs(ode_times(params, traj) - traj.times)) <= 1e-10 * tau
 
     @pytest.mark.parametrize("params", [
@@ -548,7 +544,7 @@ class TestTimesAgainstTheODE:
     def test_lines_and_rotations(self, params, start):
         l = math.hypot(*start)
         tau = l / params.a if params.b == 0.0 else l * l / params.b
-        traj = integrate(params, start, IntegratorConfig(max_time=30.0 * tau))
+        traj = integrate(params, start, max_time=30.0 * tau)
         assert np.max(np.abs(ode_times(params, traj) - traj.times)) <= 1e-10 * tau
 
 
@@ -556,7 +552,7 @@ class TestEdgeCases:
     def test_start_at_the_saddle_stays_put(self):
         for params in [P, *SCALED]:
             saddle = (0.0, params.saddle_height)
-            traj = integrate(params, saddle, IntegratorConfig(max_time=7.0), detect_closure=True)
+            traj = integrate(params, saddle, max_time=7.0, detect_closure=True)
             assert traj.status is TrajectoryStatus.COMPLETED
             assert traj.times[0] == 0.0 and traj.times[1] == pytest.approx(7.0, rel=1e-15)
             assert traj.points.tolist() == [list(saddle)] * 2
@@ -567,7 +563,7 @@ class TestEdgeCases:
         # whose time to the saddle diverges like -log|1 - U|
         u0 = 1.0 - k * 2.0**-53
         assert math.log(u0) - u0 == -1.0
-        traj = integrate(P, (0.0, 0.5 * u0), IntegratorConfig(max_time=1e3), detect_closure=True)
+        traj = integrate(P, (0.0, 0.5 * u0), max_time=1e3, detect_closure=True)
         assert traj.status is TrajectoryStatus.COMPLETED
         assert traj.times[-1] == 1e3 and np.all(np.diff(traj.times) > 0)
         # the samples lie on the separatrix, to its vertices' roundoff
@@ -576,8 +572,8 @@ class TestEdgeCases:
     def test_closed_level_goes_round_until_max_time(self):
         # without detect_closure the orbit laps its level, back on its start
         # at whole periods
-        period = detect_closed_orbit(P, (0.0, 0.25)).period
-        traj = integrate(P, (0.0, 0.25), IntegratorConfig(max_time=3.5 * period))
+        period = float(integrate(P, (0.0, 0.25), detect_closure=True).times[-1])
+        traj = integrate(P, (0.0, 0.25), max_time=3.5 * period)
         assert traj.status is TrajectoryStatus.COMPLETED
         assert traj.times[-1] == pytest.approx(3.5 * period, rel=1e-15)
         back = np.flatnonzero(np.all(traj.points == [0.0, 0.25], axis=1))
@@ -592,8 +588,7 @@ class TestEdgeCases:
             orbit = integrate(P, first, detect_closure=True)
             for px, py in orbit.points[1:-1:17].tolist():
                 for x in (px, math.nextafter(px, math.inf), math.nextafter(px, -math.inf)):
-                    traj = integrate(P, (x, py), IntegratorConfig(max_time=3.0),
-                                     detect_closure=True)
+                    traj = integrate(P, (x, py), max_time=3.0, detect_closure=True)
                     assert np.all(np.diff(traj.times) > 0.0)
                     assert traj.points[0].tolist() == [x, py]
                     if traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED:

@@ -13,10 +13,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from abflow import (
     FlowParams,
-    IntegratorConfig,
     PortraitSpec,
+    TrajectoryStatus,
     circulation,
-    detect_closed_orbit,
+    integrate,
     portrait,
     separatrix_level,
     stagnation_point,
@@ -91,11 +91,11 @@ def test_closed_orbit_period(log_l, log_tau, log_delta, u):
     l, tau = 10.0**log_l, 10.0**log_tau
     params = flow(l, tau, 10.0**log_delta)
     y = l * u
-    orbit = detect_closed_orbit(params, (0.0, y), IntegratorConfig(max_time=100.0 * tau))
-    orbit0 = detect_closed_orbit(CANON, (0.0, y / params.saddle_height),
-                                 IntegratorConfig(max_time=100.0))
-    assert orbit.closed and orbit0.closed
-    assert eps_off(orbit.period, orbit0.period, tau) <= PERIOD
+    orbit = integrate(params, (0.0, y), max_time=100.0 * tau, detect_closure=True)
+    orbit0 = integrate(CANON, (0.0, y / params.saddle_height), detect_closure=True)
+    closed = TrajectoryStatus.CLOSED_ORBIT_DETECTED
+    assert orbit.status is closed and orbit0.status is closed
+    assert eps_off(orbit.times[-1], orbit0.times[-1], tau) <= PERIOD
 
 
 # levels b*(C + log l): open curves above and below the vortex, closed ones
