@@ -2,7 +2,7 @@
 
 The field is a uniform stream superposed with a point vortex at the origin;
 the package evaluates it and its complex potential in closed form, locates
-and classifies the critical points, samples trajectories on their level set
+the saddle and its linearization, samples trajectories on their level set
 of the Hamiltonian and times them by quadrature, extracts level curves and
 circulation, and checks every analytic identity numerically.
 """
@@ -13,18 +13,14 @@ from .contour import (
     PortraitSpec,
     circulation,
     circulation_from_flux,
-    level_curves,
     portrait,
 )
 from .critical import (
     CriticalPoint,
-    PointKind,
     jacobian,
     jacobian_entries,
-    local_quadratic_potential,
     separatrix_level,
     stagnation_point,
-    vortex_singularity,
 )
 from .dynamics import (
     SeparatrixResult,
@@ -47,15 +43,12 @@ from .field import (
     complex_derivative,
     complex_potential,
     current,
-    decompose_potential,
-    delta_to_flux,
     flux_to_delta,
     hamiltonian,
     near_branch_cut,
     potential_values,
     stream_function,
     stream_values,
-    vector_potential,
     velocity,
     velocity_potential,
 )

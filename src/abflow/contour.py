@@ -28,11 +28,9 @@ __all__ = [
     "Polyline",
     "PortraitSpec",
     "CirculationResult",
-    "level_curves",
     "portrait",
     "circulation",
     "circulation_from_flux",
-    "polygon_area",
 ]
 
 
@@ -104,13 +102,6 @@ class CirculationResult:
     value: float
     contour: dict
     richardson_error_estimate: float
-
-
-def polygon_area(points: np.ndarray) -> float:
-    """Signed shoelace area (positive for counterclockwise orientation)."""
-    p = np.asarray(points, dtype=float)
-    x, y = p[:, 0], p[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def canonical_x(w, u0: float = 1.0) -> np.ndarray:
@@ -300,12 +291,6 @@ def _curves(params: FlowParams, levels, spec: PortraitSpec) -> list[Polyline]:
     return sorted(curves, key=lambda p: (p.level, p.points[0, 0], p.points[0, 1], len(p)))
 
 
-def level_curves(params: FlowParams, level: float, spec: PortraitSpec) -> list[Polyline]:
-    """All polylines of the level set {psi = level} inside the bbox, sampled
-    from its closed form, ordered by starting vertex."""
-    return _curves(params, [level], spec)
-
-
 def _auto_levels(params: FlowParams, spec: PortraitSpec) -> list[float]:
     # quantiles of psi on the grid's nodes, away from the vortex: per side
     # every ceil(n/cap)-th node from the first, at most LEVEL_NODES in all
@@ -410,7 +395,11 @@ def circulation(
 
 
 def circulation_from_flux(consts: PhysicalConstants, mass: float, flux: float) -> float:
-    """Circulation expressed through the magnetic flux: -e*Phi/(c*mass)."""
+    """Circulation expressed through the magnetic flux: -e*Phi/(c*mass), finite or an
+    InvalidParamsError."""
     if not (math.isfinite(mass) and mass > 0):
         raise InvalidParamsError(f"mass must be positive, got {mass!r}")
-    return -consts.charge * flux / (consts.light_speed * mass)
+    value = -consts.charge * flux / (consts.light_speed * mass)
+    if not math.isfinite(value):  # a flux that is not finite, or an overflow
+        raise InvalidParamsError(f"flux {flux!r} gives circulation {value!r}, not a finite number")
+    return value

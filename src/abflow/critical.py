@@ -1,8 +1,7 @@
-"""Stagnation point, vortex singularity, linearization, and separatrix level."""
+"""The stagnation point (a saddle), the Jacobian of the current, and the separatrix level."""
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from dataclasses import dataclass
@@ -13,37 +12,27 @@ from .errors import InvalidParamsError, NumericalError
 from .field import FlowParams, _check_regular, _point
 
 __all__ = [
-    "PointKind",
     "CriticalPoint",
     "stagnation_point",
-    "vortex_singularity",
     "jacobian",
     "jacobian_entries",
-    "local_quadratic_potential",
     "separatrix_level",
 ]
 
 
-class PointKind(enum.Enum):
-    SADDLE_STAGNATION = "saddle_stagnation"
-    VORTEX_SINGULARITY = "vortex_singularity"
-
-
 @dataclass(frozen=True)
 class CriticalPoint:
-    """A stagnation point (regular saddle) or the singular vortex core.
+    """The stagnation point, a regular saddle.
 
-    For a saddle, ``eigenvalues`` is (+c, -c) with c = a/l = hbar*k^2/(delta*mass),
+    ``eigenvalues`` is (+c, -c) with c = a/l = hbar*k^2/(delta*mass),
     ``eigenvectors`` holds the matching unit directions (unstable first, sign
     fixed by positive x component), and ``level`` is the Hamiltonian there.
-    The vortex carries no eigenstructure and no finite level.
     """
 
     location: np.ndarray
-    kind: PointKind
-    eigenvalues: tuple[float, float] | None = None
-    eigenvectors: tuple[np.ndarray, np.ndarray] | None = None
-    level: float | None = None
+    eigenvalues: tuple[float, float]
+    eigenvectors: tuple[np.ndarray, np.ndarray]
+    level: float
 
 
 def stagnation_point(params: FlowParams) -> CriticalPoint | None:
@@ -63,18 +52,10 @@ def stagnation_point(params: FlowParams) -> CriticalPoint | None:
     stable = np.array([1.0, 1.0]) / math.sqrt(2.0)
     return CriticalPoint(
         location=np.array([0.0, y0]),
-        kind=PointKind.SADDLE_STAGNATION,
         eigenvalues=(c, -c),
         eigenvectors=(unstable, stable),
         level=separatrix_level(params),
     )
-
-
-def vortex_singularity(params: FlowParams) -> CriticalPoint | None:
-    """The singular vortex at the origin, or None when delta = 0."""
-    if params.delta == 0.0:
-        return None
-    return CriticalPoint(location=np.zeros(2), kind=PointKind.VORTEX_SINGULARITY)
 
 
 def jacobian_entries(params: FlowParams, x, y):
@@ -98,17 +79,6 @@ def jacobian(params: FlowParams, p) -> np.ndarray:
         return np.zeros((2, 2))
     alpha, beta = jacobian_entries(params, x, y)
     return np.array([[alpha, beta], [beta, -alpha]])
-
-
-def local_quadratic_potential(params: FlowParams, z: complex) -> complex:
-    """Quadratic model of the potential near the saddle:
-    i*(hbar*k^2/(2*delta*mass))*(z - z0)^2 with z0 = i*delta/k."""
-    if params.delta == 0.0 or params.k == 0.0:
-        raise InvalidParamsError("local quadratic model requires delta > 0 and k > 0")
-    z0 = 1j * params.saddle_height
-    coeff = params.hbar * params.k * params.k / (2.0 * params.delta * params.mass)
-    w = complex(z) - z0
-    return 1j * coeff * w * w
 
 
 def separatrix_level(params: FlowParams) -> float:

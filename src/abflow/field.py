@@ -30,19 +30,17 @@ __all__ = [
     "velocity",
     "complex_potential",
     "complex_derivative",
-    "decompose_potential",
     "stream_function",
     "stream_values",
     "hamiltonian",
     "velocity_potential",
     "potential_values",
     "flux_to_delta",
-    "delta_to_flux",
-    "vector_potential",
     "near_branch_cut",
 ]
 
 DELTA_MAX = 0.5
+BRANCH_CUT_TOL = 0.05  # radians from the negative real axis that near_branch_cut flags
 
 
 @dataclass(frozen=True)
@@ -178,7 +176,7 @@ def current(params: FlowParams, p) -> np.ndarray:
 
 
 def _F_parts(a: float, b: float, z):
-    # shared kernel for complex_potential / decompose_potential / verify:
+    # shared kernel for complex_potential / verify:
     # (F1, F2) = (-a*z, i*b*log z), cmath on a Python complex, numpy on arrays
     log = cmath.log if isinstance(z, complex) else np.log
     return -a * z, (1j * b * log(z) if b != 0.0 else 0j)
@@ -207,18 +205,6 @@ def complex_derivative(params: FlowParams, z: complex) -> complex:
     if z == 0 and params.b != 0.0:
         raise SingularPointError("F' is singular at z = 0")
     return _dF(params.a, params.b, z)
-
-
-def decompose_potential(params: FlowParams, z: complex) -> tuple[complex, complex]:
-    """Split F into the uniform-stream part and the vortex part.
-
-    Returns (F1, F2) with F1 = -a*z and F2 = i*b*log(z); their sum is
-    `complex_potential` to machine precision.
-    """
-    z = complex(z)
-    if z == 0 and params.delta > 0:
-        raise SingularPointError("potential decomposition is singular at z = 0")
-    return _F_parts(params.a, params.b, z)
 
 
 def _psi(a: float, b: float, x, y):
@@ -274,34 +260,21 @@ def potential_values(params: FlowParams, x, y) -> np.ndarray:
     return np.asarray(_phi(params.a, params.b, x, y))
 
 
-def near_branch_cut(p, angle_tol: float = 0.05) -> bool:
-    """True when p lies within angle_tol radians of the negative real axis,
-    where F and the velocity potential jump."""
+def near_branch_cut(p) -> bool:
+    """True when p lies within BRANCH_CUT_TOL radians of the negative real
+    axis, where F and the velocity potential jump."""
     x, y = _point(p)
     if x == 0.0 and y == 0.0:
         return True
-    return math.pi - abs(math.atan2(y, x)) < angle_tol
+    return math.pi - abs(math.atan2(y, x)) < BRANCH_CUT_TOL
 
 
 def flux_to_delta(consts: PhysicalConstants, flux: float, hbar: float = 1.0) -> float:
-    """Dimensionless flux parameter delta = e*Phi/(2*pi*hbar*c)."""
+    """Dimensionless flux parameter delta = e*Phi/(2*pi*hbar*c), finite or an
+    InvalidParamsError."""
     if not (math.isfinite(hbar) and hbar > 0):
         raise InvalidParamsError(f"hbar must be positive, got {hbar!r}")
-    return consts.charge * flux / (2.0 * math.pi * hbar * consts.light_speed)
-
-
-def delta_to_flux(consts: PhysicalConstants, delta: float, hbar: float = 1.0) -> float:
-    """Inverse of `flux_to_delta`: Phi = 2*pi*hbar*c*delta/e."""
-    if not (math.isfinite(hbar) and hbar > 0):
-        raise InvalidParamsError(f"hbar must be positive, got {hbar!r}")
-    return 2.0 * math.pi * hbar * consts.light_speed * delta / consts.charge
-
-
-def vector_potential(consts: PhysicalConstants, flux: float, p) -> np.ndarray:
-    """Vector potential of the string, A = (Phi/(2*pi*r)) * e_theta."""
-    x, y = _point(p)
-    r2 = x * x + y * y
-    if r2 == 0.0:
-        raise SingularPointError("vector potential is singular at the origin")
-    c = flux / (2.0 * math.pi * r2)
-    return np.array([-c * y, c * x])
+    delta = consts.charge * flux / (2.0 * math.pi * hbar * consts.light_speed)
+    if not math.isfinite(delta):  # a flux that is not finite, or an overflow
+        raise InvalidParamsError(f"flux {flux!r} gives delta = {delta!r}, not a finite number")
+    return delta

@@ -1,6 +1,6 @@
 """Helpers that only the tests use: the unit band of the scaling law,
-winding numbers and Hausdorff distances of polylines, and a trajectory's
-position between samples."""
+winding numbers, signed areas and Hausdorff distances of polylines, and a
+trajectory's position between samples."""
 
 import math
 
@@ -49,6 +49,13 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return math.sqrt(max(_farthest_nearest_sq(a, b), _farthest_nearest_sq(b, a)))
+
+
+def polygon_area(points: np.ndarray) -> float:
+    """Signed shoelace area (positive for counterclockwise orientation)."""
+    p = np.asarray(points, dtype=float)
+    x, y = p[:, 0], p[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def position_at(params: FlowParams, traj: Trajectory, t: float) -> np.ndarray:

@@ -7,6 +7,7 @@ coarser ladder where truncation dominates roundoff (see the verify module).
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -318,6 +319,19 @@ def test_criterion_11_repeat_determinism(tmp_path, capsys):
     )
     with capsys.disabled():
         record(11, "verify and portrait outputs byte-identical across repeated runs", ok)
+
+
+def test_package_surface_is_the_modules_all_and_the_errors():
+    import abflow
+    from abflow import contour, critical, dynamics, errors, field, verify
+
+    public = {name for name, v in vars(abflow).items()
+              if not name.startswith("_") and not isinstance(v, types.ModuleType)}
+    errs = {name for name, v in vars(errors).items()
+            if isinstance(v, type) and issubclass(v, Exception) and v.__module__ == errors.__name__}
+    listed = {name for mod in (contour, critical, dynamics, field, verify) for name in mod.__all__}
+    assert public == listed | errs
+    assert len(public) == 39
 
 
 def test_summary_line(capsys):

@@ -156,6 +156,15 @@ class TestEval:
         doc = run_json(capsys, "eval", "--flux", str(math.pi), "--at", "1,1")
         assert doc["params"]["delta"] == pytest.approx(0.5, rel=1e-15)
 
+    @pytest.mark.parametrize("flags", [
+        ["--flux", "nan"], ["--flux", "-inf"], ["--flux", "1e308", "--charge", "1e300"],
+    ])
+    def test_nonfinite_flux_or_delta_is_usage_error(self, capsys, flags):
+        code = main(["eval", *flags, "--at", "1,1"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "not a finite number" in captured.err
+
     def test_overflowing_coefficient_is_usage_error(self, capsys):
         code = main(["eval", "--hbar", "1e307", "--k", "100", "--at", "1,1"])
         captured = capsys.readouterr()

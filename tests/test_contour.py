@@ -18,7 +18,6 @@ from abflow import (
     circulation_from_flux,
     flux_to_delta,
     integrate,
-    level_curves,
     portrait,
     separatrix_level,
     stream_values,
@@ -26,8 +25,8 @@ from abflow import (
     velocity,
 )
 from abflow import contour
-from abflow.contour import GRID_MAX, SAMPLES_MAX, _auto_levels, polygon_area
-from helpers import UNITS, flow, hausdorff_distance, winding_number
+from abflow.contour import GRID_MAX, SAMPLES_MAX, _auto_levels
+from helpers import UNITS, flow, hausdorff_distance, polygon_area, winding_number
 
 P = FlowParams()
 SPECS = [
@@ -121,7 +120,7 @@ class TestGeometryHelpers:
 class TestLevelCurves:
     def test_parallel_flow_gives_horizontal_line(self):
         p = FlowParams(delta=0.0)
-        curves = level_curves(p, -2.0, PortraitSpec())
+        curves = contour._curves(p, [-2.0], PortraitSpec())
         assert len(curves) == 1
         pts = curves[0].points
         assert not curves[0].closed
@@ -132,7 +131,7 @@ class TestLevelCurves:
         p = FlowParams(k=0.0, delta=0.5)
         r0 = 1.5
         level = p.b * math.log(r0)
-        curves = level_curves(p, level, PortraitSpec())
+        curves = contour._curves(p, [level], PortraitSpec())
         assert len(curves) == 1
         poly = curves[0]
         assert poly.closed
@@ -141,7 +140,7 @@ class TestLevelCurves:
         assert np.max(np.abs(radii - r0)) <= 1e-3
 
     def test_separatrix_level_has_loop_and_open_branches(self):
-        curves = level_curves(P, separatrix_level(P), PortraitSpec())
+        curves = contour._curves(P, [separatrix_level(P)], PortraitSpec())
         closed = [c for c in curves if c.closed]
         open_ = [c for c in curves if not c.closed]
         assert any(abs(winding_number(c.points[:-1])) == 1 for c in closed)
@@ -156,7 +155,7 @@ class TestLevelCurves:
     def test_separatrix_level_is_loop_through_saddle_and_two_arms(self, params):
         spec = PortraitSpec()
         saddle = np.array([0.0, params.saddle_height])
-        curves = level_curves(params, separatrix_level(params), spec)
+        curves = contour._curves(params, [separatrix_level(params)], spec)
         loops = [c for c in curves if c.closed]
         arms = [c for c in curves if not c.closed]
         assert len(loops) == 1 and len(arms) == 2
@@ -169,12 +168,12 @@ class TestLevelCurves:
         check_vertices(params, curves, spec)
 
     def test_missing_level_gives_empty_list(self):
-        assert level_curves(P, 1e6, PortraitSpec()) == []
+        assert contour._curves(P, [1e6], PortraitSpec()) == []
 
     def test_level_below_grid_resolution_gives_empty_list(self):
         # a circle of radius 1e-12 is shorter than 1e-9 cell diagonals
         rotation = FlowParams(k=0.0)
-        assert level_curves(rotation, rotation.b * math.log(1e-12), PortraitSpec()) == []
+        assert contour._curves(rotation, [rotation.b * math.log(1e-12)], PortraitSpec()) == []
 
     @pytest.mark.parametrize("bbox", [
         (-1.0, 1.0, 1e6, 1e6 + 1.0),  # far up the y axis
@@ -200,14 +199,14 @@ class TestLevelCurves:
     @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
     def test_nonfinite_level_rejected(self, level):
         with pytest.raises(InvalidParamsError):
-            level_curves(P, level, PortraitSpec())
+            contour._curves(P, [level], PortraitSpec())
 
     def test_unbounded_level_yields_only_open_curves(self):
         # the level through (0, 5) carries no cycle: its curve family is open,
         # which is why the trajectory from that point never closes
         level = float(stream_values(P, 0.0, 5.0))
         spec = PortraitSpec(bbox=(-8.0, 8.0, -6.0, 6.0), grid=(240, 180))
-        curves = level_curves(P, level, spec)
+        curves = contour._curves(P, [level], spec)
         assert curves
         assert all(not c.closed for c in curves)
 
@@ -215,7 +214,7 @@ class TestLevelCurves:
     def test_vertex_level_at_roundoff_for_several_grids(self, grid):
         spec = PortraitSpec(grid=grid)
         for level in (-1.2, separatrix_level(P), 0.3, 2.0):
-            curves = level_curves(P, level, spec)
+            curves = contour._curves(P, [level], spec)
             assert curves
             check_vertices(P, curves, spec)
 
@@ -243,7 +242,7 @@ class TestLevelCurves:
         l = params.saddle_height
         spec = PortraitSpec(bbox=(-6 * l, 6 * l, -3 * l, 6 * l))
         level = params.b * (c + math.log(l))
-        ys = [p[1] for curve in level_curves(params, level, spec)
+        ys = [p[1] for curve in contour._curves(params, [level], spec)
               for p in curve.points if p[0] == 0.0]
         with mpmath.workdps(30):
             big_c = mpmath.mpf(level) / params.b - mpmath.log(l)
@@ -366,7 +365,7 @@ class TestPortrait:
         spec = PortraitSpec(bbox=bbox, grid=(160, 120), levels=levels + (1e6,))
         polys = portrait(params, spec)
         want = [p for level in sorted({p.level for p in polys} | set(spec.levels))
-                for p in level_curves(params, level, spec)]
+                for p in contour._curves(params, [level], spec)]
         assert polys and len(polys) == len(want)
         for got, ref in zip(polys, want):
             assert (got.level, got.closed) == (ref.level, ref.closed)
@@ -439,7 +438,7 @@ class TestPortrait:
     def test_matches_integrated_orbit(self):
         h0 = float(stream_values(P, 0.0, 0.25))
         spec = PortraitSpec(bbox=(-1, 1, -1, 1), grid=(200, 200))
-        curves = [c for c in level_curves(P, h0, spec) if c.closed]
+        curves = [c for c in contour._curves(P, [h0], spec) if c.closed]
         assert curves
         traj = integrate(P, (0.0, 0.25), max_time=10.0, detect_closure=True)
         d = hausdorff_distance(curves[0].points, traj.points)
@@ -622,6 +621,12 @@ class TestCirculationFromFlux:
     def test_linearity(self):
         c = PhysicalConstants()
         assert circulation_from_flux(c, 1.0, 2.0) == 2.0 * circulation_from_flux(c, 1.0, 1.0)
+
+    @pytest.mark.parametrize("flux, mass", [
+        (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (1e308, 1e-300)])
+    def test_nonfinite_flux_or_circulation_is_rejected(self, flux, mass):
+        with pytest.raises(InvalidParamsError, match="not a finite number"):
+            circulation_from_flux(PhysicalConstants(), mass, flux)
 
     @given(
         charge=st.floats(0.1, 10), light_speed=st.floats(0.1, 10),

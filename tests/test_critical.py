@@ -8,16 +8,12 @@ from abflow import (
     FlowParams,
     InvalidParamsError,
     NumericalError,
-    PointKind,
-    complex_potential,
     current,
     hamiltonian,
     jacobian,
     jacobian_entries,
-    local_quadratic_potential,
     separatrix_level,
     stagnation_point,
-    vortex_singularity,
 )
 
 P = FlowParams()
@@ -43,7 +39,6 @@ class TestStagnationPoint:
         sp = stagnation_point(P)
         assert np.allclose(sp.location, [0.0, 0.5], atol=0)
         assert sp.eigenvalues == pytest.approx((2.0, -2.0), rel=1e-14)
-        assert sp.kind is PointKind.SADDLE_STAGNATION
 
     def test_location_scales_with_k(self):
         sp = stagnation_point(FlowParams(k=2.0, delta=0.5))
@@ -93,13 +88,6 @@ class TestStagnationPoint:
     def test_level_matches_hamiltonian(self):
         sp = stagnation_point(P)
         assert sp.level == separatrix_level(P)
-
-    def test_vortex(self):
-        v = vortex_singularity(P)
-        assert v.kind is PointKind.VORTEX_SINGULARITY
-        assert np.array_equal(v.location, [0.0, 0.0])
-        assert v.eigenvalues is None and v.level is None
-        assert vortex_singularity(FlowParams(delta=0.0)) is None
 
 
 class TestJacobian:
@@ -151,38 +139,6 @@ class TestJacobian:
             return
         jac = jacobian(P, (x, y))
         assert abs(jac[0, 0] + jac[1, 1]) <= 1e-12 * max(1.0, np.abs(jac).max())
-
-
-class TestLocalQuadratic:
-    def test_vanishes_at_saddle(self):
-        assert local_quadratic_potential(P, 0.5j) == 0j
-
-    def test_unit_offset(self):
-        assert local_quadratic_potential(P, 0.5j + 1.0) == pytest.approx(1j, abs=1e-15)
-
-    def test_stream_part_zero_on_diagonal(self):
-        f3 = local_quadratic_potential(P, 0.5j + (1.0 + 1.0j))
-        assert f3.imag == pytest.approx(0.0, abs=1e-15)
-
-    def test_requires_saddle(self):
-        with pytest.raises(InvalidParamsError):
-            local_quadratic_potential(FlowParams(delta=0.0), 1.0)
-        with pytest.raises(InvalidParamsError):
-            local_quadratic_potential(FlowParams(k=0.0, delta=0.5), 1.0)
-
-    def test_taylor_remainder_is_higher_order(self):
-        # |F - F(z0) - F3| / |z - z0|^2 -> 0 along 8 directions
-        z0 = 0.5j
-        f0 = complex_potential(P, z0)
-        for j in range(8):
-            direction = complex(math.cos(j * math.pi / 4), math.sin(j * math.pi / 4))
-            ratios = []
-            for rho in (1e-1, 1e-2, 1e-3, 1e-4):
-                z = z0 + rho * direction
-                num = abs(complex_potential(P, z) - f0 - local_quadratic_potential(P, z))
-                ratios.append(num / rho**2)
-            assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
-            assert ratios[-1] <= 1e-3
 
 
 class TestSeparatrixLevel:

@@ -20,8 +20,7 @@ from abflow import (
     stream_values,
     trace_separatrix,
 )
-from abflow.contour import polygon_area
-from helpers import UNITS, flow, ode_times, position_at, winding_number
+from helpers import UNITS, flow, ode_times, polygon_area, position_at, winding_number
 
 P = FlowParams()
 EPS = sys.float_info.epsilon
