@@ -8,6 +8,7 @@ from abflow import (
     FlowParams,
     InvalidParamsError,
     NumericalError,
+    complex_potential,
     current,
     hamiltonian,
     jacobian,
@@ -139,6 +140,27 @@ class TestJacobian:
             return
         jac = jacobian(P, (x, y))
         assert abs(jac[0, 0] + jac[1, 1]) <= 1e-12 * max(1.0, np.abs(jac).max())
+
+
+class TestLocalQuadratic:
+    def test_taylor_remainder_is_higher_order(self):
+        # near the saddle z0, F(z) - F(z0) = i*(c/2)*(z - z0)^2 + O(|z - z0|^3)
+        # with c the saddle's unstable eigenvalue; the ratio
+        # |F - F(z0) - quadratic| / |z - z0|^2 -> 0 along 8 directions
+        sp = stagnation_point(P)
+        z0 = complex(*sp.location)
+        c = sp.eigenvalues[0]
+        f0 = complex_potential(P, z0)
+        for j in range(8):
+            direction = complex(math.cos(j * math.pi / 4), math.sin(j * math.pi / 4))
+            ratios = []
+            for rho in (1e-1, 1e-2, 1e-3, 1e-4):
+                z = z0 + rho * direction
+                quadratic = 1j * (c / 2.0) * (z - z0) ** 2
+                num = abs(complex_potential(P, z) - f0 - quadratic)
+                ratios.append(num / rho**2)
+            assert all(r1 > r2 for r1, r2 in zip(ratios, ratios[1:]))
+            assert ratios[-1] <= 1e-3
 
 
 class TestSeparatrixLevel:

@@ -134,6 +134,27 @@ class TestComplexPotential:
         f = complex_potential(P, complex(*p))
         assert f.imag == pytest.approx(stream_function(P, p), rel=1e-13, abs=1e-15)
 
+    @given(p=point_off_origin)
+    def test_superposition(self, p):
+        # F is the uniform-stream part plus the vortex part, (F1, F2) of _F_parts
+        z = complex(*p)
+        f = complex_potential(P, z)
+        f1, f2 = _F_parts(P.a, P.b, z)
+        assert abs(f - (f1 + f2)) <= 1e-14 * max(abs(f), 1e-30)
+
+    def test_decompose_values(self):
+        f1, f2 = _F_parts(P.a, P.b, 1.0 + 0j)
+        assert (f1, f2) == (-1.0 + 0j, 0j)
+        f1, f2 = _F_parts(P.a, P.b, 1j)
+        assert f1 == -1j
+        assert f2 == pytest.approx(-math.pi / 4 + 0j, abs=1e-15)
+
+    @given(p=point_off_origin)
+    def test_decompose_delta_zero(self, p):
+        params = FlowParams(delta=0.0)
+        _, f2 = _F_parts(params.a, params.b, complex(*p))
+        assert f2 == 0j
+
 
 class TestComplexDerivative:
     def test_substitution(self):
