@@ -246,15 +246,15 @@ def _print(text: str) -> None:
 
 
 class _Emitter:
-    """The artifacts of one command: each is written under --out if its
-    kind is wanted, the directory made on the first write, and the summary
+    """The artifacts of one command: each wanted one is kept, in the order
+    written, and `save` writes them under --out once the command has its
+    results, so that a command that fails writes nothing.  The summary
     lists every file written."""
 
     def __init__(self, s: SimpleNamespace):
         self.fmt = s.format
         self.out = Path(s.out) if s.out else None
-        self.files: list[str] = []
-        self.made: list[Path] = []  # the directories the first write made, deepest first
+        self.texts: dict[str, str] = {}
 
     def wants(self, kind: str | None) -> bool:
         """Whether an artifact of kind (csv, json or svg; None for every
@@ -262,21 +262,23 @@ class _Emitter:
         return self.out is not None and (kind is None or self.fmt in (kind, "all"))
 
     def write(self, name: str, text: str, kind: str | None) -> None:
-        """Write out/name if an artifact of kind is wanted; the directory is
-        made on the first write.  A directory or file that cannot be made
-        is a usage error naming the path."""
-        if not self.wants(kind):
-            return
-        path = self.out / name
+        """Keep text as out/name if an artifact of kind is wanted."""
+        if self.wants(kind):
+            self.texts[name] = text
+
+    def save(self) -> None:
+        """Write the kept texts, in order, making the directory first.  A
+        directory or file that cannot be made is a usage error naming the
+        path."""
+        path = self.out
         try:
-            if not self.files:
-                dirs = (self.out, *self.out.parents)
-                self.made = list(itertools.takewhile(lambda d: not d.exists(), dirs))
-                os.makedirs(self.out, exist_ok=True)
-            path.write_text(text)
+            if self.texts:
+                os.makedirs(path, exist_ok=True)
+            for name, text in self.texts.items():
+                path = self.out / name
+                path.write_text(text)
         except OSError as exc:
             raise InvalidParamsError(f"cannot write {str(path)!r}: {exc}") from exc
-        self.files.append(name)
 
     def write_csv(self, name: str, header: str, table) -> None:
         """Write the rows of a 2-D array (or nested sequence) of numbers as
@@ -314,7 +316,7 @@ class _Emitter:
         row_of, minus = row_of.tolist(), (np.signbit(x) & ~np.isnan(x)).tolist()
         end = 0
         for name, points in tables:
-            # hold one table's row strings at a time, not the command's
+            # hold one table's row strings at a time, then only its text
             start, end = end, end + len(points)
             rows = ["-" + texts[i] if m else texts[i]
                     for i, m in zip(row_of[start:end], minus[start:end])]
@@ -327,20 +329,16 @@ class _Emitter:
             self.write(name, render_portrait(curves, bbox or _bbox_of(curves), *markers), "svg")
 
     def finish(self, summary: dict) -> None:
-        """Print the JSON summary and write it if wanted; a summary that
-        holds NaN or an infinity is a NumericalError, printed nowhere, and
-        the files this command wrote are removed, then the directories it
-        made for them."""
-        summary["files"] = sorted(self.files)
+        """Write the kept artifacts and the JSON summary, if wanted, then
+        print the summary; a summary that holds NaN or an infinity is a
+        NumericalError, and then nothing is written or printed."""
+        summary["files"] = sorted(self.texts)
         try:
             text = _json(summary)
         except ValueError as exc:
-            for name in self.files:
-                (self.out / name).unlink(missing_ok=True)
-            for made in self.made:
-                made.rmdir()
             raise NumericalError(f"a {summary['command']} result is not finite in doubles") from exc
         self.write("summary.json", text + "\n", "json")
+        self.save()
         _print(text)
 
 
@@ -519,6 +517,7 @@ def _cmd_verify(s: SimpleNamespace) -> int:
             for rep in reports
         ]
         em.write("verify_report.json", _json(payload, allow_nan=True) + "\n", "json")
+    em.save()
     return 0 if verify_mod.suite_passed(reports) else 1
 
 

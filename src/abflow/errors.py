@@ -18,7 +18,7 @@ class InvalidStartError(AbflowError, ValueError):
 
 
 class InvalidContourError(AbflowError, ValueError):
-    """Polyline or quadrature contour is malformed or out of range."""
+    """A circulation contour (center, radius, samples) is malformed or out of range."""
 
 
 class NumericalError(AbflowError, ArithmeticError):

@@ -1,6 +1,6 @@
 """Helpers that only the tests use: the unit band of the scaling law,
-winding numbers, signed areas and Hausdorff distances of polylines, and a
-trajectory's position between samples."""
+the polyline invariants, winding numbers, signed areas and Hausdorff
+distances of polylines, and a trajectory's position between samples."""
 
 import math
 
@@ -21,6 +21,17 @@ def flow(l: float, tau: float, delta: float) -> FlowParams:
     """The flow with length unit delta/k = l and time unit tau: a = l/tau and
     b = l*l/tau."""
     return FlowParams(hbar=l * l / (tau * delta), k=delta / l, delta=delta)
+
+
+def check_well_formed(poly) -> None:
+    """A polyline as the library builds it: at least two 2-d float vertices,
+    no two consecutive ones equal, and, if closed, its last vertex its first
+    bit for bit."""
+    pts = poly.points
+    assert pts.dtype == float and pts.ndim == 2 and pts.shape[1] == 2 and len(pts) >= 2
+    assert np.all((pts[1:] != pts[:-1]).any(axis=1)), "consecutive vertices are equal"
+    if poly.closed:
+        assert pts[-1].tobytes() == pts[0].tobytes(), "a closed polyline ends off its start"
 
 
 def winding_number(points: np.ndarray, about=(0.0, 0.0)) -> int:

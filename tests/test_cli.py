@@ -510,6 +510,33 @@ class TestSubcommands:
             else:
                 assert list(root.iterdir()) == []
 
+    def test_nonfinite_trajectory_keeps_a_previous_run(self, capsys, tmp_path, monkeypatch):
+        # a run that exits 4 writes nothing: the files of the run before it
+        # in the same --out directory stay, byte for byte
+        integrate = dynamics.integrate
+
+        def overflowing(*args, **kwargs):
+            return dataclasses.replace(integrate(*args, **kwargs), max_h_drift=math.inf)
+
+        for i, (argv, integrator) in enumerate([
+            (["--hbar", "0.25", "--mass", "4", "--k", "3",
+              "--start", "0,1.3407807929942596e154", "--tmax", "1e308"], integrate),
+            (["--hbar", "1e300", "--start", "0,1e10"], integrate),
+            (["--start", "0,0.25"], overflowing),
+        ]):
+            out = tmp_path / str(i)
+            monkeypatch.setattr(dynamics, "integrate", integrate)
+            assert main(["trajectory", "--start", "0,0.25", "--out", str(out),
+                         "--format", "all"]) == 0
+            before = {p.name: p.read_bytes() for p in out.iterdir()}
+            assert sorted(before) == ["summary.json", "trajectory.csv"]
+            capsys.readouterr()
+            monkeypatch.setattr(dynamics, "integrate", integrator)
+            code = main(["trajectory", *argv, "--out", str(out), "--format", "all"])
+            captured = capsys.readouterr()
+            assert code == 4 and captured.out == "", argv
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == before, argv
+
     def test_trajectory_past_the_sample_cap_is_usage_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(dynamics, "SAMPLES_MAX", 100)
         out = tmp_path / "traj"
@@ -782,14 +809,14 @@ class TestArtifacts:
 
 
     @pytest.mark.parametrize("columns", [1, 2, 4])
-    def test_csv_table_matches_per_cell_repr(self, tmp_path, columns):
+    def test_csv_table_matches_per_cell_repr(self, columns):
         cells = [-0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, -1e300, 123456.789]
         rows = [[cells[(i + j) % len(cells)] for j in range(columns)] for i in range(len(cells))]
         header = ",".join(f"c{j}" for j in range(columns))
-        em = cli._Emitter(SimpleNamespace(format="csv", out=str(tmp_path)))
+        em = cli._Emitter(SimpleNamespace(format="csv", out="unused"))
         em.write_csv("t.csv", header, rows)
         expected = "\n".join([header, *(",".join(map(repr, r)) for r in rows)]) + "\n"
-        assert (tmp_path / "t.csv").read_text() == expected
+        assert em.texts == {"t.csv": expected}
 
     @given(tables=point_tables())
     @settings(max_examples=100, deadline=None)

@@ -12,6 +12,7 @@ from abflow import (
     InvalidParamsError,
     InvalidStartError,
     TrajectoryStatus,
+    contour,
     dynamics,
     hamiltonian,
     integrate,
@@ -20,7 +21,9 @@ from abflow import (
     stream_values,
     trace_separatrix,
 )
-from helpers import UNITS, flow, ode_times, polygon_area, position_at, winding_number
+from helpers import (
+    UNITS, check_well_formed, flow, ode_times, polygon_area, position_at, winding_number,
+)
 
 P = FlowParams()
 EPS = sys.float_info.epsilon
@@ -445,6 +448,20 @@ class TestClosedFormSeparatrix:
         assert np.hypot(pts[-2, 0], pts[-2, 1] - l) <= 1e-4 * l
         assert polygon_area(pts[:-1]) < 0  # clockwise, as the flow turns
         assert pts[1, 0] > 0 and pts[1, 1] < l  # leaves down the right side
+
+    def test_polylines_are_well_formed(self, params):
+        sep = trace_separatrix(params)
+        assert sep.loop.closed and not any(arm.closed for arm in sep.unbounded_branches)
+        for poly in [sep.loop, *sep.unbounded_branches]:
+            check_well_formed(poly)
+
+
+def test_separatrix_and_portrait_loops_cross_the_y_axis_at_one_point():
+    # trace_separatrix samples its loop down to -W(1/e) below the saddle, a
+    # portrait its separatrix piece down to the root _pieces solves for
+    w_lo = contour._pieces(-1.0, 0.0)[0][1]
+    assert (-1.0 - dynamics._W_INV_E).hex() == w_lo.hex()
+    assert w_lo == -1.278464542761074
 
 
 @pytest.mark.parametrize("params", [

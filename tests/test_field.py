@@ -281,7 +281,7 @@ class TestScalarApiMatchesVerifyKernels:
 
     @pytest.fixture
     def points(self):
-        x, y = _sample_points(42, 200)
+        x, y = _sample_points(42)
         return x, y, x + 1j * y
 
     def test_complex_derivative(self, kwargs, points):

@@ -14,7 +14,7 @@ from abflow import (
     run_suite,
     suite_passed,
 )
-from abflow.verify import ORDER_BAND, ORDER_LADDER, _sample_points
+from abflow.verify import N_POINTS, ORDER_BAND, _sample_points
 
 EXPECTED_CHECKS = [
     "canonical_scaling",
@@ -242,11 +242,11 @@ def test_splitmix64_oracle_gives_the_reference_outputs():
 
 @pytest.mark.parametrize("seed", [0, 1, 42, 2**63, 2**64 - 1])
 def test_sample_points_are_splitmix64(seed):
-    n = 200
+    n = N_POINTS
     u = [(z >> 11) * 2.0**-53 for z in splitmix64(seed, 2 * n)]
     r = np.array([0.1 + 4.9 * ui for ui in u[:n]])
     th = np.array([-math.pi + 2.0 * math.pi * ui for ui in u[n:]])
-    x, y = _sample_points(seed, n)
+    x, y = _sample_points(seed)
     assert x.tobytes() == (r * np.cos(th)).tobytes()
     assert y.tobytes() == (r * np.sin(th)).tobytes()
     # the points lie at the radii r, up to the roundoff of cos and sin
@@ -386,24 +386,6 @@ def test_tampered_jacobian_fails_saddle_eigenvalues(monkeypatch):
     monkeypatch.setattr(critical_mod, "jacobian_entries", scaled)
     reports = {rep.name: rep for rep in run_suite(FlowParams(), seed=42)}
     assert reports["saddle_eigenvalues"].verdict == "fail"
-
-
-@pytest.mark.parametrize("n_points", [0, -1])
-def test_fewer_than_one_point_is_rejected(n_points):
-    with pytest.raises(InvalidParamsError, match="n_points"):
-        run_suite(FlowParams(), n_points=n_points)
-
-
-def test_no_point_off_the_cut_is_reported_not_raised():
-    # seed 185's one point, (-1.067, -0.0017), lies within a stencil of the
-    # cut of phi: no point is left for the Laplacian of phi
-    (x,), (y,) = _sample_points(185, 1)
-    assert x < 0.0 and abs(y) < max(ORDER_LADDER)
-    reports = {rep.name: rep for rep in run_suite(FlowParams(), seed=185, n_points=1)}
-    assert sorted(reports) == EXPECTED_CHECKS
-    assert reports["velocity_potential_harmonic"].verdict == "not_applicable"
-    assert reports["gradient_orthogonality"].verdict == "not_applicable"
-    assert suite_passed(reports.values()), format_report(list(reports.values()))
 
 
 @pytest.mark.parametrize("params", [FlowParams(), FlowParams(k=0.0)], ids=["regular", "rotation"])
