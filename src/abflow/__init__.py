@@ -31,9 +31,7 @@ from .dynamics import (
 )
 from .errors import (
     AbflowError,
-    InvalidContourError,
     InvalidParamsError,
-    InvalidStartError,
     NumericalError,
     SingularPointError,
 )

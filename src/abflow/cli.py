@@ -33,13 +33,7 @@ import numpy as np
 
 from . import critical, dynamics, verify as verify_mod
 from .contour import PortraitSpec, circulation, portrait
-from .errors import (
-    InvalidContourError,
-    InvalidParamsError,
-    InvalidStartError,
-    NumericalError,
-    SingularPointError,
-)
+from .errors import InvalidParamsError, NumericalError, SingularPointError
 from .field import (
     FlowParams,
     PhysicalConstants,
@@ -57,13 +51,13 @@ from .svg import render_portrait
 _ascii = json.encoder.encode_basestring_ascii
 
 
-def _json(v, allow_nan: bool = False, pad: str = "\n") -> str:
-    """json.dumps(v, sort_keys=True, indent=2, allow_nan=allow_nan), the
-    same bytes, from C-level pieces (json takes its pure-Python encoder
-    whenever indent is set).  pad is the newline and indent of v's line.
-    A dict with str keys, list, tuple, str, int, finite float, bool or None
-    is written here; anything else, a NaN or an infinity too, is left to
-    json.dumps and re-indented to pad."""
+def _json(v, pad: str = "\n") -> str:
+    """json.dumps(v, sort_keys=True, indent=2, allow_nan=False), the same
+    bytes, from C-level pieces (json takes its pure-Python encoder whenever
+    indent is set).  pad is the newline and indent of v's line.  A dict
+    with str keys, list, tuple, str, int, finite float, bool or None is
+    written here; anything else is left to json.dumps and re-indented to
+    pad, so a NaN or an infinity is a ValueError."""
     kind = type(v)
     if kind is float and v - v == 0.0 or kind is int:
         return repr(v)
@@ -73,11 +67,11 @@ def _json(v, allow_nan: bool = False, pad: str = "\n") -> str:
         return "true" if v is True else "false" if v is False else "null"
     inner = pad + "  "
     if kind is list or kind is tuple:
-        items = [_json(x, allow_nan, inner) for x in v]
+        items = [_json(x, inner) for x in v]
     elif kind is dict and all(type(k) is str for k in v):
-        items = [f"{_ascii(k)}: {_json(x, allow_nan, inner)}" for k, x in sorted(v.items())]
+        items = [f"{_ascii(k)}: {_json(x, inner)}" for k, x in sorted(v.items())]
     else:
-        return json.dumps(v, sort_keys=True, indent=2, allow_nan=allow_nan).replace("\n", pad)
+        return json.dumps(v, sort_keys=True, indent=2, allow_nan=False).replace("\n", pad)
     if not items:
         return "{}" if kind is dict else "[]"
     body = inner + ("," + inner).join(items) + pad
@@ -511,12 +505,9 @@ def _cmd_verify(s: SimpleNamespace) -> int:
     em = _Emitter(s)
     em.write("verify_report.txt", text + "\n", None)
     if em.wants("json"):
-        payload = [  # each report's fields, NaN as null
-            {k: None if isinstance(v, float) and math.isnan(v) else v
-             for k, v in dataclasses.asdict(rep).items()}
-            for rep in reports
-        ]
-        em.write("verify_report.json", _json(payload, allow_nan=True) + "\n", "json")
+        payload = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                    for k, v in dataclasses.asdict(rep).items()} for rep in reports]
+        em.write("verify_report.json", _json(payload) + "\n", "json")  # inf, NaN as null
     em.save()
     return 0 if verify_mod.suite_passed(reports) else 1
 
@@ -560,10 +551,10 @@ def main(argv=None) -> int:
     try:
         s = _settings(sys.argv[1:] if argv is None else list(argv))
         return 0 if s is None else _COMMANDS[s.command][0](s)
-    except (SingularPointError, InvalidStartError) as exc:
+    except SingularPointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidParamsError, InvalidContourError) as exc:
+    except InvalidParamsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import critical
-from .errors import InvalidContourError, InvalidParamsError
+from .errors import InvalidParamsError
 from .field import FlowParams, PhysicalConstants, _velocity, stream_values
 
 __all__ = [
@@ -338,25 +338,27 @@ def circulation(
 
     Converges to -2*pi*hbar*delta/mass when the circle encloses the origin
     and to 0 otherwise.  Takes 16 to SAMPLES_MAX samples and a circle on
-    which x*x + y*y stays finite.  The Richardson error estimate is the
-    distance to the max(16, samples//2)-point rule, summed from every other
-    sample where its nodes are those (even samples from 32, and 16): the
-    field is evaluated once per sample, and a second time on the coarse
-    nodes only for odd samples and 17 to 31.
+    which x*x + y*y stays finite; other samples, a center or radius not
+    finite, and a circle through the core are an InvalidParamsError.  The
+    Richardson error estimate is the distance to the rule of
+    max(16, samples//2) points, summed from every other sample where its
+    nodes are those (even samples from 32, and 16): the field is evaluated
+    once per sample, and a second time on the coarse nodes only for odd
+    samples and 17 to 31.
     """
     cx, cy = float(center[0]), float(center[1])
     radius = float(radius)
     if not (math.isfinite(cx) and math.isfinite(cy)):
-        raise InvalidContourError(f"center must be finite, got {center!r}")
+        raise InvalidParamsError(f"center must be finite, got {center!r}")
     if not (math.isfinite(radius) and radius > 0.0):
-        raise InvalidContourError(f"radius must be positive and finite, got {radius!r}")
+        raise InvalidParamsError(f"radius must be positive and finite, got {radius!r}")
     if not 16 <= samples <= SAMPLES_MAX:
-        raise InvalidContourError(f"need 16 to {SAMPLES_MAX} samples, got {samples}")
+        raise InvalidParamsError(f"need 16 to {SAMPLES_MAX} samples, got {samples}")
     reach = max(abs(cx), abs(cy)) + radius
     if 2.0 * reach * reach > sys.float_info.max:
-        raise InvalidContourError(f"x*x + y*y overflows on a circle of reach {reach!r}")
+        raise InvalidParamsError(f"x*x + y*y overflows on a circle of reach {reach!r}")
     if params.b != 0.0 and abs(math.hypot(cx, cy) - radius) <= 1e-12 * radius:
-        raise InvalidContourError("contour passes through the vortex core")
+        raise InvalidParamsError("contour passes through the vortex core")
 
     # the uniform stream's trapezoid sum is zero in exact arithmetic; in
     # doubles it leaves roundoff ~eps*a*R, so only the vortex is summed, with

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import critical
 from .contour import Polyline, _curve, _pieces
-from .errors import InvalidParamsError, InvalidStartError
+from .errors import InvalidParamsError, SingularPointError
 from .field import FlowParams, _frame, stream_values
 
 __all__ = ["Trajectory", "TrajectoryStatus", "SeparatrixResult", "integrate", "trace_separatrix"]
@@ -192,25 +192,25 @@ def integrate(params: FlowParams, p0, *, max_time: float = 100.0,
     10*l, widened to twice the start point.  Samples are formed in that
     frame and mapped back as p0 + l*(P - P0), so the first is p0 itself.
     A max_time that is not finite and positive, or that needs more than
-    SAMPLES_MAX samples, is an InvalidParamsError; a start that is not
-    finite, lies in the core, has no canonical units, or where psi's
-    x*x + y*y overflows is an InvalidStartError.
+    SAMPLES_MAX samples, is an InvalidParamsError; a start the flow cannot
+    run from is a SingularPointError: one that is not finite, lies in the
+    core, has no canonical units, or where psi's x*x + y*y overflows.
     """
     if not (math.isfinite(max_time) and max_time > 0):
         raise InvalidParamsError(f"max_time must be positive, got {max_time!r}")
     start = float(p0[0]), float(p0[1])
     if not (math.isfinite(start[0]) and math.isfinite(start[1])):
-        raise InvalidStartError(f"start point {p0!r} is not finite")
+        raise SingularPointError(f"start point {p0!r} is not finite")
     if params.b > 0.0 and not math.isfinite(start[0] * start[0] + start[1] * start[1]):
-        raise InvalidStartError(f"psi is not finite at {p0!r}: x*x + y*y overflows there")
+        raise SingularPointError(f"psi is not finite at {p0!r}: x*x + y*y overflows there")
     l, tau, ca, cb = _frame(params, *start)
     if not (0.0 < l < math.inf and 0.0 < tau < math.inf and max_time / tau < math.inf):
-        raise InvalidStartError(f"no trajectory from {p0!r} for max_time {max_time!r} "
-                                f"in the canonical units l={l!r}, tau={tau!r}")
+        raise SingularPointError(f"no trajectory from {p0!r} for max_time {max_time!r} "
+                                 f"in the canonical units l={l!r}, tau={tau!r}")
     x, y = start[0] / l, start[1] / l
     half = max(_HALF_WIDTH, 2.0 * max(abs(x), abs(y)))
     if math.hypot(x, y) <= _CORE_RADIUS:
-        raise InvalidStartError(
+        raise SingularPointError(
             f"start point {p0!r} lies within the core exclusion radius {_CORE_RADIUS * l!r}"
         )
 

@@ -6,19 +6,13 @@ class AbflowError(Exception):
 
 
 class InvalidParamsError(AbflowError, ValueError):
-    """Parameter set violates a documented constraint."""
+    """An input out of its documented range: a flow parameter, a grid, a
+    circulation circle, a time span, a command line (CLI exit 2)."""
 
 
 class SingularPointError(AbflowError, ValueError):
-    """Evaluation requested at the vortex core (origin) where the field diverges."""
-
-
-class InvalidStartError(AbflowError, ValueError):
-    """Integration start point lies inside the core exclusion radius."""
-
-
-class InvalidContourError(AbflowError, ValueError):
-    """A circulation contour (center, radius, samples) is malformed or out of range."""
+    """A point at the vortex core (the origin), where the field diverges, or
+    a trajectory start the flow cannot run from (CLI exit 3)."""
 
 
 class NumericalError(AbflowError, ArithmeticError):

@@ -331,7 +331,7 @@ def test_package_surface_is_the_modules_all_and_the_errors():
             if isinstance(v, type) and issubclass(v, Exception) and v.__module__ == errors.__name__}
     listed = {name for mod in (contour, critical, dynamics, field, verify) for name in mod.__all__}
     assert public == listed | errs
-    assert len(public) == 39
+    assert len(public) == 37
 
 
 def test_summary_line(capsys):

@@ -119,8 +119,16 @@ class TestEval:
         (["eval", "--at", "1,1", "--del", "0.3"], "--del"),  # no abbreviations
         (["eval", "--at", "1,1", "--no-hbar"], "--no-hbar"),  # --no- is for booleans
         (["portrait", "--separatrix=1"], "--separatrix"),  # a boolean takes no value
+        (["eval", "--at", "1,2,3"], "expected 2 comma-separated numbers, got '1,2,3'"),
+        (["portrait", "--grid", "400"], "expected NxM got '400'"),
+        (["eval", "--at", "nan,0"], "point components must be finite"),
+        # flux_to_delta checks its constants before FlowParams does
+        (["eval", "--flux", "1", "--hbar", "0", "--at", "1,1"], "hbar must be positive"),
+        (["eval", "--flux", "1", "--light-speed", "0", "--at", "1,1"],
+         "light_speed must be positive"),
     ], ids=["no-command", "unknown-command", "positional", "missing-value", "abbreviation",
-            "negated-value-flag", "valued-boolean"])
+            "negated-value-flag", "valued-boolean", "point-arity", "grid-form",
+            "nonfinite-point", "flux-zero-hbar", "flux-zero-light-speed"])
     def test_usage_errors_name_the_token(self, capsys, argv, token):
         code = main(argv)
         captured = capsys.readouterr()
@@ -708,6 +716,24 @@ class TestSubcommands:
         assert (out / "verify_report.txt").exists()
         json.loads((out / "verify_report.json").read_text())
 
+    def test_verify_report_json_is_strict_json(self, capsys, tmp_path):
+        # at l = 5e199 two residuals overflow to inf, written as null
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        out = tmp_path / "rep"
+        code, _ = run_cli(capsys, "verify", "--k", "1e-200", "--out", str(out),
+                          "--format", "json")
+        assert code == 1
+        rows = json.loads((out / "verify_report.json").read_text(), parse_constant=refuse)
+        resid = {row["name"]: row["residual"] for row in rows}
+        assert resid["canonical_scaling"] is None
+        assert resid["circulation_contour_independence"] is None
+
+    def test_verify_beyond_the_kernels_warns_nothing(self, capsys):
+        code = main(["verify", "--k", "1e-200"])
+        assert code == 1 and capsys.readouterr().err == ""
+
     def test_sweep(self, capsys, tmp_path):
         out = tmp_path / "sweep"
         doc = run_json(capsys, "sweep", "--deltas", "0.5,0.4,0.3",
@@ -831,21 +857,22 @@ class TestArtifacts:
     @settings(max_examples=200, deadline=None)
     def test_summary_encoder_matches_json_dumps(self, value):
         # the same text as json.dumps, or the same exception type (a NaN or
-        # an infinity is a ValueError unless allowed)
-        for allow_nan in (False, True):
-            try:
-                want = json.dumps(value, sort_keys=True, indent=2, allow_nan=allow_nan)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    cli._json(value, allow_nan)
-            else:
-                assert cli._json(value, allow_nan) == want
+        # an infinity is a ValueError)
+        try:
+            want = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+        except ValueError:
+            with pytest.raises(ValueError):
+                cli._json(value)
+        else:
+            assert cli._json(value) == want
 
     def test_portrait_without_curves_writes_no_csv(self, capsys, tmp_path):
-        doc = run_json(capsys, "portrait", "--levels", "50", "--no-separatrix",
-                       "--grid", "40x30", "--out", str(tmp_path / "none"), "--format", "csv")
-        assert doc["polylines"] == 0 and doc["files"] == []
-        assert not (tmp_path / "none").exists()
+        # at -50 the one piece is a loop about 1e-44 l across, dropped as a point
+        for level in ("50", "-50"):
+            doc = run_json(capsys, "portrait", "--levels", level, "--no-separatrix",
+                           "--grid", "40x30", "--out", str(tmp_path / "none"), "--format", "csv")
+            assert doc["polylines"] == 0 and doc["files"] == []
+            assert not (tmp_path / "none").exists()
 
     @pytest.mark.parametrize("units", UNITS)
     def test_point_csvs_match_the_library_points(self, capsys, tmp_path, units):

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from abflow import (
     FlowParams,
-    InvalidContourError,
     InvalidParamsError,
     PhysicalConstants,
     PortraitSpec,
@@ -524,22 +523,22 @@ class TestCirculation:
         assert abs(v512 - v256) <= 1e-12
 
     def test_invalid_contours(self):
-        with pytest.raises(InvalidContourError):
+        with pytest.raises(InvalidParamsError):
             circulation(P, (1.0, 0.0), 1.0, 64)  # passes through the origin
-        with pytest.raises(InvalidContourError):
+        with pytest.raises(InvalidParamsError):
             circulation(P, (0.0, 0.0), 1.0, 8)  # too few samples
-        with pytest.raises(InvalidContourError):
+        with pytest.raises(InvalidParamsError):
             circulation(P, (0.0, 0.0), -1.0, 64)
 
     @pytest.mark.parametrize("samples", [SAMPLES_MAX + 1, 10**15])
     def test_sample_upper_bound(self, samples):
         # rejected before the quadrature allocates its nodes
-        with pytest.raises(InvalidContourError):
+        with pytest.raises(InvalidParamsError):
             circulation(P, (0.0, 0.0), 1.0, samples)
 
     @pytest.mark.parametrize("center, radius", [((0.0, 0.0), 1e300), ((1e155, 0.0), 1.0)])
     def test_overflowing_circle_rejected(self, center, radius):
-        with pytest.raises(InvalidContourError):
+        with pytest.raises(InvalidParamsError):
             circulation(P, center, radius, 64)
 
     @pytest.mark.parametrize("center, radius", [
@@ -549,7 +548,7 @@ class TestCirculation:
         ((0.0, 0.0), math.nan),
     ])
     def test_nonfinite_contour_rejected(self, center, radius):
-        with pytest.raises(InvalidContourError):
+        with pytest.raises(InvalidParamsError):
             circulation(P, center, radius, 64)
 
     @given(delta=st.floats(0.05, 0.5), radius=st.floats(0.2, 8.0))
@@ -619,6 +618,11 @@ class TestCirculationFromFlux:
     def test_nonfinite_flux_or_circulation_is_rejected(self, flux, mass):
         with pytest.raises(InvalidParamsError, match="not a finite number"):
             circulation_from_flux(PhysicalConstants(), mass, flux)
+
+    @pytest.mark.parametrize("mass", [0.0, -1.0, math.nan])
+    def test_mass_not_positive_is_rejected(self, mass):
+        with pytest.raises(InvalidParamsError, match="mass must be positive"):
+            circulation_from_flux(PhysicalConstants(), mass, 1.0)
 
     @given(
         charge=st.floats(0.1, 10), light_speed=st.floats(0.1, 10),

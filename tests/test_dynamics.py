@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from abflow import (
     FlowParams,
     InvalidParamsError,
-    InvalidStartError,
+    SingularPointError,
     TrajectoryStatus,
     contour,
     dynamics,
@@ -147,14 +147,14 @@ class TestIntegrate:
         assert abs(traj.h_values[0] - lsep) > 0.1
 
     def test_start_inside_core_rejected(self):
-        with pytest.raises(InvalidStartError):
+        with pytest.raises(SingularPointError):
             integrate(P, (1e-9, 0.0))
 
     @pytest.mark.parametrize("start", [
         (math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf),
     ])
     def test_nonfinite_start_rejected(self, start):
-        with pytest.raises(InvalidStartError):
+        with pytest.raises(SingularPointError):
             integrate(P, start)
 
     @pytest.mark.parametrize("params, start, max_time", [
@@ -163,7 +163,7 @@ class TestIntegrate:
         (FlowParams(mass=1e-10), (0.0, 0.25), 1e300),  # max_time/tau overflows
     ])
     def test_unrepresentable_units_rejected(self, params, start, max_time):
-        with pytest.raises(InvalidStartError):
+        with pytest.raises(SingularPointError):
             integrate(params, start, max_time=max_time)
 
     @pytest.mark.parametrize("params", [P, FlowParams(hbar=2.0, mass=0.5), FlowParams(k=0.25),
@@ -172,7 +172,7 @@ class TestIntegrate:
         # psi forms x*x + y*y, which overflows one double past sqrt(max)
         past = math.nextafter(math.sqrt(sys.float_info.max), math.inf)
         for start in [(0.0, past), (-past, 0.0), (0.8 * past, 0.8 * past), (0.0, 1e160)]:
-            with pytest.raises(InvalidStartError):
+            with pytest.raises(SingularPointError):
                 integrate(params, start)
 
     @pytest.mark.parametrize("params", [P, FlowParams(k=0.25)])
@@ -506,7 +506,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("max_time", [0.0, -1.0, math.inf, math.nan])
     def test_invalid(self, max_time, start):
         # checked first: a start that is not finite or lies in the core is
-        # an InvalidStartError of its own
+        # a SingularPointError of its own
         with pytest.raises(InvalidParamsError, match="max_time must be positive"):
             integrate(P, start, max_time=max_time)
 

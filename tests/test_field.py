@@ -75,6 +75,8 @@ class TestParams:
     def test_pure_rotation_allowed(self):
         p = FlowParams(k=0.0, delta=0.5)
         assert p.a == 0.0
+        with pytest.raises(InvalidParamsError, match="requires k > 0"):
+            p.saddle_height  # a rotation has no saddle
 
     def test_constants_validated(self):
         with pytest.raises(InvalidParamsError):
@@ -164,6 +166,10 @@ class TestComplexDerivative:
     def test_zero_at_stagnation(self):
         assert abs(complex_derivative(P, 0.5j)) <= 1e-13
 
+    def test_singular_origin(self):
+        with pytest.raises(SingularPointError):
+            complex_derivative(P, 0j)
+
     @pytest.mark.parametrize("r", [10.0, 100.0, 1000.0])
     @pytest.mark.parametrize("ang", [0.1, 1.0, 2.5, -2.0])
     def test_far_field_deviation_is_exact(self, r, ang):
@@ -230,6 +236,10 @@ class TestVelocityPotential:
         f = complex_potential(P, complex(*p))
         assert velocity_potential(P, p) == pytest.approx(f.real, rel=1e-13, abs=1e-15)
 
+    def test_singular_origin(self):
+        with pytest.raises(SingularPointError):
+            velocity_potential(P, (0.0, 0.0))
+
     @pytest.mark.parametrize("kwargs", [
         dict(),
         dict(hbar=1e6, mass=1e-6, k=3.0, delta=0.4),
@@ -250,6 +260,7 @@ class TestVelocityPotential:
     def test_branch_cut_flag(self):
         assert near_branch_cut((-1.0, 1e-9))
         assert near_branch_cut((-1.0, 0.0))
+        assert near_branch_cut((0.0, 0.0))
         assert not near_branch_cut((1.0, 0.0))
         assert not near_branch_cut((0.0, 1.0))
 

@@ -1,7 +1,12 @@
+import ast
 import importlib.util
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+SOURCES = sorted([*(ROOT / "src" / "abflow").glob("*.py"), *SCRIPTS.glob("*.py")])
 
 
 def load(name):
@@ -29,3 +34,9 @@ def test_artifact_digest_is_repeatable():
     commands = {label.split("/")[0] for label, _, _ in first}
     assert commands == {"eval", "stagnation", "portrait", "separatrix", "circulation",
                         "trajectory", "verify", "sweep"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_sources_parse_as_the_oldest_supported_python(path):
+    # pyproject.toml declares requires-python = ">=3.10"
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
