@@ -14,7 +14,8 @@ of a ``--config`` file, through them: name is a flag's in ``_`` or ``-``,
 not config nor a ``--no-`` form.  Anything else, a required setting left
 unset, or --delta with --flux is a usage error, printed as ``error: ...``
 on stderr like every other; -h or --help prints the usage.  Exit codes: 0
-ok, 1 verification failure, 2 usage, 3 singular input, 4 numerical failure.
+ok, 1 verification failure, else the error's ``exit_code``: 2 usage, 3
+singular input, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import critical, dynamics, verify as verify_mod
 from .contour import PortraitSpec, circulation, portrait
-from .errors import InvalidParamsError, NumericalError, SingularPointError
+from .errors import AbflowError, InvalidParamsError, NumericalError
 from .field import (
     FlowParams,
     PhysicalConstants,
@@ -551,15 +552,9 @@ def main(argv=None) -> int:
     try:
         s = _settings(sys.argv[1:] if argv is None else list(argv))
         return 0 if s is None else _COMMANDS[s.command][0](s)
-    except SingularPointError as exc:
+    except AbflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InvalidParamsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -339,7 +339,8 @@ def circulation(
     Converges to -2*pi*hbar*delta/mass when the circle encloses the origin
     and to 0 otherwise.  Takes 16 to SAMPLES_MAX samples and a circle on
     which x*x + y*y stays finite; other samples, a center or radius not
-    finite, and a circle through the core are an InvalidParamsError.  The
+    finite, and a circle through the core (at a distance d from the vortex
+    within 1e-12 radii, or d*d subnormal) are an InvalidParamsError.  The
     Richardson error estimate is the distance to the rule of
     max(16, samples//2) points, summed from every other sample where its
     nodes are those (even samples from 32, and 16): the field is evaluated
@@ -357,8 +358,9 @@ def circulation(
     reach = max(abs(cx), abs(cy)) + radius
     if 2.0 * reach * reach > sys.float_info.max:
         raise InvalidParamsError(f"x*x + y*y overflows on a circle of reach {reach!r}")
-    if params.b != 0.0 and abs(math.hypot(cx, cy) - radius) <= 1e-12 * radius:
-        raise InvalidParamsError("contour passes through the vortex core")
+    d = abs(math.hypot(cx, cy) - radius)  # the circle's distance to the vortex
+    if params.b != 0.0 and (d <= 1e-12 * radius or d * d < sys.float_info.min):
+        raise InvalidParamsError(f"contour passes through the vortex core (distance {d!r})")
 
     # the uniform stream's trapezoid sum is zero in exact arithmetic; in
     # doubles it leaves roundoff ~eps*a*R, so only the vortex is summed, with

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParamsError, NumericalError
-from .field import FlowParams, _check_regular, _point
+from .field import FlowParams, _regular_point
 
 __all__ = [
     "CriticalPoint",
@@ -73,8 +73,7 @@ def jacobian(params: FlowParams, p) -> np.ndarray:
     The matrix is symmetric and trace-free for this field (divergence- and
     curl-free): [[alpha, beta], [beta, -alpha]], see `jacobian_entries`.
     """
-    x, y = _point(p)
-    _check_regular(params, x, y)
+    x, y = _regular_point(params, p)
     if params.b == 0.0:
         return np.zeros((2, 2))
     alpha, beta = jacobian_entries(params, x, y)

@@ -144,9 +144,15 @@ def _point(p) -> tuple[float, float]:
     return x, y
 
 
-def _check_regular(params: FlowParams, x: float, y: float) -> None:
-    if params.delta > 0 and x == 0.0 and y == 0.0:
-        raise SingularPointError("field is singular at the origin for delta > 0")
+def _regular_point(params: FlowParams, p) -> tuple[float, float]:
+    """p as (x, y), finite (else an InvalidParamsError) and, where the flow
+    has a vortex, off its core: x*x + y*y a normal double, so no closer than
+    about 1.5e-154 to the origin (else a SingularPointError)."""
+    x, y = _point(p)
+    if params.delta > 0 and x * x + y * y < sys.float_info.min:
+        raise SingularPointError(f"point ({x!r}, {y!r}) is within the vortex core: "
+                                 "x*x + y*y is below the smallest normal double")
+    return x, y
 
 
 def _velocity(a: float, b: float, x, y):
@@ -167,10 +173,10 @@ def current(params: FlowParams, p) -> np.ndarray:
     """Probability current J at point p.
 
     J = (-a + b*y/r^2, -b*x/r^2).  With delta = 0 the field is the constant
-    (-a, 0) and is defined everywhere; otherwise the origin is singular.
+    (-a, 0) and is defined everywhere; otherwise a point within the vortex
+    core, where x*x + y*y is 0 or subnormal, is a SingularPointError.
     """
-    x, y = _point(p)
-    _check_regular(params, x, y)
+    x, y = _regular_point(params, p)
     u, v = _velocity(params.a, params.b, x, y)
     return np.array([u, v])
 
@@ -192,8 +198,7 @@ def _dF(a: float, b: float, z):
 def complex_potential(params: FlowParams, z: complex) -> complex:
     """F(z) = -a*z + i*b*log(z), principal branch."""
     z = complex(z)
-    if z == 0 and params.delta > 0:
-        raise SingularPointError("complex potential is singular at z = 0")
+    _regular_point(params, (z.real, z.imag))
     f1, f2 = _F_parts(params.a, params.b, z)
     # adding F2 = 0j would turn a -0.0 imaginary part of F1 into 0.0
     return f1 + f2 if params.b != 0.0 else f1
@@ -202,8 +207,7 @@ def complex_potential(params: FlowParams, z: complex) -> complex:
 def complex_derivative(params: FlowParams, z: complex) -> complex:
     """F'(z) = -a + i*b/z; equals u - i*v of the current."""
     z = complex(z)
-    if z == 0 and params.b != 0.0:
-        raise SingularPointError("F' is singular at z = 0")
+    _regular_point(params, (z.real, z.imag))
     return _dF(params.a, params.b, z)
 
 
@@ -217,8 +221,7 @@ def _psi(a: float, b: float, x, y):
 
 def stream_function(params: FlowParams, p) -> float:
     """Stream function psi = -a*y + b*log(r); even in x, constant on streamlines."""
-    x, y = _point(p)
-    _check_regular(params, x, y)
+    x, y = _regular_point(params, p)
     return float(_psi(params.a, params.b, x, y))
 
 
@@ -246,9 +249,7 @@ def velocity_potential(params: FlowParams, p) -> float:
 
     Discontinuous across the negative real axis; see `near_branch_cut`.
     """
-    x, y = _point(p)
-    if x == 0.0 and y == 0.0:
-        raise SingularPointError("velocity potential is singular at the origin")
+    x, y = _regular_point(params, p)
     return float(_phi(params.a, params.b, x, y))
 
 

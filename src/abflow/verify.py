@@ -36,7 +36,7 @@ import numpy as np
 
 from . import critical
 from .contour import circulation
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, SingularPointError
 from .field import (
     FlowParams, _dF, _F_parts, _frame, current, potential_values, stream_values, velocity,
 )
@@ -246,7 +246,10 @@ def run_suite(params: FlowParams, seed: int = 42, tamper=None) -> list[CheckRepo
     def check_stagnation():
         if not (ca and cb):
             return report("stagnation_zero_velocity", 0.0, 0.0, applicable=False)
-        speed = float(np.hypot(*current(params, (0.0, l))))
+        try:
+            speed = float(np.hypot(*current(params, (0.0, l))))
+        except SingularPointError:  # l so small that l*l underflows
+            return report("stagnation_zero_velocity", math.inf, 1e-13)
         return report("stagnation_zero_velocity", speed / params.a, 1e-13)
 
     def check_eigenvalues():
@@ -263,7 +266,7 @@ def run_suite(params: FlowParams, seed: int = 42, tamper=None) -> list[CheckRepo
                 circulation(params, (0.0, 0.0), l * radius, 512).value
                 for radius in (0.3, 1.0, 3.0, 7.0)
             ]
-        except InvalidParamsError:  # l so large that x*x + y*y overflows
+        except InvalidParamsError:  # x*x + y*y overflows at large l, d*d underflows at small l
             return report("circulation_contour_independence", math.inf, 1e-10)
         # off the closed form, or one radius off another, relative to it
         expected = -2.0 * math.pi * params.b
@@ -280,7 +283,8 @@ def run_suite(params: FlowParams, seed: int = 42, tamper=None) -> list[CheckRepo
         lx, ly, r = l * x, l * y, np.hypot(x, y)
         a, b = params.a, params.b
         vel, pot = (a if ca else b / l), (b if cb else a * l)
-        with np.errstate(over="ignore", invalid="ignore"):  # x*x + y*y overflows at large l
+        # x*x + y*y overflows at large l and underflows to 0 at small l
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             u, v = velocity(params, lx, ly)
         shift = b * math.log(l)
         resids = [

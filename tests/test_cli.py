@@ -95,13 +95,18 @@ class TestEval:
         assert doc["current"] == [-0.75, -0.25]
         assert doc["units"]["hbar"] == 1.0
 
-    def test_uniform_flow(self, capsys):
-        doc = run_json(capsys, "eval", "--k", "1", "--delta", "0", "--at", "7,3")
+    @pytest.mark.parametrize("at", ["7,3", "0,0"])  # a line flow has no core
+    def test_uniform_flow(self, capsys, at):
+        doc = run_json(capsys, "eval", "--k", "1", "--delta", "0", "--at", at)
         assert doc["current"] == [-1.0, 0.0]
 
-    def test_singular_point_exit_code(self, capsys):
-        code, _ = run_cli(capsys, "eval", "--at", "0,0", "--delta", "0.5")
-        assert code == 3
+    @pytest.mark.parametrize("at", ["0,0", "1e-170,0", "1e-160,0"])
+    def test_singular_point_exit_code(self, capsys, at):
+        # the origin, and points whose x*x + y*y is 0 or subnormal
+        code = main(["eval", "--at", at, "--delta", "0.5"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_missing_point_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "eval")
@@ -716,22 +721,27 @@ class TestSubcommands:
         assert (out / "verify_report.txt").exists()
         json.loads((out / "verify_report.json").read_text())
 
-    def test_verify_report_json_is_strict_json(self, capsys, tmp_path):
+    @pytest.mark.parametrize("k, infinite", [
         # at l = 5e199 two residuals overflow to inf, written as null
+        ("1e-200", {"canonical_scaling", "circulation_contour_independence"}),
+        # at l = 5e-201 the saddle and the circles lie within the vortex core
+        ("1e200", {"canonical_scaling", "circulation_contour_independence",
+                   "stagnation_zero_velocity"}),
+    ])
+    def test_verify_report_json_is_strict_json(self, capsys, tmp_path, k, infinite):
         def refuse(name):
             raise ValueError(f"{name} is not JSON")
 
         out = tmp_path / "rep"
-        code, _ = run_cli(capsys, "verify", "--k", "1e-200", "--out", str(out),
+        code, _ = run_cli(capsys, "verify", "--k", k, "--out", str(out),
                           "--format", "json")
         assert code == 1
         rows = json.loads((out / "verify_report.json").read_text(), parse_constant=refuse)
-        resid = {row["name"]: row["residual"] for row in rows}
-        assert resid["canonical_scaling"] is None
-        assert resid["circulation_contour_independence"] is None
+        assert {row["name"] for row in rows if row["residual"] is None} == infinite
 
-    def test_verify_beyond_the_kernels_warns_nothing(self, capsys):
-        code = main(["verify", "--k", "1e-200"])
+    @pytest.mark.parametrize("k", ["1e-200", "1e200"])
+    def test_verify_beyond_the_kernels_warns_nothing(self, capsys, k):
+        code = main(["verify", "--k", k])
         assert code == 1 and capsys.readouterr().err == ""
 
     def test_sweep(self, capsys, tmp_path):

@@ -517,6 +517,10 @@ class TestCirculation:
         want = -2.0 * math.pi * P.b if enclosed else 0.0
         assert abs(value - want) <= 1e-10 * 2.0 * math.pi * P.b
 
+    def test_smallest_radius_off_the_core(self):
+        # d*d = 1e-300 is a normal double: the quadrature is exact there
+        assert circulation(P, (0.0, 0.0), 1e-150, 512).value == -math.pi
+
     def test_sample_doubling_converged(self):
         v256 = circulation(P, (0.0, 0.0), 1.0, 256).value
         v512 = circulation(P, (0.0, 0.0), 1.0, 512).value
@@ -536,7 +540,14 @@ class TestCirculation:
         with pytest.raises(InvalidParamsError):
             circulation(P, (0.0, 0.0), 1.0, samples)
 
-    @pytest.mark.parametrize("center, radius", [((0.0, 0.0), 1e300), ((1e155, 0.0), 1.0)])
+    @pytest.mark.parametrize("center, radius", [
+        ((0.0, 0.0), 1e300),
+        ((1e155, 0.0), 1.0),
+        # the mirror image: the squared distance to the vortex underflows
+        ((0.0, 0.0), 1e-160),
+        ((0.0, 3e-160), 1e-160),
+        ((0.0, 0.0), 1e-170),
+    ])
     def test_overflowing_circle_rejected(self, center, radius):
         with pytest.raises(InvalidParamsError):
             circulation(P, center, radius, 64)

@@ -14,6 +14,7 @@ from abflow import (
     current,
     flux_to_delta,
     hamiltonian,
+    jacobian,
     near_branch_cut,
     potential_values,
     stream_function,
@@ -263,6 +264,39 @@ class TestVelocityPotential:
         assert near_branch_cut((0.0, 0.0))
         assert not near_branch_cut((1.0, 0.0))
         assert not near_branch_cut((0.0, 1.0))
+
+
+# every point function, with a complex point for the complex ones
+POINT_FUNCTIONS = {
+    "current": current,
+    "stream_function": stream_function,
+    "velocity_potential": velocity_potential,
+    "complex_potential": lambda params, p: complex_potential(params, complex(*p)),
+    "complex_derivative": lambda params, p: complex_derivative(params, complex(*p)),
+    "jacobian": jacobian,
+}
+
+
+@pytest.mark.parametrize("name", POINT_FUNCTIONS)
+@pytest.mark.parametrize("params, p, error", [
+    (P, (math.nan, 1.0), InvalidParamsError),
+    (FlowParams(delta=0.0), (0.0, math.inf), InvalidParamsError),
+    (P, (0.0, 0.0), SingularPointError),
+    # x*x + y*y below the smallest normal double: 0, or subnormal
+    (P, (1e-170, 0.0), SingularPointError),
+    (P, (1e-160, 0.0), SingularPointError),
+    (FlowParams(k=0.0), (0.0, -1e-155), SingularPointError),
+    (P, (1e-150, 0.0), None),
+    (FlowParams(delta=0.0), (0.0, 0.0), None),  # a line flow has no core
+    (FlowParams(delta=0.0), (1e-170, 0.0), None),
+])
+def test_point_functions_share_one_boundary(name, params, p, error):
+    f = POINT_FUNCTIONS[name]
+    if error is None:
+        assert np.all(np.isfinite(f(params, p)))
+    else:
+        with pytest.raises(error):
+            f(params, p)
 
 
 class TestFluxConversions:
