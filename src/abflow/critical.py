@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError, NumericalError
+from .errors import InvalidParamsError
 from .field import FlowParams, _regular_point
 
 __all__ = [
@@ -39,15 +38,14 @@ def stagnation_point(params: FlowParams) -> CriticalPoint | None:
     """The saddle at (0, delta/k), or None when delta = 0 or k = 0.
 
     With delta = 0 the velocity is constant and nonzero everywhere; with
-    k = 0 the flow is a pure rotation with no stagnation point.  A saddle
-    rate c = a/l that is not a finite normal double is a NumericalError.
+    k = 0 the flow is a pure rotation with no stagnation point.  The rate
+    c = a/l = 1/tau is a finite normal double, since FlowParams admits only
+    a tau in [SCALE_MIN, SCALE_MAX].
     """
     if params.delta == 0.0 or params.k == 0.0:
         return None
     y0 = params.saddle_height
     c = params.a / y0  # = hbar*k^2/(delta*mass), in rounded arithmetic
-    if not sys.float_info.min <= c <= sys.float_info.max:
-        raise NumericalError(f"the saddle rate a/l is {c!r}, not a finite normal double")
     unstable = np.array([1.0, -1.0]) / math.sqrt(2.0)
     stable = np.array([1.0, 1.0]) / math.sqrt(2.0)
     return CriticalPoint(

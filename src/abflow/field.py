@@ -41,6 +41,8 @@ __all__ = [
 
 DELTA_MAX = 0.5
 BRANCH_CUT_TOL = 0.05  # radians from the negative real axis that near_branch_cut flags
+# the range of a flow's scales a, b, l*l and tau; see FlowParams
+SCALE_MIN, SCALE_MAX = sys.float_info.min * 2**10, sys.float_info.max / 2**10
 
 
 @dataclass(frozen=True)
@@ -76,14 +78,21 @@ class FlowParams:
                 f"delta={self.delta!r} exceeds {DELTA_MAX}; "
                 "pass allow_any_delta=True to lift the bound"
             )
-        # where k and delta leave them nonzero, a, b and delta/k must be finite
-        # normal doubles, or the flow has no canonical frame (tau may overflow)
+        # a flow has a canonical frame in doubles: a and b, where k and delta
+        # leave them nonzero, and a regular flow's l*l and tau = l/a lie in
+        # [SCALE_MIN, SCALE_MAX].  The margin 2**10 covers the canonical
+        # picture's largest factors: x*x + y*y from l*l/100 (verify's inner
+        # radius) to 200*l*l (the 10*l box), psi up to about 364*b
+        # (b*(|log l| + 12)), 2*pi*b, 11*a and 100*a/l
         regular = self.delta > 0 and self.k > 0
-        for name, v, on in (("a = hbar*k/mass", self.a, self.k > 0),
+        l, a = self.delta / self.k if regular else 0.0, self.a
+        for name, v, on in (("a = hbar*k/mass", a, self.k > 0),
                             ("b = hbar*delta/mass", self.b, self.delta > 0),
-                            ("delta/k", self.delta / self.k if regular else 0.0, regular)):
-            if on and not sys.float_info.min <= v <= sys.float_info.max:
-                raise InvalidParamsError(f"{name} is {v!r}, not a finite normal double")
+                            ("l*l = (delta/k)**2", l * l, regular),
+                            ("tau = l/a", l / a if a else math.inf, regular)):
+            if on and not SCALE_MIN <= v <= SCALE_MAX:
+                raise InvalidParamsError(f"{name} is {v!r}, outside the range "
+                                         f"[{SCALE_MIN!r}, {SCALE_MAX!r}] of a flow's scales")
 
     @property
     def a(self) -> float:
@@ -164,9 +173,12 @@ def _velocity(a: float, b: float, x, y):
     return -a + b * (y / r2), -b * (x / r2)
 
 
-def velocity(params: FlowParams, x: float, y: float) -> tuple[float, float]:
-    """Velocity components (u, v) at (x, y); no singularity check."""
-    return _velocity(params.a, params.b, x, y)
+def velocity(params: FlowParams, x, y):
+    """Vectorized velocity (u, v) on arrays, quiet where it is not finite: NaN
+    or +-inf at the origin and where x*x + y*y underflows or overflows."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _velocity(params.a, params.b, x, y)
 
 
 def current(params: FlowParams, p) -> np.ndarray:

@@ -182,12 +182,12 @@ class TestEval:
         code = main(["eval", "--hbar", "1e307", "--k", "100", "--at", "1,1"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "not a finite normal double" in captured.err
+        assert "a = hbar*k/mass is inf, outside the range" in captured.err
 
     def test_nonfinite_result_is_numerical_failure(self, capsys, tmp_path):
-        # psi = -a*y = -1e309 overflows: no summary is printed or written
+        # psi = -a*y = -1e310 overflows: no summary is printed or written
         out = tmp_path / "eval"
-        code = main(["eval", "--hbar", "1e307", "--at", "0,100", "--out", str(out)])
+        code = main(["eval", "--hbar", "1e300", "--at", "0,1e10", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
         assert captured.err.startswith("error:")
@@ -433,11 +433,11 @@ class TestSubcommands:
         assert doc["stagnation_point"] is None
 
     def test_stagnation_rate_below_the_double_range(self, capsys):
-        # a = 1e-250 and l = 5e99: the eigenvalues a/l = 2e-350 are no double
+        # a = 1e-250 and l = 5e99: tau = l/a and the rates 1/tau are no double
         code = main(["stagnation", "--hbar", "1e-150", "--k", "1e-100"])
         captured = capsys.readouterr()
-        assert code == 4 and captured.out == ""
-        assert "a/l" in captured.err
+        assert code == 2 and captured.out == ""
+        assert "tau = l/a is inf, outside the range" in captured.err
 
     def test_separatrix(self, capsys, tmp_path):
         out = tmp_path / "sep"
@@ -592,11 +592,14 @@ class TestSubcommands:
         assert doc["circulation"] == pytest.approx(closed_form, rel=1e-12, abs=1e-300)
 
     def test_circulation_near_the_top_of_the_double_range(self, capsys):
-        # b = 5e306: the circulation is finite, though the sum of b's
-        # trapezoid terms would overflow
-        doc = run_json(capsys, "circulation", "--hbar", "1e307")
-        assert doc["circulation"] == pytest.approx(-math.pi * 1e307, rel=1e-12)
+        # a rotation's b = 1.5e305 is in the range, the regular flow's a = 1e307 is not
+        doc = run_json(capsys, "circulation", "--hbar", "3e305", "--k", "0")
+        assert doc["circulation"] == pytest.approx(-math.pi * 3e305, rel=1e-12)
         assert math.isfinite(doc["richardson_error_estimate"])
+        code = main(["circulation", "--hbar", "1e307"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "a = hbar*k/mass is 1e+307, outside the range" in captured.err
 
     def test_circulation_through_the_vortex_is_refused(self, capsys):
         code, _ = run_cli(capsys, "circulation", "--center", "1,0", "--radius", "1")
@@ -673,9 +676,10 @@ class TestSubcommands:
         assert code == 0
         assert "suite: PASS" in out
 
-    @pytest.mark.parametrize("hbar, exit_code", [("1e307", 0), ("1e-315", 2)])
+    @pytest.mark.parametrize("hbar, exit_code", [("1e304", 0), ("1e307", 2), ("1e-315", 2)])
     def test_verify_at_the_edges_of_the_double_range(self, capsys, hbar, exit_code):
-        # a = 1e307 is a valid flow; a = 1e-315 is subnormal and refused
+        # a = 1e304 is a valid flow; a = 1e307 is past SCALE_MAX and a =
+        # 1e-315 below SCALE_MIN, and both are refused
         code, out = run_cli(capsys, "verify", "--hbar", hbar)
         assert code == exit_code
         assert ("suite: PASS" in out) == (exit_code == 0)
@@ -721,28 +725,29 @@ class TestSubcommands:
         assert (out / "verify_report.txt").exists()
         json.loads((out / "verify_report.json").read_text())
 
-    @pytest.mark.parametrize("k, infinite", [
-        # at l = 5e199 two residuals overflow to inf, written as null
-        ("1e-200", {"canonical_scaling", "circulation_contour_independence"}),
-        # at l = 5e-201 the saddle and the circles lie within the vortex core
-        ("1e200", {"canonical_scaling", "circulation_contour_independence",
-                   "stagnation_zero_velocity"}),
-    ])
-    def test_verify_report_json_is_strict_json(self, capsys, tmp_path, k, infinite):
+    def test_verify_report_json_is_strict_json(self, capsys, tmp_path):
         def refuse(name):
             raise ValueError(f"{name} is not JSON")
 
+        # a rotation's saddle checks do not apply: their NaN residuals are null
         out = tmp_path / "rep"
-        code, _ = run_cli(capsys, "verify", "--k", k, "--out", str(out),
+        code, _ = run_cli(capsys, "verify", "--k", "0", "--out", str(out),
                           "--format", "json")
-        assert code == 1
+        assert code == 0
         rows = json.loads((out / "verify_report.json").read_text(), parse_constant=refuse)
-        assert {row["name"] for row in rows if row["residual"] is None} == infinite
+        assert {row["name"] for row in rows if row["residual"] is None} == {
+            "saddle_eigenvalues", "stagnation_zero_velocity"}
 
     @pytest.mark.parametrize("k", ["1e-200", "1e200"])
-    def test_verify_beyond_the_kernels_warns_nothing(self, capsys, k):
-        code = main(["verify", "--k", k])
-        assert code == 1 and capsys.readouterr().err == ""
+    def test_verify_beyond_the_kernels_warns_nothing(self, capsys, tmp_path, k):
+        # at l = 5e199 and 5e-201, l*l is out of range: one error line, no
+        # warning, no report
+        out = tmp_path / "rep"
+        code = main(["verify", "--k", k, "--out", str(out), "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: l*l = (delta/k)**2 is ")
+        assert captured.err.count("\n") == 1
 
     def test_sweep(self, capsys, tmp_path):
         out = tmp_path / "sweep"

@@ -159,7 +159,6 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("params, start, max_time", [
         (FlowParams(k=0.0), (0.0, 1e-200), 1.0),  # tau = l*l/b underflows to 0
-        (FlowParams(k=1e-300), (0.0, 1e299), 1.0),  # tau = l/a overflows
         (FlowParams(mass=1e-10), (0.0, 0.25), 1e300),  # max_time/tau overflows
     ])
     def test_unrepresentable_units_rejected(self, params, start, max_time):

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ from abflow import (
     potential_values,
     stream_function,
     stream_values,
+    velocity,
     velocity_potential,
 )
-from abflow.field import _dF, _F_parts
+from abflow.field import SCALE_MAX, SCALE_MIN, _dF, _F_parts
 from abflow.verify import _sample_points
 
 P = FlowParams()  # hbar=mass=k=1, delta=0.5
@@ -29,8 +32,8 @@ P = FlowParams()  # hbar=mass=k=1, delta=0.5
 coord = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 point_off_origin = st.tuples(coord, coord).filter(lambda p: math.hypot(*p) > 1e-3)
 param_value = st.floats(0.1, 10.0, allow_nan=False)
-# zero, or large enough that b = hbar*delta/mass is a normal double
-delta_value = st.one_of(st.just(0.0), st.floats(1e-300, 0.5))
+# zero, or large enough that l*l = (delta/k)**2 is at least SCALE_MIN
+delta_value = st.one_of(st.just(0.0), st.floats(1e-150, 0.5))
 
 
 def any_params(hbar, mass, k, delta):
@@ -57,21 +60,28 @@ class TestParams:
         p = FlowParams(delta=0.8, allow_any_delta=True)
         assert p.delta == 0.8
 
-    @pytest.mark.parametrize("bad", [
-        dict(hbar=1e-315),  # a and b subnormal
-        dict(hbar=1e307, k=100.0),  # a = 1e309 overflows
-        dict(hbar=1e308, mass=0.1),  # a and b overflow
-        dict(delta=1e-310, allow_any_delta=True),  # b and delta/k subnormal
-        dict(k=1e-310),  # a subnormal, delta/k overflows
+    @pytest.mark.parametrize("bad, scale", [
+        (dict(hbar=1e-315), "a"),  # a and b subnormal
+        (dict(hbar=1e307, k=100.0), "a"),  # a = 1e309 overflows
+        (dict(hbar=1e308, mass=0.1), "a"),  # a and b overflow
+        (dict(hbar=1e307), "a"),  # a = 1e307 is past SCALE_MAX
+        (dict(k=1e-310), "a"),  # a subnormal, delta/k overflows
+        (dict(delta=1e-310, allow_any_delta=True), "b"),  # b and delta/k subnormal
+        (dict(k=1e-300), "l*l"),  # l = 5e299
+        (dict(k=1e-200), "l*l"),  # l = 5e199
+        (dict(hbar=1e300, k=1e-200), "l*l"),  # a = 1e100 and l = 5e199
+        (dict(delta=1e300, allow_any_delta=True), "l*l"),  # l = 1e300
+        (dict(k=1e200), "l*l"),  # l = 5e-201
+        (dict(delta=1e-300), "l*l"),  # l = 1e-300
+        (dict(hbar=1e-150, k=1e-100), "tau"),  # a = 1e-250 and l = 5e99
+        (dict(hbar=1e-120, k=1e-100), "tau"),  # a = 1e-220 and l = 5e99
+        (dict(hbar=1e305), "tau"),  # tau = 5e-306
     ])
-    def test_unrepresentable_scales_are_rejected(self, bad):
-        with pytest.raises(InvalidParamsError, match="not a finite normal double"):
+    def test_unrepresentable_scales_are_rejected(self, bad, scale):
+        message = f"^{re.escape(scale)} = .* is .*, " + re.escape(
+            f"outside the range [{SCALE_MIN!r}, {SCALE_MAX!r}]")
+        with pytest.raises(InvalidParamsError, match=message):
             FlowParams(**bad)
-
-    def test_underflowing_time_unit_is_accepted(self):
-        # only a, b and delta/k must be normal: tau = delta/(a*k) overflows here
-        params = FlowParams(k=1e-300)
-        assert params.saddle_height / params.a == math.inf
 
     def test_pure_rotation_allowed(self):
         p = FlowParams(k=0.0, delta=0.5)
@@ -297,6 +307,15 @@ def test_point_functions_share_one_boundary(name, params, p, error):
     else:
         with pytest.raises(error):
             f(params, p)
+
+
+@pytest.mark.parametrize("p", [(0.0, 0.0), (1e-170, 0.0)])
+def test_velocity_is_quiet_within_the_core(p):
+    # the array kernel gives NaN or inf there, with no exception or warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, v = velocity(P, *p)
+    assert not (np.isfinite(u) and np.isfinite(v))
 
 
 class TestFluxConversions:

@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -340,37 +339,12 @@ def test_saddle_near_the_top_of_the_double_range():
     assert suite_passed(reports), format_report(reports)
 
 
-def test_scale_beyond_the_kernels_fails_without_raising():
-    # l = 5e199: x*x + y*y overflows at the saddle, at the mapped points and
-    # on the circulation circles, which the circulation refuses to sum
-    reports = {r.name: r for r in run_suite(FlowParams(k=1e-200), seed=42)}
-    assert reports["circulation_contour_independence"].verdict == "fail"
-    assert reports["canonical_scaling"].verdict == "fail"
-
-
 @pytest.mark.parametrize("delta", [0.5, 1e-9])
 def test_small_vortex_near_a_small_saddle(delta):
     # b = 1e-210*delta and l = 1e-100*delta: b*y would underflow to a
     # subnormal before the division by r^2, so the kernels divide first
     reports = run_suite(FlowParams(hbar=1e-150, mass=1e60, k=1e100, delta=delta), seed=42)
     assert suite_passed(reports), format_report(reports)
-
-
-def test_scaling_without_a_time_unit():
-    # a = 1e-220 and l = 5e99, so tau = l/a overflows; the factors l/tau and
-    # l*l/tau are a and b themselves
-    reports = run_suite(FlowParams(hbar=1e-120, k=1e-100), seed=42)
-    assert suite_passed(reports), format_report(reports)
-
-
-def test_saddle_rate_below_the_double_range():
-    # a/l = 2e-350 underflows; the eigenvalues are checked on the canonical
-    # Jacobian, with no 0/0 and no warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        reports = {rep.name: rep for rep in run_suite(FlowParams(hbar=1e-150, k=1e-100), seed=42)}
-    assert reports["saddle_eigenvalues"].verdict == "pass"
-    assert suite_passed(reports.values()), format_report(list(reports.values()))
 
 
 def test_tampered_jacobian_fails_saddle_eigenvalues(monkeypatch):
