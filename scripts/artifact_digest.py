@@ -12,11 +12,11 @@ about ten laps without --detect-closure that stops mid-lap, verify on a
 rotation, a line flow, the zero flow and a second seed, circulation at 16
 samples (where the Richardson estimate's rule is the rule itself) and at
 33 (where it has nodes of its own), an eval and a trajectory whose
-summary is not finite (exit 4, nothing printed or kept), and four calls at
-the vortex core's boundary: an eval within its double resolution (exit 3),
-an eval at the origin of a line flow, which has no core, verify on a flow
-whose saddle would lie within it, which FlowParams refuses as l*l is out
-of range (exit 2), and a circulation circle that passes within it (exit 2).  One line per call, then one
+summary is not finite (exit 4, nothing printed or kept), verify on a flow
+whose l*l (2.5e-305) is just above the smallest FlowParams admits, and
+three calls at the vortex core's boundary: an eval within its double
+resolution (exit 3), an eval at the origin of a line flow, which has no
+core, and a circulation circle that passes within it (exit 2).  One line per call, then one
 overall digest; the exit status is 1 if a call's exit code is not the one
 EXIT gives it (0 if none).  Two checkouts whose lines match wrote the same
 bytes, so a change that should not move any output can be checked by
@@ -98,13 +98,13 @@ CALLS = [
                                       "--start", "0,1.3407807929942596e154", "--tmax", "1e308"]),
     ("eval/near-core", ["eval", "--at", "1e-170,0"]),
     ("eval/origin-line-flow", ["eval", "--delta", "0", "--at", "0,0"]),
-    ("verify/saddle-underflow", ["verify", "--k", "1e200"]),
+    ("verify/small-l", ["verify", "--k", "1e152"]),
     ("circulation/near-core", ["circulation", "--radius", "1e-160"]),
 ]
 
 # the exit code of every call that should not exit 0
 EXIT = {"eval/nonfinite-summary": 4, "trajectory/nonfinite-summary": 4, "eval/near-core": 3,
-        "verify/saddle-underflow": 2, "circulation/near-core": 2}
+        "circulation/near-core": 2}
 
 
 def digest(argv: list[str], out: Path) -> tuple[int, str]:

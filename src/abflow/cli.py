@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -50,6 +51,17 @@ from .field import (
 from .svg import render_portrait
 
 _ascii = json.encoder.encode_basestring_ascii
+
+# write_csv's rewrites of orjson's number layout to repr's.  _SMALL_CELL
+# matches a whole cell only (not the tail of 10.00001), and its literal
+# leads so that re searches for it fast.
+_EXP_SIGN = re.compile(rb"e(\d)")
+_EXP_PAD = re.compile(rb"(e[+-])(\d)(?!\d)")
+_SMALL_CELL = re.compile(rb"0\.0000(?<=[\[,-]0\.0000)(\d)(\d*)")
+
+
+def _small_cell(match: re.Match) -> bytes:
+    return match[1] + (b"." + match[2] if match[2] else b"") + b"e-05"
 
 
 def _json(v, pad: str = "\n") -> str:
@@ -277,45 +289,29 @@ class _Emitter:
 
     def write_csv(self, name: str, header: str, table) -> None:
         """Write the rows of a 2-D array (or nested sequence) of numbers as
-        CSV, each cell the repr of a Python float.  The whole table is one
-        %-format: one "%r,...,%r" row per line, filled from .tolist()."""
+        CSV, each cell the repr of a Python float.  One orjson call writes
+        every cell with repr's digits (the shortest that round-trip), and
+        byte rewrites give them repr's layout: an exponent has a sign and at
+        least two digits, and a cell in [1e-5, 1e-4), which orjson writes
+        0.0000ddd, is d.ddde-05.  orjson writes a non-finite cell as null,
+        so a table with one is a "%r,...,%r" %-format of its .tolist()."""
         if not self.wants("csv"):
             return
-        cells = np.asarray(table, dtype=float)
-        row = ",".join(["%r"] * cells.shape[1]) + "\n"
-        text = row * len(cells) % tuple(cells.ravel().tolist())
+        # its import pulls in uuid, zoneinfo and sysconfig (about 5 ms), so
+        # only a command that writes a CSV pays for it
+        import orjson
+        cells = np.ascontiguousarray(table, dtype=float)
+        data = orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)
+        if b"null" in data:
+            row = ",".join(["%r"] * cells.shape[1]) + "\n"
+            text = row * len(cells) % tuple(cells.ravel().tolist())
+        else:
+            if b"e" in data:
+                data = _EXP_PAD.sub(rb"\g<1>0\2", _EXP_SIGN.sub(rb"e+\1", data))
+            if b"0.0000" in data:
+                data = _SMALL_CELL.sub(_small_cell, data)
+            text = data[2:-2].replace(b"],[", b"\n").decode() + "\n" if len(cells) else ""
         self.write(name, header + "\n" + text, "csv")
-
-    def write_points(self, tables: list[tuple[str, np.ndarray]]) -> None:
-        """Write each (name, n x 2 array), in order, as the "x,y" CSV that
-        write_csv gives it, formatting the rows of all tables in one pass.
-        The flow is even in x, so its tables mirror about the y axis, and
-        repr(-v) is "-" + repr(v): each distinct (|x|, y) row (by bits,
-        found with one lexsort) is formatted once, and a row whose x has its
-        sign bit set, NaN aside, is "-" + that text.  Tables without a
-        mirror are written the same way and gain less."""
-        if not tables or not self.wants("csv"):
-            return
-        pts = np.concatenate([np.asarray(points, dtype=float) for _, points in tables])
-        x = pts[:, 0]
-        folded = np.column_stack([np.abs(x), pts[:, 1]])
-        bits = folded.view(np.uint64)
-        order = np.lexsort((bits[:, 1], bits[:, 0]))
-        ranked = bits[order]
-        first = np.ones(len(pts), dtype=bool)
-        first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-        row_of = np.empty(len(pts), dtype=np.intp)
-        row_of[order] = np.cumsum(first) - 1
-        distinct = folded[order[first]]
-        texts = ("%r,%r\n" * len(distinct) % tuple(distinct.ravel().tolist())).splitlines(True)
-        row_of, minus = row_of.tolist(), (np.signbit(x) & ~np.isnan(x)).tolist()
-        end = 0
-        for name, points in tables:
-            # hold one table's row strings at a time, then only its text
-            start, end = end, end + len(points)
-            rows = ["-" + texts[i] if m else texts[i]
-                    for i, m in zip(row_of[start:end], minus[start:end])]
-            self.write(name, "x,y\n" + "".join(rows), "csv")
 
     def write_svg(self, name: str, curves, bbox, markers) -> None:
         """Render and write the curves with their markers if an SVG is
@@ -420,10 +416,9 @@ def _cmd_portrait(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple
         include_separatrix=s.separatrix,
     )
     polylines = portrait(params, spec)
-    tables = [(f"level_{float(poly.level)!r}_{i}.csv", poly.points)  # levels ascending
-              for _, run in itertools.groupby(polylines, key=lambda p: p.level)
-              for i, poly in enumerate(run)]
-    em.write_points(tables)
+    for _, run in itertools.groupby(polylines, key=lambda p: p.level):  # levels ascending
+        for i, poly in enumerate(run):
+            em.write_csv(f"level_{float(poly.level)!r}_{i}.csv", "x,y", poly.points)
     markers = _markers(params)
     em.write_svg("portrait.svg", polylines, spec.bbox, markers)
     return {
@@ -439,10 +434,9 @@ def _cmd_portrait(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple
 @_on_one_flow
 def _cmd_separatrix(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
     result = dynamics.trace_separatrix(params)
-    em.write_points([("separatrix_loop.csv", result.loop.points)] + [
-        (f"separatrix_branch_{i}.csv", branch.points)
-        for i, branch in enumerate(result.unbounded_branches)
-    ])
+    em.write_csv("separatrix_loop.csv", "x,y", result.loop.points)
+    for i, branch in enumerate(result.unbounded_branches):
+        em.write_csv(f"separatrix_branch_{i}.csv", "x,y", branch.points)
     markers = _markers(params)
     em.write_svg("separatrix.svg", [result.loop, *result.unbounded_branches], None, markers)
     return {

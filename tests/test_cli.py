@@ -44,10 +44,13 @@ UNITS = [
 
 # cells whose text is easy to get wrong: signed zeros, subnormals, the ends
 # of the double range, infinities and NaN with either sign bit
-# (repr(-nan) is "nan")
+# (repr(-nan) is "nan"), and the cells next to where repr's layout moves
+# between plain digits and an exponent, which orjson's does elsewhere
+LAYOUT_CELLS = [1e-05, -1.5e-05, 9.999999999999999e-05, 0.0001, 1e-07, 1e+16,
+                9999999999999998.0, 1e+22]
 EDGE_CELLS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
               -1e300, 1.7976931348623157e308, math.inf, -math.inf, math.nan, -math.nan,
-              0.1 + 0.2, 0.5]
+              0.1 + 0.2, 0.5, *LAYOUT_CELLS]
 cell = st.one_of(st.sampled_from(EDGE_CELLS), st.floats(allow_nan=True, allow_infinity=True))
 
 
@@ -851,13 +854,33 @@ class TestArtifacts:
 
     @pytest.mark.parametrize("columns", [1, 2, 4])
     def test_csv_table_matches_per_cell_repr(self, columns):
-        cells = [-0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, -1e300, 123456.789]
-        rows = [[cells[(i + j) % len(cells)] for j in range(columns)] for i in range(len(cells))]
-        header = ",".join(f"c{j}" for j in range(columns))
+        finite = [-0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, -1e300, 123456.789, 10.00001,
+                  *LAYOUT_CELLS]
+        # a table with a non-finite cell is written another way
+        for cells in (finite, [*finite, math.inf, -math.inf, math.nan]):
+            rows = [[cells[(i + j) % len(cells)] for j in range(columns)]
+                    for i in range(len(cells))]
+            header = ",".join(f"c{j}" for j in range(columns))
+            em = cli._Emitter(SimpleNamespace(format="csv", out="unused"))
+            em.write_csv("t.csv", header, rows)
+            expected = "\n".join([header, *(",".join(map(repr, r)) for r in rows)]) + "\n"
+            assert em.texts == {"t.csv": expected}
+
+    def test_csv_tables_match_percent_r_over_a_seeded_sweep(self):
+        # the finite doubles among 200k random 64-bit patterns (every
+        # exponent, subnormals among them) and 200k normals scaled by 10**k
+        # for k from -20 to 20: the layout rewrites hold for this orjson
+        rng = np.random.default_rng(33)
+        patterns = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
+        patterns = patterns[np.isfinite(patterns)][:199_800]
+        scaled = rng.standard_normal(200_000) * 10.0 ** rng.integers(-20, 21, size=200_000)
         em = cli._Emitter(SimpleNamespace(format="csv", out="unused"))
-        em.write_csv("t.csv", header, rows)
-        expected = "\n".join([header, *(",".join(map(repr, r)) for r in rows)]) + "\n"
-        assert em.texts == {"t.csv": expected}
+        for values in (patterns, scaled):
+            for columns in (2, 4):
+                em.write_csv("t.csv", "", values.reshape(-1, columns))
+                row = ",".join(["%r"] * columns) + "\n"
+                assert em.texts["t.csv"] == "\n" + row * (len(values) // columns) % tuple(
+                    values.tolist())
 
     @given(tables=point_tables())
     @settings(max_examples=100, deadline=None)
@@ -865,7 +888,8 @@ class TestArtifacts:
         em = cli._Emitter(SimpleNamespace(format="csv", out="unused"))
         written = []
         em.write = lambda name, text, kind: written.append((name, text, kind))
-        em.write_points([(f"t{i}.csv", t) for i, t in enumerate(tables)])
+        for i, t in enumerate(tables):
+            em.write_csv(f"t{i}.csv", "x,y", t)
         assert written == [(f"t{i}.csv", xy_csv(t), "csv") for i, t in enumerate(tables)]
 
     @given(value=json_value)
@@ -954,6 +978,27 @@ def test_no_command_loads_numpy_random(tmp_path):
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert json.loads(proc.stdout) == [[0] * len(commands), False, False, False]
+
+
+def test_only_a_csv_imports_orjson(tmp_path):
+    # its import costs about 5 ms, which a command that writes no CSV skips
+    script = (
+        "import contextlib, io, sys\n"
+        "from abflow.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['eval', '--at', '1,1'], ['stagnation'], ['circulation'], ['verify'],\n"
+        "                 ['separatrix', '--out', sys.argv[1], '--format', 'svg']):\n"
+        "        main(argv)\n"
+        "    before = 'orjson' in sys.modules\n"
+        "    main(['separatrix', '--out', sys.argv[1], '--format', 'csv'])\n"
+        "print(before, 'orjson' in sys.modules)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.stdout == "False True\n"
 
 
 @pytest.mark.parametrize("argv, artifact", [
