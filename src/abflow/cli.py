@@ -26,7 +26,6 @@ import itertools
 import json
 import math
 import os
-import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -51,17 +50,7 @@ from .field import (
 from .svg import render_portrait
 
 _ascii = json.encoder.encode_basestring_ascii
-
-# write_csv's rewrites of orjson's number layout to repr's.  _SMALL_CELL
-# matches a whole cell only (not the tail of 10.00001), and its literal
-# leads so that re searches for it fast.
-_EXP_SIGN = re.compile(rb"e(\d)")
-_EXP_PAD = re.compile(rb"(e[+-])(\d)(?!\d)")
-_SMALL_CELL = re.compile(rb"0\.0000(?<=[\[,-]0\.0000)(\d)(\d*)")
-
-
-def _small_cell(match: re.Match) -> bytes:
-    return match[1] + (b"." + match[2] if match[2] else b"") + b"e-05"
+_BLOCK = 4096  # rows of whole tables formatted at once, which bounds the temporaries
 
 
 def _json(v, pad: str = "\n") -> str:
@@ -253,65 +242,79 @@ def _print(text: str) -> None:
 
 
 class _Emitter:
-    """The artifacts of one command: each wanted one is kept, in the order
-    written, and `save` writes them under --out once the command has its
-    results, so that a command that fails writes nothing.  The summary
-    lists every file written."""
+    """The artifacts of one command, as bytes: each wanted one is kept, in
+    the order written, and `save` writes them under --out once the command
+    has its results, so that a command that fails writes nothing.  The
+    summary lists every file written."""
 
     def __init__(self, s: SimpleNamespace):
         self.fmt = s.format
         self.out = Path(s.out) if s.out else None
-        self.texts: dict[str, str] = {}
+        self.texts: dict[str, bytes] = {}
 
     def wants(self, kind: str | None) -> bool:
         """Whether an artifact of kind (csv, json or svg; None for every
         format) will be written: --out is set and --format asks for it."""
         return self.out is not None and (kind is None or self.fmt in (kind, "all"))
 
-    def write(self, name: str, text: str, kind: str | None) -> None:
-        """Keep text as out/name if an artifact of kind is wanted."""
+    def write(self, name: str, text: str | bytes, kind: str | None) -> None:
+        """Keep text, as bytes, as out/name if an artifact of kind is wanted."""
         if self.wants(kind):
-            self.texts[name] = text
+            self.texts[name] = text.encode() if isinstance(text, str) else text
 
     def save(self) -> None:
         """Write the kept texts, in order, making the directory first.  A
         directory or file that cannot be made is a usage error naming the
         path."""
-        path = self.out
+        name = ""  # an error before the first file names the directory
         try:
             if self.texts:
-                os.makedirs(path, exist_ok=True)
+                os.makedirs(self.out, exist_ok=True)
             for name, text in self.texts.items():
-                path = self.out / name
-                path.write_text(text)
+                fd = os.open(os.path.join(self.out, name), os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+                             0o666)
+                try:
+                    view = memoryview(text)
+                    while view:
+                        view = view[os.write(fd, view):]
+                finally:
+                    os.close(fd)
         except OSError as exc:
-            raise InvalidParamsError(f"cannot write {str(path)!r}: {exc}") from exc
+            raise InvalidParamsError(f"cannot write {str(self.out / name)!r}: {exc}") from exc
 
-    def write_csv(self, name: str, header: str, table) -> None:
-        """Write the rows of a 2-D array (or nested sequence) of numbers as
-        CSV, each cell the repr of a Python float.  One orjson call writes
-        every cell with repr's digits (the shortest that round-trip), and
-        byte rewrites give them repr's layout: an exponent has a sign and at
-        least two digits, and a cell in [1e-5, 1e-4), which orjson writes
-        0.0000ddd, is d.ddde-05.  orjson writes a non-finite cell as null,
-        so a table with one is a "%r,...,%r" %-format of its .tolist()."""
+    def write_csvs(self, header: str, tables) -> None:
+        """Write each (name, table) of tables, 2-D arrays of numbers with
+        header's columns, as CSV if wanted, each cell the repr of a float.
+        One orjson call writes a block of whole tables with repr's digits;
+        every column count-th comma ends a row.  A cell it lays out otherwise
+        (not finite, in (0, 1e-4) or from 1e16 up in size) is repr's text."""
         if not self.wants("csv"):
             return
         # its import pulls in uuid, zoneinfo and sysconfig (about 5 ms), so
-        # only a command that writes a CSV pays for it
+        # only a command that writes a CSV or an SVG pays for it
         import orjson
-        cells = np.ascontiguousarray(table, dtype=float)
-        data = orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)
-        if b"null" in data:
-            row = ",".join(["%r"] * cells.shape[1]) + "\n"
-            text = row * len(cells) % tuple(cells.ravel().tolist())
-        else:
-            if b"e" in data:
-                data = _EXP_PAD.sub(rb"\g<1>0\2", _EXP_SIGN.sub(rb"e+\1", data))
-            if b"0.0000" in data:
-                data = _SMALL_CELL.sub(_small_cell, data)
-            text = data[2:-2].replace(b"],[", b"\n").decode() + "\n" if len(cells) else ""
-        self.write(name, header + "\n" + text, "csv")
+        head = (header + "\n").encode()
+        tables = [(name, np.ascontiguousarray(t, dtype=float)) for name, t in tables]
+        rows = itertools.accumulate(len(t) for _, t in tables)
+        for _, group in itertools.groupby(zip(rows, tables), key=lambda r: (r[0] - 1) // _BLOCK):
+            names, block = zip(*(t for _, t in group))
+            cells = np.concatenate([t.ravel() for t in block])
+            data = np.frombuffer(bytearray(orjson.dumps(cells, option=orjson.OPT_SERIALIZE_NUMPY)),
+                                 np.uint8)
+            data[[0, -1]] = 44  # the brackets too: cell i is data[cut[i] + 1:cut[i + 1]]
+            cut = np.flatnonzero(data == 44)
+            data[cut[block[0].shape[1]::block[0].shape[1]]] = 10  # the end of each row
+            ends = cut[[*itertools.accumulate((t.size for t in block), initial=0)]] + 1
+            text, size = data.tobytes(), abs(cells)
+            odd = np.flatnonzero(~(size < 1e16) | (size < 1e-4) & (size > 0.0))
+            if len(odd):  # each file's end moves by the lengths changed before it
+                reprs = ("%r\0" * len(odd) % tuple(cells[odd].tolist())).encode().split(b"\0")
+                lo, hi = [0, *cut[odd + 1].tolist()], [*(cut[odd] + 1).tolist(), len(text)]
+                text = b"".join(itertools.chain(*zip([text[i:j] for i, j in zip(lo, hi)], reprs)))
+                grow = np.cumsum([0, *(len(r) - (i - j) for r, i, j in zip(reprs, lo[1:], hi))])
+                ends += grow[np.searchsorted(cut[odd + 1], ends)]
+            for name, lo, hi in zip(names, ends[:-1].tolist(), ends[1:].tolist()):
+                self.write(name, head + text[lo:hi], "csv")
 
     def write_svg(self, name: str, curves, bbox, markers) -> None:
         """Render and write the curves with their markers if an SVG is
@@ -416,9 +419,9 @@ def _cmd_portrait(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple
         include_separatrix=s.separatrix,
     )
     polylines = portrait(params, spec)
-    for _, run in itertools.groupby(polylines, key=lambda p: p.level):  # levels ascending
-        for i, poly in enumerate(run):
-            em.write_csv(f"level_{float(poly.level)!r}_{i}.csv", "x,y", poly.points)
+    em.write_csvs("x,y", [(f"level_{float(poly.level)!r}_{i}.csv", poly.points)
+                          for _, run in itertools.groupby(polylines, key=lambda p: p.level)
+                          for i, poly in enumerate(run)])  # levels ascending
     markers = _markers(params)
     em.write_svg("portrait.svg", polylines, spec.bbox, markers)
     return {
@@ -434,9 +437,8 @@ def _cmd_portrait(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple
 @_on_one_flow
 def _cmd_separatrix(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
     result = dynamics.trace_separatrix(params)
-    em.write_csv("separatrix_loop.csv", "x,y", result.loop.points)
-    for i, branch in enumerate(result.unbounded_branches):
-        em.write_csv(f"separatrix_branch_{i}.csv", "x,y", branch.points)
+    em.write_csvs("x,y", [("separatrix_loop.csv", result.loop.points), *(
+        (f"separatrix_branch_{i}.csv", b.points) for i, b in enumerate(result.unbounded_branches))])
     markers = _markers(params)
     em.write_svg("separatrix.svg", [result.loop, *result.unbounded_branches], None, markers)
     return {
@@ -474,11 +476,8 @@ def _cmd_circulation(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tu
 @_on_one_flow
 def _cmd_trajectory(s: SimpleNamespace, params: FlowParams, em: _Emitter) -> tuple[dict, int]:
     traj = dynamics.integrate(params, s.start, max_time=s.tmax, detect_closure=s.detect_closure)
-    em.write_csv(
-        "trajectory.csv",
-        "t,x,y,h",
-        np.column_stack([traj.times, traj.points, traj.h_values]),
-    )
+    em.write_csvs("t,x,y,h", [("trajectory.csv",
+                               np.column_stack([traj.times, traj.points, traj.h_values]))])
     keys = {
         "start": list(s.start),
         "status": traj.status.value,
@@ -516,7 +515,7 @@ def _cmd_sweep(s: SimpleNamespace) -> int:
         rows.append({"delta": delta, "loop_area": area, "loop_max_radius": radius,
                      "lower_axis_crossing": crossing, "circulation": circ.value})
     em = _Emitter(s)
-    em.write_csv("sweep.csv", ",".join(rows[0]), [list(r.values()) for r in rows])
+    em.write_csvs(",".join(rows[0]), [("sweep.csv", [list(r.values()) for r in rows])])
     summary = {
         "command": "sweep",
         "units": {"hbar": s.hbar, "mass": s.mass, "note": "per-delta results"},

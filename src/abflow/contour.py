@@ -5,11 +5,12 @@ Level curves come from their closed form: in canonical coordinates
 X^2 + U^2 = exp(2(C + U)), which meets the y axis at Lambert-W values of e^C.
 Each piece is sampled from such a crossing at U = u0, where X^2 =
 u0^2*exp(2w) - (u0 + w)^2 at U = u0 + w, by _curve, which trajectories and
-the separatrix share, all pieces of a portrait in one table; with delta = 0
-the levels are lines, with k = 0 circles.  Curves run as the flow does: down
-the side x > 0, up the side x < 0, lines toward -x, circles clockwise.  Every
-vertex lies on its level to roundoff, in the bbox, and at most one cell
-diagonal from the next; loops within a cell are dropped.
+the separatrix share, all pieces of a portrait in one table, clipped to the
+bbox in one pass; with delta = 0 the levels are lines, with k = 0 circles.
+Curves run as the flow does: down the side x > 0, up the side x < 0, lines
+toward -x, circles clockwise.  Every vertex lies on its level to roundoff,
+in the bbox, and at most one cell diagonal from the next; loops within a
+cell are dropped.
 """
 
 from __future__ import annotations
@@ -160,22 +161,34 @@ def _curve(u0, w_lo, w_hi, s):
     return w, canonical_x(w, u0)
 
 
-def _clip(cycle: np.ndarray, level: float, spec: PortraitSpec) -> list[Polyline]:
-    """The polylines in the bbox of a closed path, whose last vertex is its
-    first: the path, closed, if it lies inside and not within one grid cell,
-    else its runs between vertices outside or NaN, in the path's direction."""
-    pts = cycle[np.append(True, (cycle[1:] != cycle[:-1]).any(axis=1))]
+def _clip(pts: np.ndarray, size, levels: list, spec: PortraitSpec) -> list[Polyline]:
+    """The polylines in the bbox of closed paths laid end to end, path i of
+    size[i] vertices at levels[i]: a path, closed, if it lies inside and not
+    within one grid cell, else its runs between vertices outside or NaN, in
+    its direction; path by path, in one pass over the table."""
+    head = np.bincount(np.cumsum(size) - size, minlength=len(pts)) > 0  # dedupe within a path
+    keep = head | np.append(True, (pts[1:, 0] != pts[:-1, 0]) | (pts[1:, 1] != pts[:-1, 1]))
+    pts, starts = pts.compress(keep, axis=0), np.flatnonzero(head[keep])  # faster than pts[keep]
     xmin, xmax, ymin, ymax = spec.bbox
-    x, y = pts[:, 0], pts[:, 1]
+    (nx, ny), (x, y) = spec.grid, np.ascontiguousarray(pts.T)
     inside = (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
-    if inside.all():
-        nx, ny = spec.grid
-        fits = np.ptp(x) * (nx - 1) < xmax - xmin and np.ptp(y) * (ny - 1) < ymax - ymin
-        return [] if fits else [Polyline(pts, level, closed=True)]
-    k = int(np.argmin(inside))  # start outside, so that no run wraps around
-    pts, inside = np.concatenate([pts[k:-1], pts[:k]]), np.concatenate([inside[k:-1], inside[:k]])
-    ends = np.flatnonzero(np.diff(np.concatenate(([0], inside.astype(np.int8), [0]))))
-    return [Polyline(pts[i:j], level) for i, j in zip(ends[::2], ends[1::2]) if j - i >= 2]
+    whole = np.logical_and.reduceat(inside, starts)
+    whole, cut = np.flatnonzero(whole), np.flatnonzero(~whole)
+    span = lambda v: (np.maximum.reduceat(v, starts) - np.minimum.reduceat(v, starts))[whole]
+    shown = whole[~((span(x) * (nx - 1) < xmax - xmin) & (span(y) * (ny - 1) < ymax - ymin))]
+    ends = np.append(starts[1:], len(pts))
+    out = [(i, Polyline(pts[starts[i]:ends[i]], levels[i], closed=True)) for i in shown.tolist()]
+    # the open paths without their last vertex, each turned to start at its
+    # first vertex outside, so that runs end at paths' ends: s + (k + j) % m
+    s, m = starts[cut], ends[cut] - starts[cut] - 1
+    k = (far := np.flatnonzero(~inside))[np.searchsorted(far, s)] - s
+    turn = np.arange(m.sum()) + np.repeat(s + k + m - np.cumsum(m), m)
+    turn -= np.repeat(m, m) * (turn >= np.repeat(s + m, m))
+    edge = np.flatnonzero(np.diff(inside[turn], prepend=False, append=False))
+    a, b = edge.reshape(-1, 2)[edge[1::2] - edge[::2] >= 2].T  # runs of 2 vertices or more
+    path, pts = cut[np.searchsorted(np.cumsum(m), a, side="right")].tolist(), pts.take(turn, axis=0)
+    out += [(i, Polyline(pts[p:q], levels[i])) for i, p, q in zip(path, a.tolist(), b.tolist())]
+    return [poly for _, poly in sorted(out, key=lambda t: t[0])]
 
 
 def _trace(rows: list, l: float, spec: PortraitSpec) -> list[Polyline]:
@@ -214,19 +227,21 @@ def _trace(rows: list, l: float, spec: PortraitSpec) -> list[Polyline]:
         n += np.bincount(np.searchsorted(np.cumsum(n), i, side="right"), minlength=len(n))
         s = np.insert(s, i + 1, 0.5 * (s[i] + s[i + 1]))
     y += np.repeat(y0, n)
-    right, mirror = np.column_stack([x, y]), np.column_stack([0.0 - x, y])  # 0.0 - 0.0 is +0.0
-    polylines, gap = [], np.full((1, 2), np.nan)
-    for i, k, lv, m_lo, m_hi in zip(np.cumsum(n) - n, n, level.tolist(), meet_lo.tolist(),
-                                    meet_hi.tolist()):
-        down, up = right[i:i + k], mirror[i:i + k][::-1]
-        # down the side x > 0, up the side x < 0 and back to the start, broken
-        # by a NaN row at each end where the sides do not meet (gap[True:] is empty)
-        polylines += _clip(np.vstack([down, gap[m_lo:], up, gap[m_hi:], down[:1]]), lv, spec)
-    return polylines
+    # each piece's closed path, one index over right, mirror (0.0 - x, never -0.0) and a
+    # NaN row: down x > 0, NaN where the sides do not meet at lo, up x < 0, NaN at hi, the start
+    table = np.vstack([np.column_stack([x, y]), np.column_stack([0.0 - x, y]), [[np.nan] * 2]])
+    size, first = 2 * n + 3 - meet_lo - meet_hi, np.cumsum(n) - n
+    starts = np.cumsum(size) - size
+    i, k, g = (np.repeat(v, size) for v in (first, n, ~meet_lo))
+    o = np.arange(size.sum()) - np.repeat(starts, size)
+    index = np.where(o < k, i + o, len(x) + i + 2 * k - 1 + g - o)
+    index[np.append((starts + n)[~meet_lo], (starts + size - 2)[~meet_hi])] = 2 * len(x)
+    index[starts + size - 1] = first
+    return _clip(table.take(index, axis=0), size, level.tolist(), spec)
 
 
-def _circle(r: float, level: float, spec: PortraitSpec) -> list[Polyline]:
-    """The polylines of the circle of radius r about the vortex, clockwise
+def _circle(r: float, spec: PortraitSpec) -> np.ndarray:
+    """The closed path of the circle of radius r about the vortex, clockwise
     from its top in closed form: its side x >= 0, cut where it or its mirror
     image meets a side of the bbox, has 2 vertices an arc, or at least 3 and
     at most 0.9 cells apart where either lies inside; then it is mirrored."""
@@ -243,7 +258,7 @@ def _circle(r: float, level: float, spec: PortraitSpec) -> list[Polyline]:
     phi = np.concatenate(phi)
     down = r * np.column_stack([np.sin(phi), np.cos(phi)])
     down[[0, -1], 0] = 0.0  # the top and the bottom lie on the y axis
-    return _clip(np.vstack([down, down[-2::-1] * [-1.0, 1.0] + 0.0]), level, spec)  # not -0.0
+    return np.vstack([down, down[-2::-1] * [-1.0, 1.0] + 0.0])  # not -0.0
 
 
 def _curves(params: FlowParams, levels, spec: PortraitSpec) -> list[Polyline]:
@@ -253,7 +268,7 @@ def _curves(params: FlowParams, levels, spec: PortraitSpec) -> list[Polyline]:
     xmin, xmax, ymin, ymax = spec.bbox
     r_near = math.hypot(max(xmin, -xmax, 0.0), max(ymin, -ymax, 0.0))
     r_far = math.hypot(max(-xmin, xmax), max(-ymin, ymax))
-    curves, rows = [], []
+    curves, rows, circles = [], [], {}
     for level in map(float, levels):
         if not math.isfinite(level):
             raise InvalidParamsError(f"level must be finite, got {level!r}")
@@ -266,7 +281,7 @@ def _curves(params: FlowParams, levels, spec: PortraitSpec) -> list[Polyline]:
                 curves.append(Polyline(np.column_stack([x, np.full_like(x, y)]), level))
             continue
         if a == 0.0:  # a rotation: the circle r = exp(level/b), kept a positive double
-            curves += _circle(math.exp(min(max(level / b, -745.0), 709.0)), level, spec)
+            circles[level] = _circle(math.exp(min(max(level / b, -745.0), 709.0)), spec)
             continue
         l, c, log_l = params.saddle_height, level / b, math.log(params.saddle_height)
         if abs(c - log_l + 1.0) <= 8.0 * sys.float_info.epsilon * (1.0 + abs(log_l)):
@@ -282,6 +297,9 @@ def _curves(params: FlowParams, levels, spec: PortraitSpec) -> list[Polyline]:
                 rows.append((level, anchor, y0, lo, hi, meet_lo and lo == w_lo,
                              meet_hi and hi == w_hi))
     curves += _trace(rows, params.saddle_height, spec) if rows else []
+    if circles:
+        paths = [*circles.values()]
+        curves += _clip(np.concatenate(paths), [*map(len, paths)], [*circles], spec)
     return sorted(curves, key=lambda p: (p.level, p.points[0, 0], p.points[0, 1], len(p)))
 
 

@@ -1,6 +1,7 @@
 """Helpers that only the tests use: the unit band of the scaling law,
-the polyline invariants, winding numbers, signed areas and Hausdorff
-distances of polylines, and a trajectory's position between samples."""
+the polyline invariants, a per-path clip of portrait paths, winding
+numbers, signed areas and Hausdorff distances of polylines, and a
+trajectory's position between samples."""
 
 import math
 
@@ -8,6 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from abflow import FlowParams, InvalidParamsError, Trajectory, current
+from abflow.contour import Polyline
 
 # decimal logarithms of the length and time units and of delta
 UNITS = dict(
@@ -32,6 +34,39 @@ def check_well_formed(poly) -> None:
     assert np.all((pts[1:] != pts[:-1]).any(axis=1)), "consecutive vertices are equal"
     if poly.closed:
         assert pts[-1].tobytes() == pts[0].tobytes(), "a closed polyline ends off its start"
+
+
+def clip_one_path(cycle: np.ndarray, level: float, spec) -> list:
+    """The polylines in the bbox of one closed path, whose last vertex is its
+    first, as contour clipped each path on its own before it clipped a
+    portrait's paths in one pass: the path, closed, if it lies inside and
+    not within one grid cell, else its runs between vertices outside or
+    NaN, in the path's direction."""
+    pts = cycle[np.append(True, (cycle[1:] != cycle[:-1]).any(axis=1))]
+    xmin, xmax, ymin, ymax = spec.bbox
+    x, y = pts[:, 0], pts[:, 1]
+    inside = (xmin <= x) & (x <= xmax) & (ymin <= y) & (y <= ymax)
+    if inside.all():
+        nx, ny = spec.grid
+        fits = np.ptp(x) * (nx - 1) < xmax - xmin and np.ptp(y) * (ny - 1) < ymax - ymin
+        return [] if fits else [Polyline(pts, level, closed=True)]
+    k = int(np.argmin(inside))  # start outside, so that no run wraps around
+    pts, inside = np.concatenate([pts[k:-1], pts[:k]]), np.concatenate([inside[k:-1], inside[:k]])
+    ends = np.flatnonzero(np.diff(np.concatenate(([0], inside.astype(np.int8), [0]))))
+    return [Polyline(pts[i:j], level) for i, j in zip(ends[::2], ends[1::2]) if j - i >= 2]
+
+
+def level_piece_path(path: np.ndarray) -> np.ndarray:
+    """The closed path of a level-curve piece that begins as path does:
+    its side x > 0 down, a NaN row if its sides do not meet at the bottom,
+    the mirror image of that side up, a NaN row if they do not meet at the
+    top, and its first vertex again."""
+    gaps = int(np.isnan(path[:, 0]).sum())
+    k = (len(path) - 1 - gaps) // 2
+    down, gap = path[:k], np.full((1, 2), np.nan)
+    up = np.column_stack([0.0 - down[:, 0], down[:, 1]])[::-1]
+    gap_lo = gap[:int(np.isnan(path[k, 0]))]
+    return np.vstack([down, gap_lo, up, gap[:gaps - len(gap_lo)], down[:1]])
 
 
 def winding_number(points: np.ndarray, about=(0.0, 0.0)) -> int:

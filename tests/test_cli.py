@@ -862,9 +862,9 @@ class TestArtifacts:
                     for i in range(len(cells))]
             header = ",".join(f"c{j}" for j in range(columns))
             em = cli._Emitter(SimpleNamespace(format="csv", out="unused"))
-            em.write_csv("t.csv", header, rows)
+            em.write_csvs(header, [("t.csv", rows)])
             expected = "\n".join([header, *(",".join(map(repr, r)) for r in rows)]) + "\n"
-            assert em.texts == {"t.csv": expected}
+            assert em.texts == {"t.csv": expected.encode()}
 
     def test_csv_tables_match_percent_r_over_a_seeded_sweep(self):
         # the finite doubles among 200k random 64-bit patterns (every
@@ -877,10 +877,32 @@ class TestArtifacts:
         em = cli._Emitter(SimpleNamespace(format="csv", out="unused"))
         for values in (patterns, scaled):
             for columns in (2, 4):
-                em.write_csv("t.csv", "", values.reshape(-1, columns))
+                em.write_csvs("", [("t.csv", values.reshape(-1, columns))])
                 row = ",".join(["%r"] * columns) + "\n"
-                assert em.texts["t.csv"] == "\n" + row * (len(values) // columns) % tuple(
-                    values.tolist())
+                assert em.texts["t.csv"] == ("\n" + row * (len(values) // columns) % tuple(
+                    values.tolist())).encode()
+
+    def test_tables_in_one_call_match_percent_r_each(self):
+        # write_csvs formats blocks of whole tables at once and cuts the
+        # files apart: each is still the %r format of its own table, for
+        # random 64-bit patterns (NaN, infinities and subnormals among them),
+        # normals scaled by 10**k and EDGE_CELLS, in 2 to 4 columns, cut at
+        # random rows into tables, the first and the last empty among them
+        rng = np.random.default_rng(34)
+        patterns = rng.integers(0, 2**64, size=60_000, dtype=np.uint64).view(np.float64)
+        scaled = rng.standard_normal(60_000) * 10.0 ** rng.integers(-20, 21, size=60_000)
+        for values in (patterns, scaled, np.array(EDGE_CELLS * 300)):
+            for columns in (2, 3, 4):
+                cells = rng.permutation(values)[: len(values) // columns * columns]
+                table = cells.reshape(-1, columns)
+                cuts = np.sort(np.concatenate([[0, len(table)], rng.integers(0, len(table), 40)]))
+                tables = [(f"t{i}.csv", t) for i, t in enumerate(np.split(table, cuts))]
+                em = cli._Emitter(SimpleNamespace(format="csv", out="unused"))
+                em.write_csvs("a,b", tables)
+                row = ",".join(["%r"] * columns) + "\n"
+                assert list(em.texts.items()) == [
+                    (name, ("a,b\n" + row * len(t) % tuple(t.ravel().tolist())).encode())
+                    for name, t in tables]
 
     @given(tables=point_tables())
     @settings(max_examples=100, deadline=None)
@@ -888,9 +910,8 @@ class TestArtifacts:
         em = cli._Emitter(SimpleNamespace(format="csv", out="unused"))
         written = []
         em.write = lambda name, text, kind: written.append((name, text, kind))
-        for i, t in enumerate(tables):
-            em.write_csv(f"t{i}.csv", "x,y", t)
-        assert written == [(f"t{i}.csv", xy_csv(t), "csv") for i, t in enumerate(tables)]
+        em.write_csvs("x,y", [(f"t{i}.csv", t) for i, t in enumerate(tables)])
+        assert written == [(f"t{i}.csv", xy_csv(t).encode(), "csv") for i, t in enumerate(tables)]
 
     @given(value=json_value)
     @settings(max_examples=200, deadline=None)
@@ -980,22 +1001,25 @@ def test_no_command_loads_numpy_random(tmp_path):
     assert json.loads(proc.stdout) == [[0] * len(commands), False, False, False]
 
 
-def test_only_a_csv_imports_orjson(tmp_path):
-    # its import costs about 5 ms, which a command that writes no CSV skips
+@pytest.mark.parametrize("fmt", ["csv", "svg"])
+def test_only_a_csv_or_an_svg_imports_orjson(tmp_path, fmt):
+    # its import costs about 5 ms, which a command that writes no CSV and
+    # no SVG skips
     script = (
         "import contextlib, io, sys\n"
         "from abflow.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    for argv in (['eval', '--at', '1,1'], ['stagnation'], ['circulation'], ['verify'],\n"
-        "                 ['separatrix', '--out', sys.argv[1], '--format', 'svg']):\n"
+        "                 ['separatrix', '--out', sys.argv[1], '--format', 'json'],\n"
+        "                 ['portrait', '--out', sys.argv[1], '--format', 'json']):\n"
         "        main(argv)\n"
         "    before = 'orjson' in sys.modules\n"
-        "    main(['separatrix', '--out', sys.argv[1], '--format', 'csv'])\n"
+        "    main(['separatrix', '--out', sys.argv[1], '--format', sys.argv[2]])\n"
         "print(before, 'orjson' in sys.modules)\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
+        [sys.executable, "-c", script, str(tmp_path), fmt],
         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.stdout == "False True\n"

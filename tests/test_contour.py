@@ -25,7 +25,8 @@ from abflow import (
 from abflow import contour
 from abflow.contour import GRID_MAX, SAMPLES_MAX, _auto_levels
 from helpers import (
-    UNITS, check_well_formed, flow, hausdorff_distance, polygon_area, winding_number,
+    UNITS, check_well_formed, clip_one_path, flow, hausdorff_distance, level_piece_path,
+    polygon_area, winding_number,
 )
 
 P = FlowParams()
@@ -361,6 +362,83 @@ class TestPortrait:
         for got, ref in zip(polys, want):
             assert (got.level, got.closed) == (ref.level, ref.closed)
             assert np.array_equal(got.points, ref.points)
+
+    def test_one_clip_keeps_each_path_apart(self):
+        # paths laid end to end: the second starts on the vertex the first
+        # ends on, rectangles exactly one cell wide and one cell high (kept)
+        # and one within a cell (dropped) follow open paths, and a path is
+        # broken by a NaN row and repeats a vertex; each keeps its own level
+        # and place
+        spec = PortraitSpec(bbox=(0.0, 8.0, 0.0, 8.0), grid=(9, 9))
+        nan = [math.nan, math.nan]
+        paths = [np.array(p, dtype=float) for p in [
+            [[-1, 4], [4, 4], [4, 6], [5, 5], [-1, 4]],
+            [[-1, 4], [3, 3], [3, 5], [-1, 4]],
+            [[1, 1], [2, 1], [2, 1.5], [1, 1.5], [1, 1]],
+            [[1, 3], [1.5, 3], [1.5, 4], [1, 3]],
+            [[5, 5], [5.5, 5], [5.5, 5.5], [5, 5]],
+            [[6, 1], [7, 1], nan, [7, 2], [6, 2], [6, 2], [6, 1]],
+        ]]
+        got = contour._clip(np.concatenate(paths), [len(p) for p in paths], range(6), spec)
+        want = [poly for level, path in enumerate(paths)
+                for poly in clip_one_path(path, level, spec)]
+        assert [p.level for p in got] == [0, 1, 2, 3, 5]
+        assert [(p.level, p.closed, p.points.tobytes()) for p in got] == [
+            (p.level, p.closed, p.points.tobytes()) for p in want]
+
+    def test_one_clip_matches_a_clip_per_path(self, monkeypatch):
+        # portrait clips all of a portrait's paths in one pass; clipping each
+        # path on its own (the clip contour had before) gives the same
+        # polylines, bit for bit.  Each path is also checked to be the closed
+        # path of a level-curve piece (down, a NaN row where the sides do not
+        # meet, up its mirror image, the start) or of a circle (its side
+        # x >= 0 mirrored).  Regular, line and rotation flows, seeded
+        # bboxes, grids and levels, and fixed cases that cut the loop, clip
+        # the arms and drop loops within one cell.
+        one_pass, seen = contour._clip, dict.fromkeys(["closed", "runs", "within a cell"], 0)
+
+        def per_path(pts, size, levels, spec):
+            out = []
+            for path, level in zip(np.split(pts, np.cumsum(size)[:-1]), levels):
+                if np.isnan(path).any() or trace:
+                    want = level_piece_path(path)
+                else:
+                    down = path[:(len(path) + 1) // 2]
+                    want = np.vstack([down, down[-2::-1] * [-1.0, 1.0] + 0.0])
+                assert path.tobytes() == want.tobytes()
+                polys = clip_one_path(path, level, spec)
+                kind = "runs" if polys and not polys[0].closed else "closed" if polys else (
+                    "within a cell" if np.isfinite(path).all() else "runs")
+                seen[kind] += 1
+                out += polys
+            return out
+
+        rng = np.random.default_rng(34)
+        cases = [(P, PortraitSpec(bbox=(-0.2, 0.4, -0.1, 0.3), grid=(160, 120))),
+                 (P, PortraitSpec(bbox=(-1.0, 1.0, -0.5, 1.0), grid=(160, 120))),
+                 (P, PortraitSpec(grid=(8, 8), levels=(-50.0, -3.0, -2.0))),
+                 (FlowParams(k=0.0), PortraitSpec(grid=(8, 8), levels=(-3.0, -1.0, 0.0)))]
+        for i in range(48):
+            params = [P, flow(10.0 ** rng.uniform(-3, 3), 1.0, 0.3), FlowParams(delta=0.0),
+                      FlowParams(k=0.0)][i % 4]
+            l = params.delta / params.k if params.k * params.delta > 0.0 else 1.0
+            cx, cy = l * rng.uniform(-2.0, 2.0), l * rng.uniform(-1.0, 2.0)
+            wx, wy = (l * 10.0 ** rng.uniform(-1.3, 0.7, size=2)).tolist()
+            grid = tuple(int(v) for v in rng.integers(8, 300, size=2))
+            cases.append((params, PortraitSpec(bbox=(cx - wx, cx + wx, cy - wy, cy + wy),
+                                               grid=grid, n_levels=int(rng.integers(0, 30)),
+                                               include_separatrix=bool(i % 3))))
+        for params, spec in cases:
+            trace = params.a != 0.0
+            got = portrait(params, spec)
+            monkeypatch.setattr(contour, "_clip", per_path)
+            want = portrait(params, spec)
+            monkeypatch.setattr(contour, "_clip", one_pass)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert (a.level, a.closed, a.points.shape) == (b.level, b.closed, b.points.shape)
+                assert a.points.tobytes() == b.points.tobytes()
+        assert min(seen.values()) > 0, seen
 
     @given(kind=st.sampled_from(["regular", "rotation", "line"]),
            bbox=st.sampled_from([(-4.0, 4.0, -3.0, 3.0), (-1.0, 3.0, 0.5, 2.5)]), **UNITS)
