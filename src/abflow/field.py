@@ -174,11 +174,16 @@ def _velocity(a: float, b: float, x, y):
 
 
 def velocity(params: FlowParams, x, y):
-    """Vectorized velocity (u, v) on arrays, quiet where it is not finite: NaN
+    """Vectorized velocity (u, v), arrays of the shape of x and y broadcast
+    (a line flow's constant field too), quiet where it is not finite: NaN
     or +-inf at the origin and where x*x + y*y underflows or overflows."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return _velocity(params.a, params.b, x, y)
+        u, v = _velocity(params.a, params.b, x, y)
+    if params.b == 0.0:  # _velocity's constant field, one value per point
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        u, v = np.full(shape, u), np.full(shape, v)
+    return u, v
 
 
 def current(params: FlowParams, p) -> np.ndarray:

@@ -169,7 +169,6 @@ def test_criterion_4_analyticity_suite():
             (4 * laplacian(phi, h1, off_cut) - laplacian(phi, 2.0 * h1, off_cut)) / 3
         )),
     }
-    residuals["cauchy_riemann"] = max(residuals["divergence"], residuals["curl"])
 
     orders = {}
     div_e, curl_e, lpsi_e, lphi_e = [], [], [], []
@@ -189,7 +188,7 @@ def test_criterion_4_analyticity_suite():
     ok = all(v <= 1e-6 for v in residuals.values()) and all(
         ORDER_BAND[0] <= o <= ORDER_BAND[1] for o in orders.values()
     )
-    record(4, "divergence, curl, Cauchy-Riemann, Laplacians vanish at order 2", ok,
+    record(4, "divergence, curl, Laplacians vanish at order 2", ok,
            f"max residual {max(residuals.values()):.2e}, "
            f"orders {sorted(round(o, 2) for o in orders.values())}")
 

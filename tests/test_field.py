@@ -318,6 +318,20 @@ def test_velocity_is_quiet_within_the_core(p):
     assert not (np.isfinite(u) and np.isfinite(v))
 
 
+@pytest.mark.parametrize("params", [P, FlowParams(delta=0.0), FlowParams(k=0.0),
+                                    FlowParams(k=0.0, delta=0.0)],
+                         ids=["regular", "line", "rotation", "zero"])
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["0-d", "1-d", "2-d"])
+def test_velocity_has_the_shape_of_its_points(params, shape):
+    # one value per point, a line flow's constant field too, as stream_values
+    x, y = np.full(shape, 1.5), np.full(shape, -0.5)
+    u, v = velocity(params, x, y)
+    assert np.shape(u) == np.shape(v) == np.shape(stream_values(params, x, y)) == shape
+    if params.delta == 0.0:  # -a and 0.0, the zero flow's -0.0 kept
+        assert np.array_equal(np.signbit(u), np.full(shape, True))
+        assert np.all(u == -params.a) and np.all(v == 0.0)
+
+
 class TestFluxConversions:
     def test_substitution(self):
         c = PhysicalConstants()

@@ -1,10 +1,17 @@
 import math
+import re
+from collections import Counter, defaultdict
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import abflow.contour as contour_mod
+import abflow.critical as critical_mod
+import abflow.field as field_mod
+import abflow.verify as verify_mod
 from abflow import (
     CheckReport,
     FlowParams,
@@ -17,7 +24,6 @@ from abflow.verify import N_POINTS, ORDER_BAND, _sample_points
 
 EXPECTED_CHECKS = [
     "canonical_scaling",
-    "cauchy_riemann",
     "circulation_contour_independence",
     "curl_free",
     "derivative_velocity_identity",
@@ -67,7 +73,6 @@ def test_finite_difference_checks_report_second_order():
     for name in (
         "divergence_free",
         "curl_free",
-        "cauchy_riemann",
         "stream_function_harmonic",
         "velocity_potential_harmonic",
         "hamiltonian_gradient_consistency",
@@ -97,22 +102,32 @@ def test_suite_is_unit_invariant(kwargs):
     assert suite_passed(run_suite(FlowParams(**kwargs), seed=9))
 
 
-def test_tampered_field_is_detected():
-    # a shear added to u breaks the divergence, hence both Cauchy-Riemann
-    # equations; the curl identity is untouched by an x-linear term in u.
-    # F' no longer equals u - i v: its check compares against the tampered u
-    tamper = lambda x, y: (1e-4 * x, 0.0)
-    reports = {rep.name: rep for rep in run_suite(FlowParams(), seed=42, tamper=tamper)}
+def add_to_velocity(monkeypatch, term):
+    """Patch the velocity kernel where the suite reads it: term(x, y) ->
+    (du, dv) is added to every velocity it computes."""
+    kernel = verify_mod.velocity
+
+    def broken(params, x, y):
+        (u, v), (du, dv) = kernel(params, x, y), term(x, y)
+        return u + du, v + dv
+
+    monkeypatch.setattr(verify_mod, "velocity", broken)
+
+
+def test_tampered_field_is_detected(monkeypatch):
+    # a shear added to u breaks the divergence; the curl identity is
+    # untouched by an x-linear term in u.  F' no longer equals u - i v
+    add_to_velocity(monkeypatch, lambda x, y: (1e-4 * x, 0.0))
+    reports = {rep.name: rep for rep in run_suite(FlowParams(), seed=42)}
     assert reports["divergence_free"].verdict == "fail"
-    assert reports["cauchy_riemann"].verdict == "fail"
     assert reports["curl_free"].verdict == "pass"
     assert reports["derivative_velocity_identity"].verdict == "fail"
     assert not suite_passed(reports.values())
 
 
-def test_tampered_curl_is_detected():
-    tamper = lambda x, y: (0.0, 1e-4 * x)
-    reports = {rep.name: rep for rep in run_suite(FlowParams(), seed=42, tamper=tamper)}
+def test_tampered_curl_is_detected(monkeypatch):
+    add_to_velocity(monkeypatch, lambda x, y: (0.0, 1e-4 * x))
+    reports = {rep.name: rep for rep in run_suite(FlowParams(), seed=42)}
     assert reports["curl_free"].verdict == "fail"
 
 
@@ -145,15 +160,14 @@ def test_far_field_decay_is_well_conditioned(kwargs):
 
 
 def test_far_field_decay_detects_a_wrong_vortex_term(monkeypatch):
-    import abflow.verify as verify_mod
-
     def half_vortex_off(x, y):
         # half of the canonical vortex's current (y, -x)/r^2 taken off
         r2 = x * x + y * y
         return -0.5 * y / r2, 0.5 * x / r2
 
-    reports = {rep.name: rep
-               for rep in run_suite(FlowParams(delta=1e-6), seed=42, tamper=half_vortex_off)}
+    with monkeypatch.context() as m:
+        add_to_velocity(m, half_vortex_off)
+        reports = {rep.name: rep for rep in run_suite(FlowParams(delta=1e-6), seed=42)}
     assert reports["far_field_decay"].verdict == "fail"
 
     # a wrong F' kernel, with the current intact, breaks F' = u - i v
@@ -180,7 +194,7 @@ def test_line_flows_pass(k):
 
 
 FITTED = {
-    "cauchy_riemann", "curl_free", "divergence_free", "gradient_orthogonality",
+    "curl_free", "divergence_free", "gradient_orthogonality",
     "hamiltonian_gradient_consistency", "stream_function_harmonic",
     "velocity_potential_harmonic",
 }
@@ -278,17 +292,17 @@ def test_zero_field_has_no_gradient_orthogonality():
     assert suite_passed(reports.values())
 
 
-def test_tampered_zero_field_has_no_gradient_orthogonality():
-    # psi and phi come from the untampered kernels, so a speed the tamper
-    # adds to the zero field gives them no gradient to compare
-    tamper = lambda x, y: (0.01 + 0.0 * x, 0.0)
-    reports = {r.name: r for r in run_suite(FlowParams(k=0.0, delta=0.0), tamper=tamper)}
+def test_broken_velocity_on_the_zero_field_is_reported(monkeypatch):
+    # a speed the velocity kernel adds to the zero field gives psi and phi
+    # no gradient; orthogonality divides by those gradients, not by the
+    # speed, so nothing divides by zero (a warning is an error here)
+    add_to_velocity(monkeypatch, lambda x, y: (0.01, 0.0))
+    reports = {r.name: r for r in run_suite(FlowParams(k=0.0, delta=0.0))}
+    assert reports["derivative_velocity_identity"].verdict == "fail"
     assert reports["gradient_orthogonality"].verdict == "not_applicable"
 
 
 def test_superposition_detects_a_wrong_vortex_term(monkeypatch):
-    import abflow.verify as verify_mod
-
     def half_vortex(a, b, z):
         return -a * z, 0.5j * b * np.log(z)
 
@@ -348,8 +362,6 @@ def test_small_vortex_near_a_small_saddle(delta):
 
 
 def test_tampered_jacobian_fails_saddle_eigenvalues(monkeypatch):
-    import abflow.critical as critical_mod
-
     entries = critical_mod.jacobian_entries
 
     def scaled(params, x, y):
@@ -365,8 +377,6 @@ def test_tampered_jacobian_fails_saddle_eigenvalues(monkeypatch):
 def test_each_kernel_is_called_a_few_times_per_suite(monkeypatch, params):
     # the stencils of every check share one table: each kernel runs on it,
     # at the points and for the few checks of their own
-    import abflow.verify as verify_mod
-
     calls = {"velocity": 0, "stream_values": 0, "potential_values": 0}
 
     def counted(name):
@@ -380,6 +390,158 @@ def test_each_kernel_is_called_a_few_times_per_suite(monkeypatch, params):
     for name in calls:
         monkeypatch.setattr(verify_mod, name, counted(name))
     assert suite_passed(run_suite(params, seed=42))
-    assert calls["velocity"] <= 5
+    assert calls["velocity"] <= 4
     assert calls["stream_values"] <= 4
     assert calls["potential_values"] <= 3
+
+
+# The mutant table: each kind breaks one kernel where the suite reads it, at
+# the sizes e of SIZES; the factor 1 + e of the last flips a scaled term's
+# sign.  Each mutant runs alone, at seed 42, on each flow of MUTANT_FLOWS.
+SIZES = (1e-9, 1e-3, -2.0)
+MUTANT_FLOWS = {
+    "natural": FlowParams(),
+    "scaled": FlowParams(hbar=10.0, mass=0.1, k=3.0, delta=0.4),
+    "canonical": FlowParams(k=1.0, delta=1.0, allow_any_delta=True),
+}
+
+
+def scale_terms(stream, vortex):
+    """A kernel(a, b, ...) with its stream and vortex coefficients scaled."""
+    return lambda kernel: lambda a, b, *xy: kernel(a * stream, b * vortex, *xy)
+
+
+def add_term(term):
+    """A kernel(a, b, x, y) plus term(x, y): a pair to a velocity, else a
+    number."""
+    def mutate(kernel):
+        def mutant(a, b, x, y):
+            value, extra = kernel(a, b, x, y), term(x, y)
+            if isinstance(value, tuple):
+                return value[0] + extra[0], value[1] + extra[1]
+            return value + extra
+        return mutant
+    return mutate
+
+
+def scale_item(i, factor):
+    """A kernel returning a tuple, its item i scaled by factor."""
+    def mutate(kernel):
+        def mutant(*args):
+            items = list(kernel(*args))
+            items[i] = items[i] * factor
+            return tuple(items)
+        return mutant
+    return mutate
+
+
+def scale_property(factor):
+    return lambda prop: property(lambda self: prop.fget(self) * factor)
+
+
+@pytest.mark.parametrize("entry", [0, 1], ids=["alpha", "beta"])
+def test_jacobian_off_by_1e_8_fails_its_finite_difference_check(monkeypatch, entry):
+    # the analytic entries against the first-derivative stencils, relative
+    # to |J|: an entry 1e-8 off, relative, is 100 times the tolerance
+    broken = scale_item(entry, 1.0 + 1e-8)(critical_mod.jacobian_entries)
+    monkeypatch.setattr(critical_mod, "jacobian_entries", broken)
+    reports = {rep.name: rep for rep in run_suite(FlowParams(), seed=42)}
+    assert reports["jacobian_finite_difference"].verdict == "fail"
+
+
+def mutant_kinds(e):
+    """name -> (owner, attribute, mutate) at size e: the kinds of the table."""
+    kinds = {
+        "velocity: vortex": (field_mod, "_velocity", scale_terms(1.0, 1.0 + e)),
+        "velocity: stream": (field_mod, "_velocity", scale_terms(1.0 + e, 1.0)),
+        "velocity + e*(x, 0)": (field_mod, "_velocity", add_term(lambda x, y: (e * x, 0.0))),
+        "velocity + e*(y, 0)": (field_mod, "_velocity", add_term(lambda x, y: (e * y, 0.0))),
+        "velocity + e*(x, -y)": (field_mod, "_velocity", add_term(lambda x, y: (e * x, -e * y))),
+        # the circulation quadrature sums the vortex alone, a = 0
+        "circulation: vortex": (contour_mod, "_velocity", scale_terms(1.0, 1.0 + e)),
+        "F': vortex": (verify_mod, "_dF", scale_terms(1.0, 1.0 + e)),
+        "F': stream": (verify_mod, "_dF", scale_terms(1.0 + e, 1.0)),
+        "F parts: vortex": (verify_mod, "_F_parts", scale_terms(1.0, 1.0 + e)),
+        "F parts: stream": (verify_mod, "_F_parts", scale_terms(1.0 + e, 1.0)),
+        "Jacobian: alpha": (critical_mod, "jacobian_entries", scale_item(0, 1.0 + e)),
+        "Jacobian: beta": (critical_mod, "jacobian_entries", scale_item(1, 1.0 + e)),
+        # a length has no sign to flip: circulation rejects the radius -l*R
+        "frame: l": (verify_mod, "_frame", scale_item(0, 1.0 + abs(e))),
+        "FlowParams.a": (FlowParams, "a", scale_property(1.0 + e)),
+        "FlowParams.b": (FlowParams, "b", scale_property(1.0 + e)),
+    }
+    for name in ("psi", "phi"):
+        kernel = f"_{name}"
+        kinds[f"{name}: vortex"] = (field_mod, kernel, scale_terms(1.0, 1.0 + e))
+        kinds[f"{name}: stream"] = (field_mod, kernel, scale_terms(1.0 + e, 1.0))
+        kinds[f"{name} + e*x"] = (field_mod, kernel, add_term(lambda x, y: e * x))
+        kinds[f"{name} + e*x*x"] = (field_mod, kernel, add_term(lambda x, y: e * x * x))
+        kinds[f"{name} + e*x*y"] = (field_mod, kernel, add_term(lambda x, y: e * x * y))
+        kinds[f"{name} + e"] = (field_mod, kernel, add_term(lambda x, y: e))
+    return kinds
+
+
+@pytest.fixture(scope="module")
+def mutant_failures():
+    """(kind, e, flow) -> the checks the suite fails with that mutant alone."""
+    failures = {}
+    for e in SIZES:
+        for kind, (owner, attr, mutate) in mutant_kinds(e).items():
+            for flow, params in MUTANT_FLOWS.items():
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(owner, attr, mutate(vars(owner)[attr]))
+                    reports = run_suite(params, seed=42)
+                failures[kind, e, flow] = {r.name for r in reports if r.verdict == "fail"}
+    return failures
+
+
+# check -> (mutants of the table it fails, those it fails alone, the kinds
+# of those); README's verify section lists the two counts
+MUTANT_TABLE = {
+    "canonical_scaling": (93, 6, {"FlowParams.a", "FlowParams.b"}),
+    "circulation_contour_independence": (9, 9, {"circulation: vortex"}),
+    "curl_free": (6, 0, set()),
+    "derivative_velocity_identity": (75, 18, {"F': stream", "F': vortex"}),
+    "divergence_free": (6, 0, set()),
+    "far_field_decay": (54, 0, set()),
+    "gradient_orthogonality": (60, 0, set()),
+    "hamiltonian_gradient_consistency": (60, 0, set()),
+    "jacobian_finite_difference": (54, 12, {"Jacobian: alpha", "Jacobian: beta"}),
+    "mirror_symmetry": (18, 0, set()),
+    "potential_superposition": (138, 39, {
+        "F parts: stream", "F parts: vortex", "phi + e", "phi + e*x", "phi + e*x*x",
+        "phi + e*x*y", "phi: stream", "phi: vortex", "psi + e", "psi + e*x*x",
+        "psi: stream", "psi: vortex",
+    }),
+    "saddle_eigenvalues": (12, 0, set()),
+    "stagnation_zero_velocity": (57, 0, set()),
+    "stream_function_harmonic": (6, 0, set()),
+    "velocity_potential_harmonic": (6, 0, set()),
+}
+
+
+def test_every_mutant_fails_a_check(mutant_failures):
+    for params in MUTANT_FLOWS.values():
+        assert suite_passed(run_suite(params, seed=42))
+    assert len(mutant_failures) == 27 * len(SIZES) * len(MUTANT_FLOWS)
+    assert [key for key, failed in mutant_failures.items() if not failed] == []
+
+
+def test_mutant_table(mutant_failures):
+    caught, alone, kinds = Counter(), Counter(), defaultdict(set)
+    for (kind, _, _), failed in mutant_failures.items():
+        caught.update(failed)
+        if len(failed) == 1:
+            (name,) = failed
+            alone[name] += 1
+            kinds[name].add(kind)
+    table = {name: (caught[name], alone[name], kinds[name]) for name in EXPECTED_CHECKS}
+    assert table == MUTANT_TABLE
+
+
+def test_readme_lists_the_mutant_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (\d+) \| (\d+) \|", readme, re.MULTILINE)
+    assert {name: (int(n), int(k)) for name, n, k in rows} == {
+        name: (n, k) for name, (n, k, _) in MUTANT_TABLE.items()
+    }
