@@ -20,7 +20,6 @@ singular input, 4 numerical failure.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import json
@@ -500,7 +499,7 @@ def _cmd_verify(s: SimpleNamespace) -> int:
     em.write("verify_report.txt", text + "\n", None)
     if em.wants("json"):
         payload = [{k: None if isinstance(v, float) and not math.isfinite(v) else v
-                    for k, v in dataclasses.asdict(rep).items()} for rep in reports]
+                    for k, v in vars(rep).items()} for rep in reports]
         em.write("verify_report.json", _json(payload) + "\n", "json")  # inf, NaN as null
     em.save()
     return 0 if verify_mod.suite_passed(reports) else 1

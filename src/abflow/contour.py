@@ -309,22 +309,20 @@ def _auto_levels(params: FlowParams, spec: PortraitSpec) -> list[float]:
     xmin, xmax, ymin, ymax = spec.bbox
     (nx, ny), (cx, cy) = spec.grid, LEVEL_NODES
     xs = np.linspace(xmin, xmax, nx)[::math.ceil(nx / cx)]
-    ys = np.linspace(ymin, ymax, ny)[::math.ceil(ny / cy)]
-    xg, yg = np.meshgrid(xs, ys, copy=False)
-    psi = stream_values(params, xg, yg)
-    vals = psi[np.isfinite(psi) & (np.hypot(xg, yg) >= 2.0 * spec.cell_diag)]
+    ys = np.linspace(ymin, ymax, ny)[::math.ceil(ny / cy), None]
+    psi = stream_values(params, xs, ys)
+    vals = psi[np.isfinite(psi) & (np.hypot(xs, ys) >= 2.0 * spec.cell_diag)]
     if vals.size == 0:
         return []
     # np.quantile's default (linear) method and np.unique, bit for bit,
-    # without the numpy.ma that both import: the partition, on np.quantile's
-    # own indices, puts each quantile's neighbours in their sorted places;
-    # of equal levels (0.0 and -0.0), the first once sorted is kept
+    # without the numpy.ma that both import: on the sorted values, at
+    # np.quantile's own indices; of equal levels (0.0 and -0.0), the first
+    # once sorted is kept
+    vals.sort()
     at = (vals.size - 1) * (np.arange(1, spec.n_levels + 1) / (spec.n_levels + 1))
     lo = np.floor(at)
     gamma, lo = at - lo, lo.astype(np.intp)
-    hi = np.minimum(lo + 1, vals.size - 1)
-    vals.partition(sorted({0, vals.size - 1, *lo.tolist(), *hi.tolist()}))
-    a, b = vals[lo], vals[hi]
+    a, b = vals[lo], vals[np.minimum(lo + 1, vals.size - 1)]
     q = np.sort(np.where(gamma >= 0.5, b - (b - a) * (1.0 - gamma), a + (b - a) * gamma)).tolist()
     return [v for v, prev in zip(q, [math.nan, *q]) if v != prev]
 

@@ -248,12 +248,16 @@ def hamiltonian(params: FlowParams, p) -> float:
 
 
 def stream_values(params: FlowParams, x, y) -> np.ndarray:
-    """Vectorized stream function on arrays, quiet where psi is not finite:
-    -inf at the origin, +-inf or NaN where x*x + y*y or psi overflows."""
+    """Vectorized stream function, an array of the shape of x and y
+    broadcast (a line flow's -a*y too), quiet where psi is not finite: -inf
+    at the origin, +-inf or NaN where x*x + y*y or psi overflows."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.asarray(_psi(params.a, params.b, x, y))
+        psi = _psi(params.a, params.b, x, y)
+    if params.b == 0.0:  # _psi's -a*y, one value per point
+        return np.full(np.broadcast(x, y).shape, psi)
+    return np.asarray(psi)
 
 
 def _phi(a: float, b: float, x, y):

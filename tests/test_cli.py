@@ -692,7 +692,7 @@ class TestSubcommands:
         assert code == 0
         assert "suite: PASS" in out
         row = next(line for line in out.splitlines()
-                   if line.startswith("gradient_orthogonality"))
+                   if line.startswith("stagnation_zero_velocity"))
         assert row.split()[-1] == "not_applicable"
 
     @pytest.mark.parametrize("flags, line", [(["--seed", "-1"], None), ([], "seed = -1")])
@@ -732,14 +732,14 @@ class TestSubcommands:
         def refuse(name):
             raise ValueError(f"{name} is not JSON")
 
-        # a rotation's saddle checks do not apply: their NaN residuals are null
+        # a rotation's saddle check does not apply: its NaN residual is null
         out = tmp_path / "rep"
         code, _ = run_cli(capsys, "verify", "--k", "0", "--out", str(out),
                           "--format", "json")
         assert code == 0
         rows = json.loads((out / "verify_report.json").read_text(), parse_constant=refuse)
         assert {row["name"] for row in rows if row["residual"] is None} == {
-            "saddle_eigenvalues", "stagnation_zero_velocity"}
+            "stagnation_zero_velocity"}
 
     @pytest.mark.parametrize("k", ["1e-200", "1e200"])
     def test_verify_beyond_the_kernels_warns_nothing(self, capsys, tmp_path, k):

@@ -322,12 +322,16 @@ def test_velocity_is_quiet_within_the_core(p):
                                     FlowParams(k=0.0, delta=0.0)],
                          ids=["regular", "line", "rotation", "zero"])
 @pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["0-d", "1-d", "2-d"])
-def test_velocity_has_the_shape_of_its_points(params, shape):
-    # one value per point, a line flow's constant field too, as stream_values
-    x, y = np.full(shape, 1.5), np.full(shape, -0.5)
-    u, v = velocity(params, x, y)
-    assert np.shape(u) == np.shape(v) == np.shape(stream_values(params, x, y)) == shape
-    if params.delta == 0.0:  # -a and 0.0, the zero flow's -0.0 kept
+@pytest.mark.parametrize("kernel", [velocity, stream_values, potential_values])
+def test_velocity_has_the_shape_of_its_points(kernel, params, shape):
+    # one value per point of x and y broadcast, a line flow's -a*y and
+    # constant field too
+    x, y = np.full(shape, 1.5), -0.5
+    values = kernel(params, x, y)
+    for value in values if kernel is velocity else [values]:
+        assert np.shape(value) == shape
+    if kernel is velocity and params.delta == 0.0:  # -a and 0.0, the zero flow's -0.0 kept
+        u, v = values
         assert np.array_equal(np.signbit(u), np.full(shape, True))
         assert np.all(u == -params.a) and np.all(v == 0.0)
 
