@@ -155,9 +155,16 @@ def _level_curve(x: float, y: float, half: float):
 
     def at(k: int, dt: float) -> tuple[float, float]:
         # Newton's method on the time from vertex k, bisecting where a step
-        # leaves the panel to vertex k + 1, as it does next to the saddle
-        a, lo_s, hi_s = s[k], s[k], s[k + 1]
-        p = a + (hi_s - a) * (dt / (C[k + 1] - C[k]) or 0.5)
+        # leaves the panel to vertex k + 1, as it does next to the saddle.
+        # A start timed from a crossing shares its s: before the crossing it
+        # moves on the line to it, past it the time runs from the crossing
+        if s[k + 1] == s[k]:
+            f = dt / (C[k + 1] - C[k])
+            return float(X[k] + f * (X[k + 1] - X[k])), float(U[k] + f * (U[k + 1] - U[k]))
+        j = k - 1 if k == i_s and s[k - 1] == s[k] else k
+        dt += C[k] - C[j]
+        a, lo_s, hi_s = s[j], s[j], s[k + 1]
+        p = a + (hi_s - a) * (dt / (C[k + 1] - C[j]) or 0.5)
         with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(60):
                 f = float(_time(u0, lo, hi, a, p)) - dt

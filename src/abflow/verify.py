@@ -6,21 +6,24 @@ the flow's canonical frame x = l*X, t = tau*T (`field._frame`): sample
 points, stencil steps and radii are in units of l, and every stencil and
 per-point identity runs on the canonical flow, whose coefficients a and b
 are each 0 or 1 and whose values are of order one, so these reports are the
-same bits in every unit system.  Two checks compare a public physical
-output with its closed form (the velocity at the stagnation point, the
-circulation around circles of radius l*R), and `canonical_scaling` ties
-the physical kernels at l*(X, U) to the canonical ones at (X, U).
+same bits in every unit system.  `circulation_contour_independence`
+compares a public physical output, the circulation around circles of
+radius l*R, with its closed form, `far_field_decay` holds the velocity
+kernel to the law |v + (a, 0)|*r = b at radii 10 to 1000, and
+`canonical_scaling` ties the physical kernels at l*(X, U) to the
+canonical ones at (X, U).
 
 The field is checked through the complex potential F = phi + i*psi:
 `potential_derivative` holds its central differences in x and in y
 against F' and i*F' (which, with F analytic, gives the Cauchy-Riemann
 equations, so both potentials are harmonic and their gradients
-orthogonal), `potential_superposition` holds phi + i*psi against the
+orthogonal; phi's part only off its cut, the negative real axis),
+`potential_superposition` holds phi + i*psi against the
 split F = -a*z + i*b*log(z), and `jacobian_finite_difference` holds the
 velocity's central differences against the analytic Jacobian.  The suite
 calls each canonical kernel (velocity, psi, phi) once on one stencil
 table, the four neighbours of every sample point at every step, and once
-at the points.  It reads the field only through the kernels it imports,
+at the points, the velocity also on the far-field circles.  It reads the field only through the kernels it imports,
 so a test breaks the field by patching a kernel where the suite reads it.
 The finite-difference checks compare Richardson-extrapolated differences
 (steps h and h/2 combined to cancel the h^2 truncation term) with their
@@ -42,7 +45,7 @@ from . import critical
 from .contour import circulation
 from .errors import InvalidParamsError
 from .field import (
-    FlowParams, _dF, _F_parts, _frame, current, potential_values, stream_values, velocity,
+    FlowParams, _dF, _F_parts, _frame, potential_values, stream_values, velocity,
 )
 
 __all__ = ["CheckReport", "run_suite", "format_report", "suite_passed"]
@@ -53,6 +56,10 @@ H_FIRST = 1e-4
 DERIVATIVE_TOL = 1e-10
 N_POINTS = 200  # the seeded sample points
 TINY = 1e-300
+# far_field_decay's 24 points: 8 angles on each of the radii 10, 100, 1000
+FAR_RADII = np.array([[10.0], [100.0], [1000.0]])
+_FAR_ANGLES = np.linspace(-3.0, 3.0, 8)
+FAR_X, FAR_Y = FAR_RADII * np.cos(_FAR_ANGLES), FAR_RADII * np.sin(_FAR_ANGLES)
 
 
 @dataclass(frozen=True)
@@ -64,7 +71,7 @@ class CheckReport:
     residual: float
     tolerance: float
     order: float | None
-    verdict: str  # "pass" | "fail" | "not_applicable"
+    verdict: str  # "pass" | "fail"
 
 
 def _verdict(residual: float, tolerance: float, order: float | None) -> str:
@@ -107,9 +114,10 @@ def run_suite(params: FlowParams, seed: int = 42) -> list[CheckReport]:
 
     The points lie at radii 0.1 to 5 in units of l, drawn from a SplitMix64
     counter on the seed (`_sample_points`).  Each canonical kernel runs once
-    on the stencil table and once at the points; an order is fitted exactly
-    when the flow has a vortex.  Failures are reported, never raised; a
-    seed outside 0 to 2**64 - 1 is an InvalidParamsError.
+    on the stencil table and once at the points, the velocity also on the
+    far-field circles; an order is fitted exactly when the flow has a
+    vortex.  Failures are reported, never raised; a seed outside 0 to
+    2**64 - 1 is an InvalidParamsError.
     """
     x, y = _sample_points(seed)
     r = np.hypot(x, y)
@@ -125,16 +133,11 @@ def run_suite(params: FlowParams, seed: int = 42) -> list[CheckReport]:
     canon = FlowParams(k=ca, delta=cb, allow_any_delta=True)
 
     def fitted_order(errors):
-        # mean log2 ratio of successive ladder errors; without a vortex the
-        # stencils hold roundoff alone, and there is no order to fit
-        if cb == 0.0:
-            return None
+        # mean log2 ratio of successive ladder errors
         logs = [math.log2(e1 / e2) for e1, e2 in zip(errors, errors[1:])]
         return sum(logs) / len(logs)
 
-    def report(name, residual, tol, order=None, applicable=True):
-        if not applicable:
-            return CheckReport(name, pstr, float("nan"), float("nan"), None, "not_applicable")
+    def report(name, residual, tol, order=None):
         residual = float(residual)
         return CheckReport(name, pstr, residual, tol, order, _verdict(residual, tol, order))
 
@@ -162,17 +165,21 @@ def run_suite(params: FlowParams, seed: int = 42) -> list[CheckReport]:
         return (4.0 * d[1] - d[0]) / 3.0
 
     def check_potential_derivative():
-        # dF/dx = F' and dF/dy = i*F' off the cut of phi, relative to the
-        # size of F''s terms, since F' vanishes at the saddle
+        # dF/dx = F' and dF/dy = i*F', relative to the size of F''s terms,
+        # since F' vanishes at the saddle; phi's part only off its cut
         fx, fy = grad(ft)
         fp, size = _dF(ca, cb, z), np.maximum(ca + cb / r, TINY)
 
         def resid(dx, dy):
-            return (np.maximum(np.abs(dx - fp), np.abs(dy - 1j * fp)) / size)[..., off_cut]
+            # psi's (imaginary) part at every point, phi's only off its cut
+            ex, ey = (np.where(off_cut, d, 1j * d.imag) for d in (dx - fp, dy - 1j * fp))
+            return np.maximum(np.abs(ex), np.abs(ey)) / size
 
-        errs = [_rms(e) for e in resid(fx[2:], fy[2:])]  # on the ladder's rows
+        # the ladder's rows; without a vortex, F is linear, its differences
+        # hold roundoff alone, and there is no order to fit
+        order = fitted_order([_rms(e) for e in resid(fx[2:], fy[2:])]) if cb else None
         return report("potential_derivative", np.max(resid(richardson(fx), richardson(fy))),
-                      DERIVATIVE_TOL, fitted_order(errs))
+                      DERIVATIVE_TOL, order)
 
     def check_superposition():
         # F1 + F2 = -a*z + i*b*log(z) against phi + i*psi, whose arctan2 and
@@ -183,6 +190,13 @@ def run_suite(params: FlowParams, seed: int = 42) -> list[CheckReport]:
         size = ca * np.abs(z) + cb * (np.abs(np.log(np.abs(z))) + np.pi)
         return report("potential_superposition", np.max(resid / np.maximum(size, TINY)), 1e-14)
 
+    def check_far_field():
+        # the law |v + (a, 0)|*r = b far out, on the velocity kernel itself;
+        # the canonical a and b are 0 or 1, so the residual is relative to b
+        u, v = velocity(canon, FAR_X, FAR_Y)
+        resid = np.max(np.abs(np.hypot(u + ca, v) * FAR_RADII - cb))
+        return report("far_field_decay", resid, 1e-12)
+
     def check_jacobian_fd():
         # the entries u_x, u_y, v_x, v_y on the first-derivative rows, relative
         # to |J| = b/r^2, the size of J's eigenvalues
@@ -191,12 +205,6 @@ def run_suite(params: FlowParams, seed: int = 42) -> list[CheckReport]:
         size = np.maximum(cb / (x * x + y * y), TINY)
         resid = max(np.max(np.abs(j - d) / size) for j, d in zip((alpha, beta, beta, -alpha), fd))
         return report("jacobian_finite_difference", resid, 1e-10)
-
-    def check_stagnation():
-        if not (ca and cb):
-            return report("stagnation_zero_velocity", 0.0, 0.0, applicable=False)
-        speed = float(np.hypot(*current(params, (0.0, l))))
-        return report("stagnation_zero_velocity", speed / params.a, 1e-13)
 
     def check_circulation():
         values = [circulation(params, (0.0, 0.0), l * R, 512).value for R in (0.3, 1.0, 3.0, 7.0)]
@@ -229,8 +237,8 @@ def run_suite(params: FlowParams, seed: int = 42) -> list[CheckReport]:
     checks = [
         check_potential_derivative,
         check_superposition,
+        check_far_field,
         check_jacobian_fd,
-        check_stagnation,
         check_circulation,
         check_canonical_scaling,
     ]
@@ -250,10 +258,9 @@ def format_report(reports: list[CheckReport]) -> str:
         "-" * 78,
     ]
     for rep in reports:
-        resid = "-" if math.isnan(rep.residual) else f"{rep.residual:.3e}"
-        tol = "-" if math.isnan(rep.tolerance) else f"{rep.tolerance:.1e}"
         order = "-" if rep.order is None else f"{rep.order:.2f}"
-        lines.append(f"{rep.name:32} {resid:>12} {tol:>12} {order:>7} {rep.verdict}")
+        lines.append(f"{rep.name:32} {rep.residual:>12.3e} {rep.tolerance:>12.1e} {order:>7} "
+                     f"{rep.verdict}")
     lines.append("-" * 78)
     lines.append(f"params: {reports[0].params}" if reports else "params: -")
     status = "PASS" if suite_passed(reports) else "FAIL"

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import abflow.field as field_mod
 from abflow import FlowParams, PortraitSpec, cli, dynamics, portrait, trace_separatrix
 from abflow.cli import main
 
@@ -691,9 +692,9 @@ class TestSubcommands:
         code, out = run_cli(capsys, "verify", "--k", "0", "--delta", "0")
         assert code == 0
         assert "suite: PASS" in out
-        row = next(line for line in out.splitlines()
-                   if line.startswith("stagnation_zero_velocity"))
-        assert row.split()[-1] == "not_applicable"
+        # no vortex, so no order is fitted
+        row = next(line for line in out.splitlines() if line.startswith("potential_derivative"))
+        assert row.split()[-2:] == ["-", "pass"]
 
     @pytest.mark.parametrize("flags, line", [(["--seed", "-1"], None), ([], "seed = -1")])
     def test_negative_seed_is_usage_error(self, capsys, tmp_path, flags, line):
@@ -728,18 +729,18 @@ class TestSubcommands:
         assert (out / "verify_report.txt").exists()
         json.loads((out / "verify_report.json").read_text())
 
-    def test_verify_report_json_is_strict_json(self, capsys, tmp_path):
+    def test_verify_report_json_is_strict_json(self, capsys, monkeypatch, tmp_path):
         def refuse(name):
             raise ValueError(f"{name} is not JSON")
 
-        # a rotation's saddle check does not apply: its NaN residual is null
+        # a NaN velocity gives the checks that read it NaN residuals: null
+        monkeypatch.setattr(field_mod, "_velocity", lambda a, b, x, y: (x * np.nan, y * np.nan))
         out = tmp_path / "rep"
-        code, _ = run_cli(capsys, "verify", "--k", "0", "--out", str(out),
-                          "--format", "json")
-        assert code == 0
+        code, _ = run_cli(capsys, "verify", "--out", str(out), "--format", "json")
+        assert code == 1
         rows = json.loads((out / "verify_report.json").read_text(), parse_constant=refuse)
         assert {row["name"] for row in rows if row["residual"] is None} == {
-            "stagnation_zero_velocity"}
+            "canonical_scaling", "far_field_decay", "jacobian_finite_difference"}
 
     @pytest.mark.parametrize("k", ["1e-200", "1e200"])
     def test_verify_beyond_the_kernels_warns_nothing(self, capsys, tmp_path, k):

@@ -5,7 +5,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abflow import (
     FlowParams,
@@ -539,6 +539,10 @@ class TestTimesAgainstTheODE:
 
     @given(x=st.floats(-1.5, 1.5), u=st.floats(-1.0, 2.0), max_time=st.floats(20.0, 40.0),
            closure=st.booleans(), **UNITS)
+    # a start timed from the crossing next to it, and max_time in the panel
+    # past that start a lap on: the time there runs from the crossing
+    @example(x=3e-05, u=0.8922005602092207, max_time=29.0, closure=False,
+             log_l=0.0, log_tau=0.0, log_delta=-1.0)
     @settings(max_examples=40, deadline=None)
     def test_off_axis_starts(self, x, u, max_time, closure, log_l, log_tau, log_delta):
         # clear of the separatrix, as in the closure test, and of the vortex,

@@ -25,10 +25,10 @@ from abflow.verify import N_POINTS, ORDER_BAND, _sample_points
 EXPECTED_CHECKS = [
     "canonical_scaling",
     "circulation_contour_independence",
+    "far_field_decay",
     "jacobian_finite_difference",
     "potential_derivative",
     "potential_superposition",
-    "stagnation_zero_velocity",
 ]
 
 
@@ -64,12 +64,6 @@ def test_finite_difference_checks_report_second_order():
     assert reports["potential_derivative"].order == pytest.approx(2.0, abs=0.2)
 
 
-def test_delta_zero_marks_saddle_checks_not_applicable():
-    reports = {rep.name: rep for rep in run_suite(FlowParams(delta=0.0), seed=42)}
-    assert reports["stagnation_zero_velocity"].verdict == "not_applicable"
-    assert suite_passed(reports.values())
-
-
 def test_pure_rotation_passes():
     assert suite_passed(run_suite(FlowParams(k=0.0, delta=0.5), seed=42))
 
@@ -97,14 +91,59 @@ def add_to_velocity(monkeypatch, term):
     monkeypatch.setattr(verify_mod, "velocity", broken)
 
 
-def test_tampered_field_is_detected(monkeypatch):
-    # a shear added to u breaks u_x against the analytic Jacobian; the
-    # potentials, which do not read the velocity kernel, still pass
-    add_to_velocity(monkeypatch, lambda x, y: (1e-4 * x, 0.0))
+@pytest.mark.parametrize("term", [lambda x, y: (1e-4 * x, 0.0), lambda x, y: (0.0, 1e-4 * x)],
+                         ids=["u_x", "v_x"])
+def test_tampered_field_is_detected(monkeypatch, term):
+    # a shear added to u or to v breaks u_x or v_x against the analytic
+    # Jacobian; the potentials, which do not read the velocity kernel, pass
+    add_to_velocity(monkeypatch, term)
     reports = {rep.name: rep for rep in run_suite(FlowParams(), seed=42)}
     assert reports["jacobian_finite_difference"].verdict == "fail"
     assert reports["potential_derivative"].verdict == "pass"
     assert not suite_passed(reports.values())
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(delta=1e-6),
+    # l = delta/k = 0.01 in scaled units
+    dict(hbar=10.0, mass=0.1, k=10.0, delta=0.1),
+])
+def test_far_field_decay_is_well_conditioned(kwargs):
+    # u + a alone cancels to eps*a when b/|z| << a; the check must not
+    # read that cancellation as a wrong field
+    reports = {rep.name: rep for rep in run_suite(FlowParams(**kwargs), seed=42)}
+    assert reports["far_field_decay"].verdict == "pass"
+    assert suite_passed(reports.values())
+
+
+def test_far_field_decay_detects_a_wrong_vortex_term(monkeypatch):
+    def half_vortex_off(x, y):
+        # half of the canonical vortex's current (y, -x)/r^2 taken off
+        r2 = x * x + y * y
+        return -0.5 * y / r2, 0.5 * x / r2
+
+    with monkeypatch.context() as m:
+        add_to_velocity(m, half_vortex_off)
+        reports = {rep.name: rep for rep in run_suite(FlowParams(delta=1e-6), seed=42)}
+    assert reports["far_field_decay"].verdict == "fail"
+
+    # a wrong F' kernel, with the potentials intact, breaks dF/dz = F'
+    monkeypatch.setattr(verify_mod, "_dF", lambda a, b, z: -a + 0.5j * b / z)
+    reports = {rep.name: rep for rep in run_suite(FlowParams(delta=1e-6), seed=42)}
+    assert reports["potential_derivative"].verdict == "fail"
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda kernel: lambda a, b, x, y: kernel(a * (1.0 + 1e-3), b, x, y),
+    lambda kernel: lambda a, b, x, y: (a, 0.0),
+], ids=["stream 1e-3 off", "reversed"])
+def test_wrong_line_flow_velocity_is_detected(monkeypatch, mutate):
+    # a line flow's velocity is constant: no difference sees it, and the
+    # physical kernel scales with the canonical one; the far field compares
+    # its size and sign with the flow's a
+    monkeypatch.setattr(field_mod, "_velocity", mutate(field_mod._velocity))
+    reports = {r.name: r for r in run_suite(FlowParams(k=1.0, delta=0.0), seed=42)}
+    assert reports["far_field_decay"].verdict == "fail"
 
 
 def test_report_format():
@@ -247,7 +286,7 @@ def test_superposition_detects_a_wrong_vortex_term(monkeypatch):
     assert reports["potential_superposition"].verdict == "fail"
 
 
-PHYSICAL = {"canonical_scaling", "circulation_contour_independence", "stagnation_zero_velocity"}
+PHYSICAL = {"canonical_scaling", "circulation_contour_independence"}
 
 
 def bits(reports):
@@ -296,7 +335,8 @@ def test_small_vortex_near_a_small_saddle(delta):
 @pytest.mark.parametrize("params", [FlowParams(), FlowParams(k=0.0)], ids=["regular", "rotation"])
 def test_each_kernel_is_called_a_few_times_per_suite(monkeypatch, params):
     # the stencils of every check share one table: each kernel runs on it,
-    # at the points and in physical units for canonical_scaling
+    # at the points and in physical units for canonical_scaling, the
+    # velocity also on the far-field circles
     calls = {"velocity": 0, "stream_values": 0, "potential_values": 0}
 
     def counted(name):
@@ -310,18 +350,22 @@ def test_each_kernel_is_called_a_few_times_per_suite(monkeypatch, params):
     for name in calls:
         monkeypatch.setattr(verify_mod, name, counted(name))
     assert suite_passed(run_suite(params, seed=42))
-    assert calls == {"velocity": 3, "stream_values": 3, "potential_values": 3}
+    assert calls == {"velocity": 4, "stream_values": 3, "potential_values": 3}
 
 
 # The mutant table: each kind breaks one kernel where the suite reads it, or
 # puts one wrong but self-consistent flow into all of them, at the sizes e
 # of SIZES; the factor 1 + e of the last flips a scaled term's sign.  Each
-# mutant runs alone, at seed 42, on each flow of MUTANT_FLOWS.
+# mutant runs alone, at seed 42, on each flow of MUTANT_FLOWS: the regular
+# flow in three unit systems, a rotation, a line flow and the zero flow.
 SIZES = (1e-9, 1e-3, -2.0)
 MUTANT_FLOWS = {
     "natural": FlowParams(),
     "scaled": FlowParams(hbar=10.0, mass=0.1, k=3.0, delta=0.4),
     "canonical": FlowParams(k=1.0, delta=1.0, allow_any_delta=True),
+    "rotation": FlowParams(k=0.0),
+    "line": FlowParams(delta=0.0),
+    "zero": FlowParams(k=0.0, delta=0.0),
 }
 
 
@@ -452,6 +496,25 @@ def mutant_kinds(e):
     return kinds
 
 
+# the kinds that scale the stream a, the vortex b or the length l alone: on
+# a flow without it they put in the same flow, or (a rotation or a line flow
+# has no length of its own) an equally right frame, so they are no mutants
+SCALES = {
+    "a": {"velocity: stream", "F': stream", "F parts: stream", "psi: stream", "phi: stream",
+          "FlowParams.a", "whole flow: a"},
+    "b": {"velocity: vortex", "circulation: vortex", "F': vortex", "F parts: vortex",
+          "psi: vortex", "phi: vortex", "Jacobian: alpha", "Jacobian: beta", "FlowParams.b",
+          "whole flow: b", "whole flow: -b"},
+    "l": {"frame: l"},
+}
+
+
+def equivalent(kind, params):
+    """Whether the kind scales only what the flow lacks."""
+    lacks = {"a": params.a == 0.0, "b": params.b == 0.0, "l": not (params.a and params.b)}
+    return any(lacks[what] and kind in kinds for what, kinds in SCALES.items())
+
+
 @pytest.fixture(scope="module")
 def mutant_failures():
     """(kind, e, flow) -> the checks the suite fails with that mutant alone."""
@@ -470,17 +533,17 @@ def mutant_failures():
 # check -> (mutants of the table it fails, those it fails alone, the kinds
 # of those); README's verify section lists the two counts
 MUTANT_TABLE = {
-    "canonical_scaling": (111, 6, {"FlowParams.a", "FlowParams.b"}),
-    "circulation_contour_independence": (27, 9, {"circulation: vortex"}),
-    "jacobian_finite_difference": (57, 21, {
-        "Jacobian: alpha", "Jacobian: beta", "velocity + e*(x, 0)",
+    "canonical_scaling": (189, 17, {"FlowParams.a", "FlowParams.b", "frame: l"}),
+    "circulation_contour_independence": (42, 20, {
+        "circulation: vortex", "whole flow: -b", "whole flow: b",
     }),
-    "potential_derivative": (120, 18, {"F': stream", "F': vortex"}),
-    "potential_superposition": (138, 24, {
+    "far_field_decay": (128, 26, {"velocity: stream", "whole flow: a", "whole flow: strain"}),
+    "jacobian_finite_difference": (100, 28, {
+        "Jacobian: alpha", "Jacobian: beta", "velocity: vortex",
+    }),
+    "potential_derivative": (200, 24, {"F': stream", "F': vortex"}),
+    "potential_superposition": (235, 36, {
         "F parts: stream", "F parts: vortex", "phi + e", "psi + e",
-    }),
-    "stagnation_zero_velocity": (93, 20, {
-        "velocity: stream", "whole flow: a", "whole flow: strain",
     }),
 }
 
@@ -489,7 +552,10 @@ def test_every_mutant_fails_a_check(mutant_failures):
     for params in MUTANT_FLOWS.values():
         assert suite_passed(run_suite(params, seed=42))
     assert len(mutant_failures) == 31 * len(SIZES) * len(MUTANT_FLOWS)
-    assert [key for key, failed in mutant_failures.items() if not failed] == []
+    wrong = {key for key in mutant_failures if not equivalent(key[0], MUTANT_FLOWS[key[2]])}
+    assert len(wrong) == 441
+    # every wrong flow fails some check, and every equivalent one passes
+    assert [key for key, failed in mutant_failures.items() if bool(failed) != (key in wrong)] == []
 
 
 def test_mutant_table(mutant_failures):
