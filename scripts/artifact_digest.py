@@ -16,9 +16,10 @@ summary is not finite (exit 4, nothing printed or kept), verify on a flow
 whose l*l (2.5e-305) is just above the smallest FlowParams admits, and
 three calls at the vortex core's boundary: an eval within its double
 resolution (exit 3), an eval at the origin of a line flow, which has no
-core, and a circulation circle that passes within it (exit 2); last, a
+core, and a circulation circle that passes within it (exit 2); a
 portrait and a separatrix whose CSV cells lie below 1e-4 and a pair whose
-cells reach 1e16, where repr writes an exponent.  One line per call, then one
+cells reach 1e16; last, an orbit from next to the loop's lower crossing
+whose --tmax ends just past that crossing a lap on.  One line per call, then one
 overall digest; the exit status is 1 if a call's exit code is not the one
 EXIT gives it (0 if none).  Two checkouts whose lines match wrote the same
 bytes, so a change that should not move any output can be checked by
@@ -102,14 +103,15 @@ CALLS = [
     ("eval/origin-line-flow", ["eval", "--delta", "0", "--at", "0,0"]),
     ("verify/small-l", ["verify", "--k", "1e152"]),
     ("circulation/near-core", ["circulation", "--radius", "1e-160"]),
-    # cells below 1e-4 (l = 5e-6) and from 1e16 up, which repr writes with
-    # an exponent
+    # cells below 1e-4 (l = 5e-6) and from 1e16 up
     ("portrait/small-cells", ["portrait", "--k", "1e5", "--grid", "40x30",
                               "--bbox=-4e-5,4e-5,-3e-5,3e-5"]),
     ("separatrix/small-cells", ["separatrix", "--k", "1e5"]),
     ("portrait/large-cells", ["portrait", "--k", "1e-16", "--grid", "40x30",
                               "--bbox=-2e16,2e16,-1.5e16,1.5e16"]),
     ("separatrix/large-cells", ["separatrix", "--k", "1e-16"]),
+    ("trajectory/lower-crossing", ["trajectory", "--k", "1", "--delta", "1", "--allow-any-delta",
+                                   "--start", "5e-6,-0.2", "--tmax", "0.505688807485434"]),
 ]
 
 # the exit code of every call that should not exit 0

@@ -282,11 +282,12 @@ class _Emitter:
             raise InvalidParamsError(f"cannot write {str(self.out / name)!r}: {exc}") from exc
 
     def write_csvs(self, header: str, tables) -> None:
-        """Write each (name, table) of tables, 2-D arrays of numbers with
-        header's columns, as CSV if wanted, each cell the repr of a float.
-        One orjson call writes a block of whole tables with repr's digits;
-        every column count-th comma ends a row.  A cell it lays out otherwise
-        (not finite, in (0, 1e-4) or from 1e16 up in size) is repr's text."""
+        """Write each (name, table) of tables, finite 2-D arrays of numbers
+        with header's columns, as CSV if wanted, each cell orjson's text of a
+        float, the shortest literal that reads back to it.  One orjson call
+        writes a block of whole tables; every column count-th comma ends a
+        row.  The commands' tables are finite: a cell that is not comes with
+        a summary that is not, which finish refuses before it saves."""
         if not self.wants("csv"):
             return
         # its import pulls in uuid, zoneinfo and sysconfig (about 5 ms), so
@@ -304,14 +305,7 @@ class _Emitter:
             cut = np.flatnonzero(data == 44)
             data[cut[block[0].shape[1]::block[0].shape[1]]] = 10  # the end of each row
             ends = cut[[*itertools.accumulate((t.size for t in block), initial=0)]] + 1
-            text, size = data.tobytes(), abs(cells)
-            odd = np.flatnonzero(~(size < 1e16) | (size < 1e-4) & (size > 0.0))
-            if len(odd):  # each file's end moves by the lengths changed before it
-                reprs = ("%r\0" * len(odd) % tuple(cells[odd].tolist())).encode().split(b"\0")
-                lo, hi = [0, *cut[odd + 1].tolist()], [*(cut[odd] + 1).tolist(), len(text)]
-                text = b"".join(itertools.chain(*zip([text[i:j] for i, j in zip(lo, hi)], reprs)))
-                grow = np.cumsum([0, *(len(r) - (i - j) for r, i, j in zip(reprs, lo[1:], hi))])
-                ends += grow[np.searchsorted(cut[odd + 1], ends)]
+            text = data.tobytes()
             for name, lo, hi in zip(names, ends[:-1].tolist(), ends[1:].tolist()):
                 self.write(name, head + text[lo:hi], "csv")
 

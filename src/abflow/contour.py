@@ -43,10 +43,11 @@ _T65 = np.linspace(0.0, np.pi, 65)  # the parameters of a side's arc-length esti
 
 @dataclass
 class Polyline:
-    """An n x 2 float array of at least two vertices, no two consecutive
-    ones equal, with its level and a closed flag; a closed polyline's last
-    vertex is its first, bit for bit.  The library builds these from closed
-    forms, so they hold by construction and are checked in the tests."""
+    """An n x 2 float array of at least two finite vertices, no two
+    consecutive ones equal, with its level and a closed flag; a closed
+    polyline's last vertex is its first, bit for bit.  The library builds
+    these from closed forms, so they hold by construction and are checked in
+    the tests."""
 
     points: np.ndarray
     level: float | None = None
@@ -149,16 +150,22 @@ def _pieces(c: float, log_l: float) -> list[tuple[float, float, float, bool, boo
             (_log_root(f, math.log(-2.0 * cc)), 0.0, math.inf, True, False)]
 
 
-def _curve(u0, w_lo, w_hi, s):
+def _curve(u0, w_lo, w_hi, s, crossing=True):
     """w and X/|u0| at the parameters s of the level piece through (0, u0),
     w_lo <= w <= w_hi, run as the flow runs it: its side X > 0 from w_hi down
     to w_lo for s in [0, pi], then its side X < 0 back up.  On each side
-    w = w_lo + span*(1 - cos t)/2, t = |pi - s|, written from the nearer
-    end so that it keeps its digits at both."""
+    w = w_lo + span*(1 - cos t)/2, t = |pi - s|, is its nearer end's offset
+    by d = span*sin(t/2)**2 or span*cos(t/2)**2, so that it keeps its digits
+    at both.  Where w_lo is a crossing of the y axis (crossing, per point),
+    X on the lower half is measured from it, at the offset d whose digits
+    w_lo + d rounds away."""
     t, span = np.abs(np.pi - s), w_hi - w_lo
-    w = np.where(t < 0.5 * np.pi, w_lo + span * np.sin(0.5 * t) ** 2,
-                 w_hi - span * np.cos(0.5 * t) ** 2)
-    return w, canonical_x(w, u0)
+    low = t < 0.5 * np.pi
+    d = span * np.sin(0.5 * np.where(low, t, np.pi - t)) ** 2  # pi - t is exact above pi/2
+    w = np.where(low, w_lo + d, w_hi - d)
+    low &= crossing
+    anchor = np.where(low, u0 + w_lo, u0)  # the same level: |X|/|anchor| at anchor + d
+    return w, canonical_x(np.where(low, d, w), anchor) * (np.abs(anchor) / np.abs(u0))
 
 
 def _clip(pts: np.ndarray, size, levels: list, spec: PortraitSpec) -> list[Polyline]:
@@ -202,7 +209,7 @@ def _trace(rows: list, l: float, spec: PortraitSpec) -> list[Polyline]:
     def side(s, n):  # x and y - y0 at s, n vertices a piece
         u0, lo, hi, abs_y0 = np.repeat(piece, n, axis=0).T
         first = np.cumsum(n) - n
-        w, x = _curve(u0, lo, hi, s)
+        w, x = _curve(u0, lo, hi, s, np.repeat(meet_lo, n))  # a clipped lo is no crossing
         x *= abs_y0
         x[first[meet_hi]] = 0.0
         x[(first + n - 1)[meet_lo]] = 0.0
@@ -350,7 +357,9 @@ def circulation(
     samples: int = 512,
 ) -> CirculationResult:
     """Circulation of the current around a circle, by closed trapezoidal
-    quadrature (spectrally accurate for this analytic field).
+    quadrature (spectrally accurate for this analytic field) of the vortex
+    term alone: the uniform stream's trapezoid sum is exactly 0, and summing
+    it would leave only roundoff of about eps*a*radius.
 
     Converges to -2*pi*hbar*delta/mass when the circle encloses the origin
     and to 0 otherwise.  Takes 16 to SAMPLES_MAX samples and a circle on

@@ -26,11 +26,12 @@ def flow(l: float, tau: float, delta: float) -> FlowParams:
 
 
 def check_well_formed(poly) -> None:
-    """A polyline as the library builds it: at least two 2-d float vertices,
-    no two consecutive ones equal, and, if closed, its last vertex its first
-    bit for bit."""
+    """A polyline as the library builds it: at least two finite 2-d float
+    vertices, no two consecutive ones equal, and, if closed, its last vertex
+    its first bit for bit."""
     pts = poly.points
     assert pts.dtype == float and pts.ndim == 2 and pts.shape[1] == 2 and len(pts) >= 2
+    assert np.isfinite(pts).all(), "a vertex is not finite"
     assert np.all((pts[1:] != pts[:-1]).any(axis=1)), "consecutive vertices are equal"
     if poly.closed:
         assert pts[-1].tobytes() == pts[0].tobytes(), "a closed polyline ends off its start"
