@@ -18,8 +18,10 @@ three calls at the vortex core's boundary: an eval within its double
 resolution (exit 3), an eval at the origin of a line flow, which has no
 core, and a circulation circle that passes within it (exit 2); a
 portrait and a separatrix whose CSV cells lie below 1e-4 and a pair whose
-cells reach 1e16; last, an orbit from next to the loop's lower crossing
-whose --tmax ends just past that crossing a lap on.  One line per call, then one
+cells reach 1e16; an orbit from next to the loop's lower crossing whose
+--tmax ends just past that crossing a lap on; last, an orbit from a start
+inside the loop, off the axis and between two vertices, run for about ten
+laps and ending mid-lap.  One line per call, then one
 overall digest; the exit status is 1 if a call's exit code is not the one
 EXIT gives it (0 if none).  Two checkouts whose lines match wrote the same
 bytes, so a change that should not move any output can be checked by
@@ -112,6 +114,7 @@ CALLS = [
     ("separatrix/large-cells", ["separatrix", "--k", "1e-16"]),
     ("trajectory/lower-crossing", ["trajectory", "--k", "1", "--delta", "1", "--allow-any-delta",
                                    "--start", "5e-6,-0.2", "--tmax", "0.505688807485434"]),
+    ("trajectory/off-axis-laps", ["trajectory", "--start", "0.1,0.2", "--tmax", "5"]),
 ]
 
 # the exit code of every call that should not exit 0

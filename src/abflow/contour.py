@@ -39,6 +39,7 @@ GRID_MAX = 2048  # largest grid side, a bound on memory
 SAMPLES_MAX = 1 << 20  # most circulation samples, a bound on memory
 LEVEL_NODES = (128, 96)  # most grid nodes per side that the automatic levels sample
 _T65 = np.linspace(0.0, np.pi, 65)  # the parameters of a side's arc-length estimate
+_T65.flags.writeable = False
 
 
 @dataclass
@@ -150,20 +151,28 @@ def _pieces(c: float, log_l: float) -> list[tuple[float, float, float, bool, boo
             (_log_root(f, math.log(-2.0 * cc)), 0.0, math.inf, True, False)]
 
 
-def _curve(u0, w_lo, w_hi, s, crossing=True):
-    """w and X/|u0| at the parameters s of the level piece through (0, u0),
-    w_lo <= w <= w_hi, run as the flow runs it: its side X > 0 from w_hi down
-    to w_lo for s in [0, pi], then its side X < 0 back up.  On each side
-    w = w_lo + span*(1 - cos t)/2, t = |pi - s|, is its nearer end's offset
-    by d = span*sin(t/2)**2 or span*cos(t/2)**2, so that it keeps its digits
-    at both.  Where w_lo is a crossing of the y axis (crossing, per point),
-    X on the lower half is measured from it, at the offset d whose digits
-    w_lo + d rounds away."""
-    t, span = np.abs(np.pi - s), w_hi - w_lo
+def _side(s):
+    """The factors of the parameters s that _curve reads, which depend on s
+    alone: the mask of each side's lower half, t = |pi - s| < pi/2, and
+    sin(t/2)**2 there, cos(t/2)**2 above."""
+    t = np.abs(np.pi - s)
     low = t < 0.5 * np.pi
-    d = span * np.sin(0.5 * np.where(low, t, np.pi - t)) ** 2  # pi - t is exact above pi/2
+    return low, np.sin(0.5 * np.where(low, t, np.pi - t)) ** 2  # pi - t is exact above pi/2
+
+
+def _curve(u0, w_lo, w_hi, side, crossing=True):
+    """w and X/|u0| at the parameters s, given as side = _side(s), of the
+    level piece through (0, u0), w_lo <= w <= w_hi, run as the flow runs it:
+    its side X > 0 from w_hi down to w_lo for s in [0, pi], then its side
+    X < 0 back up.  On each side w = w_lo + span*(1 - cos t)/2, t = |pi - s|,
+    is its nearer end's offset by d = span*sin(t/2)**2 or span*cos(t/2)**2,
+    so that it keeps its digits at both.  Where w_lo is a crossing of the y
+    axis (crossing, per point), X on the lower half is measured from it, at
+    the offset d whose digits w_lo + d rounds away."""
+    low, sin2 = side
+    d = (w_hi - w_lo) * sin2
     w = np.where(low, w_lo + d, w_hi - d)
-    low &= crossing
+    low = low & crossing
     anchor = np.where(low, u0 + w_lo, u0)  # the same level: |X|/|anchor| at anchor + d
     return w, canonical_x(np.where(low, d, w), anchor) * (np.abs(anchor) / np.abs(u0))
 
@@ -209,7 +218,7 @@ def _trace(rows: list, l: float, spec: PortraitSpec) -> list[Polyline]:
     def side(s, n):  # x and y - y0 at s, n vertices a piece
         u0, lo, hi, abs_y0 = np.repeat(piece, n, axis=0).T
         first = np.cumsum(n) - n
-        w, x = _curve(u0, lo, hi, s, np.repeat(meet_lo, n))  # a clipped lo is no crossing
+        w, x = _curve(u0, lo, hi, _side(s), np.repeat(meet_lo, n))  # a clipped lo is no crossing
         x *= abs_y0
         x[first[meet_hi]] = 0.0
         x[(first + n - 1)[meet_lo]] = 0.0

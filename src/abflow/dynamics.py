@@ -10,7 +10,9 @@ One sampler, contour's _curve, serves every side of every piece of an orbit
 or a portrait: its vertices lie at w = w_lo + span*(1 - cos t)/2 for equal
 steps of t, and each step is timed by four 8-point Gauss-Legendre panels,
 in which dT/dt = |u0|*exp(2w)/canonical_x(w, u0)*dw/dt is smooth at the
-axis crossings.  A closed level's period is twice the time along one side.
+axis crossings.  Those steps and nodes are the same on every side of every
+orbit, so the factors of dT/dt that depend on t alone are tabulated once, at
+import.  A closed level's period is twice the time along one side.
 A rotation's circle and a line flow's line are closed forms in T.
 
 In canonical coordinates (x, y) = l*(X, U) with l = delta/k the separatrix
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import critical
-from .contour import Polyline, _curve, _pieces
+from .contour import Polyline, _curve, _pieces, _side
 from .errors import InvalidParamsError, SingularPointError
 from .field import FlowParams, _frame, stream_values
 
@@ -89,18 +91,45 @@ class SeparatrixResult:
     lower_axis_crossing: float
 
 
-def _rate(u0: float, w_lo: float, w_hi: float, s):
-    """dT/ds = R^2/|X|*|dw/ds|, smooth where X vanishes like the square root
-    of the distance to a crossing."""
-    w, x = _curve(u0, w_lo, w_hi, s)
-    return np.exp(2.0 * w) * (np.abs(np.sin(s)) / x) * (0.5 * abs(u0) * (w_hi - w_lo))
+def _factors(s):
+    """The factors of _rate at the parameters s that depend on s alone:
+    _curve's, _side(s), and |sin s|."""
+    return (*_side(s), np.abs(np.sin(s)))
+
+
+def _rate(u0: float, w_lo: float, w_hi: float, factors):
+    """dT/ds = R^2/|X|*|dw/ds| at the parameters s, given as _factors(s),
+    smooth where X vanishes like the square root of the distance to a
+    crossing."""
+    w, x = _curve(u0, w_lo, w_hi, factors[:2])
+    return np.exp(2.0 * w) * (factors[2] / x) * (0.5 * abs(u0) * (w_hi - w_lo))
 
 
 def _time(u0: float, w_lo: float, w_hi: float, a, b):
     """The time along the curve from each parameter a to b, by _STEP_PANELS
     8-point Gauss-Legendre panels."""
     a, h = np.asarray(a), np.asarray((b - a) / (2.0 * _STEP_PANELS))
-    return h * (_rate(u0, w_lo, w_hi, a[..., None] + h[..., None] * _GL_NODES) @ _GL_WEIGHTS)
+    return h * (_rate(u0, w_lo, w_hi, _factors(a[..., None] + h[..., None] * _GL_NODES))
+                @ _GL_WEIGHTS)
+
+
+# Every curve has the vertices _S, and each side (s from pi to 2*pi) the
+# same steps, so the factors that depend on s alone are formed once: _curve's
+# at the vertices, and the steps' widths and _rate's at their nodes.  So are
+# the separatrix's side x >= 0, at four times the steps so that its loop
+# ends within 1e-4*l of the saddle.
+_S = np.pi * np.linspace(0.0, 2.0, 2 * _SIDE_STEPS + 1)
+_S_SIDE = _side(_S)
+_STEP_H = (_S[_SIDE_STEPS + 1:] - _S[_SIDE_STEPS:-1]) / (2.0 * _STEP_PANELS)
+_STEP_NODES = _factors(_S[_SIDE_STEPS:-1, None] + _STEP_H[:, None] * _GL_NODES)
+_LOOP_SIDE = _side(math.pi * np.linspace(0.0, 1.0, 4 * _SIDE_STEPS + 1))
+for _a in (_GL, _GL_NODES, _GL_WEIGHTS, _S, _STEP_H, *_S_SIDE, *_STEP_NODES, *_LOOP_SIDE):
+    _a.flags.writeable = False
+
+
+def _side_times(u0: float, w_lo: float, w_hi: float):
+    """_time over each step of a side, s from pi to 2*pi, from the node table."""
+    return _STEP_H * (_rate(u0, w_lo, w_hi, _STEP_NODES) @ _GL_WEIGHTS)
 
 
 def _still(x: float, y: float):
@@ -130,9 +159,10 @@ def _level_curve(x: float, y: float, half: float):
     t_s = (2.0 * math.asin(math.sqrt((w_s - lo) / span)) if w_s - lo < hi - w_s
            else math.pi - 2.0 * math.asin(math.sqrt((hi - w_s) / span)))
     s_s = math.pi - t_s if x > 0.0 or x == 0.0 < y and loop else math.pi + t_s
-    s = math.pi * np.linspace(0.0, 2.0, 2 * _SIDE_STEPS + 1)
-    q = _time(u0, lo, hi, s[_SIDE_STEPS:-1], s[_SIDE_STEPS + 1:])  # a side, and its mirror
-    C = np.concatenate([[0.0], np.cumsum(np.concatenate([q[::-1], q]))])
+    s, q = _S, _side_times(u0, lo, hi)  # a side, and its mirror
+    C = np.zeros(len(s))
+    C[1:_SIDE_STEPS + 1], C[_SIDE_STEPS + 1:] = q[::-1], q
+    C = C.cumsum()
     i_s, c_s = int(np.searchsorted(s, s_s)), None
     if (x / u0) ** 2 < 1e-8 and not saddle:
         # next to a crossing, where X is the root of a rounding of w, the start
@@ -143,12 +173,13 @@ def _level_curve(x: float, y: float, half: float):
     elif s[i_s] != s_s:  # the start's time, from the end of its panel away from a crossing
         c_s = (C[i_s] - _time(u0, lo, hi, s_s, s[i_s]) if s_s % math.pi < 0.5 * math.pi
                else C[i_s - 1] + _time(u0, lo, hi, s[i_s - 1], s_s))
+    w, X = _curve(u0, lo, hi, _S_SIDE)
+    X, U = np.copysign(abs(u0) * X, np.pi - s), u0 + w
+    X[[_SIDE_STEPS, 0, -1] if loop else _SIDE_STEPS] = 0.0  # the crossings: pi, and 0 and 2*pi
     if c_s is not None:
         c_s = min(max(c_s, C[i_s - 1]), C[i_s])  # monotone, where it rounds onto a neighbour
-        s, C = np.insert(s, i_s, s_s), np.insert(C, i_s, c_s)
-    w, X = _curve(u0, lo, hi, s)
-    X, U = np.copysign(abs(u0) * X, np.pi - s), u0 + w
-    X[(s == np.pi) | loop & (s % (2.0 * np.pi) == 0.0)] = 0.0  # the crossings
+        s, C, X, U = (np.concatenate((v[:i_s], [v_s], v[i_s:]))
+                      for v, v_s in ((s, s_s), (C, c_s), (X, x), (U, y)))
     X[i_s], U[i_s] = x, y
     if saddle:
         C[-1 if loop else np.flatnonzero(s == np.pi)[0]] = math.inf
@@ -169,12 +200,12 @@ def _level_curve(x: float, y: float, half: float):
             for _ in range(60):
                 f = float(_time(u0, lo, hi, a, p)) - dt
                 lo_s, hi_s = (p, hi_s) if f < 0.0 else (lo_s, p)
-                p, prev = p - f / float(_rate(u0, lo, hi, p)), p
+                p, prev = p - f / float(_rate(u0, lo, hi, _factors(p))), p
                 if not lo_s < p < hi_s:
                     p = 0.5 * (lo_s + hi_s)
                 if p == prev:
                     break
-        wp, xp = _curve(u0, lo, hi, p)
+        wp, xp = _curve(u0, lo, hi, _side(p))
         return math.copysign(abs(u0) * float(xp), math.pi - p), u0 + float(wp)
 
     return C, X, U, i_s, C[-1] if loop and not saddle else None, at
@@ -248,8 +279,9 @@ def integrate(params: FlowParams, p0, *, max_time: float = 100.0,
         lap, k = np.divmod(np.arange(i_s, i_s + laps * m + 1), m)
         T = (C[k] - C[i_s]) + lap * period
     # a start within rounding of a vertex can share its time: the start stands for both
-    tie = np.diff(T) == 0.0
-    keep = ~(np.append(tie, False) | np.insert(tie, 0, False)) | (k == i_s)
+    tie = np.zeros(len(T) + 1, dtype=bool)
+    tie[1:-1] = T[1:] - T[:-1] == 0.0
+    keep = ~(tie[1:] | tie[:-1]) | (k == i_s)
     T, k = T[keep], k[keep]
     X, U = X[k], U[k]
 
@@ -262,19 +294,18 @@ def integrate(params: FlowParams, p0, *, max_time: float = 100.0,
         (np.hypot(X, U) <= _CORE_RADIUS, 0, TrajectoryStatus.ENTERED_CORE_RADIUS),
         (T >= t_end, 0, None)]) if v.any()]
     end, _, status = min(hits) if hits else (SAMPLES_MAX + 1, 0, None)
-    tail = []  # the point at max_time, between two vertices
     if status is None and end <= SAMPLES_MAX:
         status = (TrajectoryStatus.CLOSED_ORBIT_DETECTED if closing
                   else TrajectoryStatus.COMPLETED)
-        if T[end] == t_end:
-            end += 1
-        else:
-            tail = [at(k[end - 1], t_end - T[end - 1])]
-    if end + len(tail) > SAMPLES_MAX or status is None:
+        if T[end] != t_end:  # the point at max_time, between two vertices, takes vertex end's row
+            X[end], U[end] = at(k[end - 1], t_end - T[end - 1])
+            T[end] = t_end
+        end += 1
+    if end > SAMPLES_MAX or status is None:
         raise InvalidParamsError(f"trajectory reached SAMPLES_MAX = {SAMPLES_MAX} samples at time "
                                  f"{float(tau * T[SAMPLES_MAX - 1])!r} of max_time {max_time!r}")
-    times = np.append(T[:end], [t_end] * len(tail))
-    pts = np.vstack([np.column_stack([X[:end], U[:end]]), *tail])
+    times, pts = T[:end], np.empty((end, 2))
+    pts[:, 0], pts[:, 1] = X[:end], U[:end]
     points = np.array(start) + l * (pts - pts[0])
     hs = stream_values(params, points[:, 0], points[:, 1])
     with np.errstate(invalid="ignore"):  # inf - inf, where psi overflows
@@ -311,15 +342,13 @@ def trace_separatrix(params: FlowParams) -> SeparatrixResult:
     """
     area, l, crossing = _loop_metrics(params)
     level = critical.separatrix_level(params)
-    n = 4 * _SIDE_STEPS  # four times a trajectory's: the loop ends within 1e-4*l of the saddle
-    s = math.pi * np.linspace(0.0, 1.0, n + 1)
-    w, x = _curve(1.0, -1.0 - _W_INV_E, 0.0, s)  # the side x >= 0, down from the saddle
-    x[[0, n]] = 0.0  # X^2 vanishes at the saddle and the crossing only to roundoff
+    w, x = _curve(1.0, -1.0 - _W_INV_E, 0.0, _LOOP_SIDE)  # the side x >= 0, down from the saddle
+    x[[0, -1]] = 0.0  # X^2 vanishes at the saddle and the crossing only to roundoff
     down = l * np.column_stack([x, 1.0 + w])
     loop = np.vstack([down, down[-2::-1] * [-1.0, 1.0] + 0.0])  # up its mirror; not -0.0
 
     # the right arm, up to its first vertex outside the box, and its mirror
-    w, x = _curve(1.0, 0.0, math.log(2.0 * _HALF_WIDTH), s[::-1])
+    w, x = _curve(1.0, 0.0, math.log(2.0 * _HALF_WIDTH), [v[::-1] for v in _LOOP_SIDE])
     n = int(np.argmax(np.maximum(x, 1.0 + w) > _HALF_WIDTH)) + 1
     right = l * np.column_stack([x[:n], 1.0 + w[:n]])
     left = right * [-1.0, 1.0] + 0.0  # the saddle keeps x = +0.0

@@ -60,6 +60,8 @@ TINY = 1e-300
 FAR_RADII = np.array([[10.0], [100.0], [1000.0]])
 _FAR_ANGLES = np.linspace(-3.0, 3.0, 8)
 FAR_X, FAR_Y = FAR_RADII * np.cos(_FAR_ANGLES), FAR_RADII * np.sin(_FAR_ANGLES)
+for _a in (FAR_RADII, FAR_X, FAR_Y):
+    _a.flags.writeable = False
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from abflow import (
     stagnation_point,
     stream_values,
     trace_separatrix,
+    verify,
 )
 from helpers import (
     UNITS, check_well_formed, flow, ode_times, polygon_area, position_at, winding_number,
@@ -616,3 +617,36 @@ class TestEdgeCases:
                     assert traj.points[0].tolist() == [x, py]
                     if traj.status is TrajectoryStatus.CLOSED_ORBIT_DETECTED:
                         assert traj.points[-1].tolist() == [x, py]
+
+
+class TestNodeTables:
+    # the levels of a loop, an open piece, a loop with 1 - U0 = 1e-6, and
+    # the loop of an axis start at its lower crossing, whose lower end
+    # _level_curve takes from the start
+    @pytest.mark.parametrize("c, lower", [
+        (math.log(0.25) - 0.25, None),
+        (0.0, None),
+        (math.log(1.0 - 1e-6) - (1.0 - 1e-6), None),
+        (math.log(0.2) + 0.2, -0.2),
+    ])
+    def test_side_times_from_the_node_table_match_the_panels(self, c, lower):
+        u0, lo, hi = contour._pieces(c, 0.0)[0][:3]
+        if lower is not None:
+            lo = lower - u0
+        if hi == math.inf:
+            hi = math.log(2.0 * dynamics._HALF_WIDTH / abs(u0))
+        s = math.pi * np.linspace(0.0, 2.0, 129)
+        q = dynamics._time(u0, lo, hi, s[64:-1], s[65:])
+        assert dynamics._side_times(u0, lo, hi).tobytes() == q.tobytes()
+
+    @pytest.mark.parametrize("module, name", [
+        (contour, "_T65"), (dynamics, "_GL"), (dynamics, "_GL_NODES"), (dynamics, "_GL_WEIGHTS"),
+        (dynamics, "_S"), (dynamics, "_S_SIDE"), (dynamics, "_STEP_H"), (dynamics, "_STEP_NODES"),
+        (dynamics, "_LOOP_SIDE"), (verify, "FAR_RADII"), (verify, "FAR_X"), (verify, "FAR_Y"),
+    ])
+    def test_constant_tables_are_read_only(self, module, name):
+        # every caller shares them: an in-place write would change them for all
+        table = getattr(module, name)
+        for a in table if isinstance(table, tuple) else (table,):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a
