@@ -2,30 +2,31 @@
 """Print a sha256 of every output of a fixed list of CLI calls.
 
 Each call is one in-process ``abflow.cli.main`` run with ``--format all``
-into a fresh directory.  Its digest covers the exit code, stdout and the
-name and bytes of every artifact.  The calls cover every command at natural
-units and in two scaled unit systems, plus portraits that reach every
-branch of the level-curve pass, point tables that mirror only in part
-about the y axis or not at all, the largest grid whose automatic levels
-sample every node, a closed orbit next to the saddle, an orbit run for
-about ten laps without --detect-closure that stops mid-lap, verify on a
-rotation, a line flow, the zero flow and a second seed, circulation at 16
-samples (where the Richardson estimate's rule is the rule itself) and at
-33 (where it has nodes of its own), an eval and a trajectory whose
-summary is not finite (exit 4, nothing printed or kept), verify on a flow
-whose l*l (2.5e-305) is just above the smallest FlowParams admits, and
-three calls at the vortex core's boundary: an eval within its double
-resolution (exit 3), an eval at the origin of a line flow, which has no
-core, and a circulation circle that passes within it (exit 2); a
+into a fresh directory, which the call makes.  Its digest covers the exit
+code, stdout and the name and bytes of every artifact.  The calls cover
+every command at natural units and in two scaled unit systems, plus
+portraits that reach every branch of the level-curve pass, point tables
+that mirror only in part about the y axis or not at all, the largest grid
+whose automatic levels sample every node, a closed orbit next to the
+saddle, an orbit run for about ten laps without --detect-closure that stops
+mid-lap, verify on a rotation, a line flow, the zero flow and a second
+seed, circulation at 16 samples (where the Richardson estimate's rule is
+the rule itself) and at 33 (where it has nodes of its own), an eval and a
+trajectory whose summary is not finite (exit 4, nothing printed or kept),
+verify on a flow whose l*l (2.5e-305) is just above the smallest FlowParams
+admits, and three calls at the vortex core's boundary: an eval within its
+double resolution (exit 3), an eval at the origin of a line flow, which has
+no core, and a circulation circle that passes within it (exit 2); a
 portrait and a separatrix whose CSV cells lie below 1e-4 and a pair whose
 cells reach 1e16; an orbit from next to the loop's lower crossing whose
---tmax ends just past that crossing a lap on; last, an orbit from a start
-inside the loop, off the axis and between two vertices, run for about ten
-laps and ending mid-lap.  One line per call, then one
-overall digest; the exit status is 1 if a call's exit code is not the one
-EXIT gives it (0 if none).  Two checkouts whose lines match wrote the same
-bytes, so a change that should not move any output can be checked by
-running this on both:
+--tmax ends just past that crossing a lap on; an orbit from a start inside
+the loop, off the axis and between two vertices, run for about ten laps and
+ending mid-lap; last, a separatrix run twice into one directory, of which
+the second run, which writes into a directory that exists and over its
+files, is digested.  One line per call, then one overall digest; the exit
+status is 1 if a call's exit code is not the one EXIT gives it (0 if none).
+Two checkouts whose lines match wrote the same bytes, so a change that
+should not move any output can be checked by running this on both:
 
     PYTHONPATH=src python3 scripts/artifact_digest.py
 """
@@ -115,7 +116,11 @@ CALLS = [
     ("trajectory/lower-crossing", ["trajectory", "--k", "1", "--delta", "1", "--allow-any-delta",
                                    "--start", "5e-6,-0.2", "--tmax", "0.505688807485434"]),
     ("trajectory/off-axis-laps", ["trajectory", "--start", "0.1,0.2", "--tmax", "5"]),
+    ("separatrix/rerun", ["separatrix"]),
 ]
+
+# calls run twice into one directory, whose second run is digested
+RERUN = {"separatrix/rerun"}
 
 # the exit code of every call that should not exit 0
 EXIT = {"eval/nonfinite-summary": 4, "trajectory/nonfinite-summary": 4, "eval/near-core": 3,
@@ -135,12 +140,16 @@ def digest(argv: list[str], out: Path) -> tuple[int, str]:
 
 
 def run() -> list[tuple[str, int, str]]:
-    """(label, exit code, digest) of every call in CALLS."""
+    """(label, exit code, digest) of every call in CALLS, of the second run
+    of a call in RERUN."""
+    rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        return [
-            (label, *digest(argv, Path(tmp) / str(i)))
-            for i, (label, argv) in enumerate(CALLS)
-        ]
+        for i, (label, argv) in enumerate(CALLS):
+            out = Path(tmp) / str(i)
+            if label in RERUN:
+                digest(argv, out)
+            rows.append((label, *digest(argv, out)))
+    return rows
 
 
 if __name__ == "__main__":

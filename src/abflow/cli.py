@@ -248,7 +248,7 @@ class _Emitter:
 
     def __init__(self, s: SimpleNamespace):
         self.fmt = s.format
-        self.out = Path(s.out) if s.out else None
+        self.out = s.out or None
         self.texts: dict[str, bytes] = {}
 
     def wants(self, kind: str | None) -> bool:
@@ -262,16 +262,19 @@ class _Emitter:
             self.texts[name] = text.encode() if isinstance(text, str) else text
 
     def save(self) -> None:
-        """Write the kept texts, in order, making the directory first.  A
-        directory or file that cannot be made is a usage error naming the
-        path."""
-        name = ""  # an error before the first file names the directory
+        """Write the kept texts, in order, each opened straight at out/name:
+        --out is made, with its parents, only when an open finds it missing,
+        and that open is tried once more.  A directory or file that cannot
+        be made or written is a usage error naming the path."""
+        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
         try:
-            if self.texts:
-                os.makedirs(self.out, exist_ok=True)
             for name, text in self.texts.items():
-                fd = os.open(os.path.join(self.out, name), os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
-                             0o666)
+                path = os.path.join(self.out, name)
+                try:
+                    fd = os.open(path, flags, 0o666)
+                except FileNotFoundError:
+                    os.makedirs(self.out, exist_ok=True)
+                    fd = os.open(path, flags, 0o666)
                 try:
                     view = memoryview(text)
                     while view:
@@ -279,7 +282,7 @@ class _Emitter:
                 finally:
                     os.close(fd)
         except OSError as exc:
-            raise InvalidParamsError(f"cannot write {str(self.out / name)!r}: {exc}") from exc
+            raise InvalidParamsError(f"cannot write {path!r}: {exc}") from exc
 
     def write_csvs(self, header: str, tables) -> None:
         """Write each (name, table) of tables, finite 2-D arrays of numbers

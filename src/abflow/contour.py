@@ -118,10 +118,15 @@ def canonical_x(w, u0: float) -> np.ndarray:
 
 def _log_root(newton_step, t: float) -> float:
     # Newton's method in t = log(root), from a start the iterates approach
-    # monotonically
+    # monotonically, so each step is shorter than the last until rounding
+    # sets it: one that is not is left untaken, as next to the double root
+    # at C = -1, where the last iterates would cycle a few ulps apart
+    last = math.inf
     for _ in range(200):
-        t -= (dt := newton_step(t))
-        if abs(dt) <= 4.0 * sys.float_info.epsilon * max(1.0, abs(t)):
+        if abs(dt := newton_step(t)) >= last:
+            break
+        t, last = t - dt, abs(dt)
+        if last <= 4.0 * sys.float_info.epsilon * max(1.0, abs(t)):
             break
     return math.exp(t)
 

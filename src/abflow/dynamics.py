@@ -16,12 +16,14 @@ import.  A closed level's period is twice the time along one side.
 A rotation's circle and a line flow's line are closed forms in T.
 
 In canonical coordinates (x, y) = l*(X, U) with l = delta/k the separatrix
-is the curve X^2 = exp(2(U-1)) - U^2.
+is the curve X^2 = exp(2(U-1)) - U^2 for every flow: one canonical table of
+it, built on first use, is scaled by l.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -328,6 +330,22 @@ def _loop_metrics(params: FlowParams) -> tuple[float, float, float]:
     return _LOOP_AREA * l * l, l, -_W_INV_E * l
 
 
+@functools.cache
+def _separatrix_table() -> tuple[np.ndarray, np.ndarray]:
+    """The separatrix in canonical units, built on first use, read-only: its
+    loop, down the side X >= 0 from the saddle and up its mirror, and its
+    right arm, up to its first vertex outside the box."""
+    w, x = _curve(1.0, -1.0 - _W_INV_E, 0.0, _LOOP_SIDE)
+    x[[0, -1]] = 0.0  # X^2 vanishes at the saddle and the crossing only to roundoff
+    down = np.column_stack([x, 1.0 + w])
+    loop = np.vstack([down, down[-2::-1] * [-1.0, 1.0] + 0.0])  # up its mirror; not -0.0
+    w, x = _curve(1.0, 0.0, math.log(2.0 * _HALF_WIDTH), [v[::-1] for v in _LOOP_SIDE])
+    n = int(np.argmax(np.maximum(x, 1.0 + w) > _HALF_WIDTH)) + 1
+    right = np.column_stack([x[:n], 1.0 + w[:n]])
+    loop.flags.writeable = right.flags.writeable = False
+    return loop, right
+
+
 def trace_separatrix(params: FlowParams) -> SeparatrixResult:
     """The level set through the saddle, sampled from its closed form.
 
@@ -342,15 +360,7 @@ def trace_separatrix(params: FlowParams) -> SeparatrixResult:
     """
     area, l, crossing = _loop_metrics(params)
     level = critical.separatrix_level(params)
-    w, x = _curve(1.0, -1.0 - _W_INV_E, 0.0, _LOOP_SIDE)  # the side x >= 0, down from the saddle
-    x[[0, -1]] = 0.0  # X^2 vanishes at the saddle and the crossing only to roundoff
-    down = l * np.column_stack([x, 1.0 + w])
-    loop = np.vstack([down, down[-2::-1] * [-1.0, 1.0] + 0.0])  # up its mirror; not -0.0
-
-    # the right arm, up to its first vertex outside the box, and its mirror
-    w, x = _curve(1.0, 0.0, math.log(2.0 * _HALF_WIDTH), [v[::-1] for v in _LOOP_SIDE])
-    n = int(np.argmax(np.maximum(x, 1.0 + w) > _HALF_WIDTH)) + 1
-    right = l * np.column_stack([x[:n], 1.0 + w[:n]])
+    loop, right = (l * v for v in _separatrix_table())
     left = right * [-1.0, 1.0] + 0.0  # the saddle keeps x = +0.0
 
     return SeparatrixResult(

@@ -987,6 +987,31 @@ class TestArtifacts:
         assert code == 2
         assert str(target) in capsys.readouterr().err
 
+    # a command that writes CSVs, an SVG and its summary
+    WRITES = ["portrait", "--grid", "60x45", "--n-levels", "4", "--format", "all"]
+
+    def test_existing_out_is_written_without_making_it(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("os.makedirs called on an existing --out")
+        monkeypatch.setattr(cli.os, "makedirs", refuse)
+        doc = run_json(capsys, *self.WRITES, "--out", str(tmp_path))
+        assert len(doc["files"]) > 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*doc["files"], "summary.json"])
+
+    def test_missing_nested_out_is_made(self, capsys, tmp_path):
+        out = tmp_path / "a" / "b" / "c"
+        doc = run_json(capsys, *self.WRITES, "--out", str(out))
+        assert sorted(p.name for p in out.iterdir()) == sorted([*doc["files"], "summary.json"])
+
+    def test_rerun_into_the_same_out_overwrites_each_file(self, capsys, tmp_path):
+        doc = run_json(capsys, *self.WRITES, "--out", str(tmp_path))
+        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert len(first) == len(doc["files"]) + 1
+        for name, data in first.items():  # longer than what the rerun writes
+            (tmp_path / name).write_bytes(data + b"stale" * 1000)
+        assert run_json(capsys, *self.WRITES, "--out", str(tmp_path)) == doc
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == first
+
 
 def test_no_command_loads_numpy_random(tmp_path):
     # numpy imports numpy.random (19 modules) and numpy.ma (3) only on first

@@ -245,6 +245,42 @@ class TestLevelCurves:
             want = sorted(-l * float(mpmath.re(w)) for w in roots)
         assert sorted(set(ys)) == pytest.approx(want, rel=1e-13)
 
+    # levels C = c - log_l of seeded benchmark portraits within 0.1 of the
+    # separatrix's C = -1, where U - log U = -C has two roots near U = 1
+    @pytest.mark.parametrize("c, log_l", [
+        (-2.8787845440518667, -1.8311671692528533),
+        (-0.5303659426756854, 0.4764321408321936),
+        (-3.1491090040589715, -2.057519253496494),
+        (-2.4460308672044477, -1.403731677474978),
+        (-3.280109709229975, -2.2060322730037174),
+    ])
+    def test_crossings_next_to_the_separatrix_level_converge(self, monkeypatch, c, log_l):
+        # Newton's last steps may cycle between iterates a few ulps apart;
+        # each root takes a handful of steps and lands within 8 eps of a
+        # 60-digit bisection all the same
+        steps, log_root = [], contour._log_root
+
+        def counted(newton_step, t):
+            steps.append(0)
+
+            def step(t):
+                steps[-1] += 1
+                return newton_step(t)
+            return log_root(step, t)
+
+        monkeypatch.setattr(contour, "_log_root", counted)
+        (u1, *_), (u2, *_) = contour._pieces(c, log_l)
+        assert len(steps) == 3 and max(steps) <= 12
+        with mpmath.workdps(60):
+            big_c = mpmath.mpf(c) - mpmath.mpf(log_l)
+            for u, lo, hi in ((u1, mpmath.mpf(1e-3), 1), (u2, 1, 10)):
+                lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+                sign = lo - mpmath.log(lo) + big_c > 0
+                for _ in range(240):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if (mid - mpmath.log(mid) + big_c > 0) == sign else (lo, mid)
+                assert abs(u - lo) <= 8 * sys.float_info.epsilon * lo
+
     def test_spacing_where_float_heights_cannot_resolve_the_curve(self):
         # l = 1e-10 and |y| ~ 100: one ulp of y moves the curve near its axis
         # crossing by several cells in x

@@ -1,5 +1,7 @@
 import functools
+import itertools
 import math
+import random
 import sys
 
 import mpmath
@@ -366,6 +368,48 @@ class TestUnitInvariance:
                 traj = integrate(params, (x, y), max_time=0.1)
                 assert traj.points[0].tolist() == [x, y]
         assert missed > 0
+
+
+def separatrix_per_call(params):
+    """The loop, left arm and right arm as trace_separatrix formed them on
+    each call before its canonical table: each side sampled and scaled by l,
+    then mirrored."""
+    l, side = params.saddle_height, dynamics._LOOP_SIDE
+    w, x = contour._curve(1.0, -1.0 - dynamics._W_INV_E, 0.0, side)
+    x[[0, -1]] = 0.0
+    down = l * np.column_stack([x, 1.0 + w])
+    loop = np.vstack([down, down[-2::-1] * [-1.0, 1.0] + 0.0])
+    w, x = contour._curve(1.0, 0.0, math.log(2.0 * dynamics._HALF_WIDTH), [v[::-1] for v in side])
+    n = int(np.argmax(np.maximum(x, 1.0 + w) > dynamics._HALF_WIDTH)) + 1
+    right = l * np.column_stack([x[:n], 1.0 + w[:n]])
+    return loop, right * [-1.0, 1.0] + 0.0, right
+
+
+class TestCanonicalSeparatrix:
+    def test_scaled_table_matches_the_per_call_construction(self):
+        # 300 seeded flows over the unit systems of the scaling tests, their
+        # corners first
+        rng = random.Random(20)
+        ranges = [(-6.0, 6.0), (-4.0, 4.0), (-12.0, math.log10(0.5))]
+        draws = [*itertools.product(*ranges)]
+        draws += [tuple(rng.uniform(*r) for r in ranges) for _ in range(300 - len(draws))]
+        for log_l, log_tau, log_delta in draws:
+            params = flow(10.0**log_l, 10.0**log_tau, 10.0**log_delta)
+            sep = trace_separatrix(params)
+            got = [sep.loop.points, *(b.points for b in sep.unbounded_branches)]
+            for a, b in zip(got, separatrix_per_call(params), strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_table_is_read_only(self):
+        for a in dynamics._separatrix_table():
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = a
+
+    def test_result_owns_writable_points(self):
+        sep = trace_separatrix(P)
+        for poly in [sep.loop, *sep.unbounded_branches]:
+            assert poly.points.flags.writeable
+            assert not any(np.shares_memory(poly.points, a) for a in dynamics._separatrix_table())
 
 
 @pytest.fixture(scope="module")
